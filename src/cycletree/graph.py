@@ -68,28 +68,13 @@ class Cycle:
     """One cycle of f_n, identified by (level, smallest member).
 
     ``members`` is the ascending member tuple when the cycle is short enough
-    to store, else None (walk from ``rep`` on demand).
+    to store, else None.
     """
 
     level: int
     length: int
     rep: int
     members: tuple[int, ...] | None = field(default=None, compare=False)
-
-    def walk_members(self, fmap, p: int) -> list[int]:
-        """Members in orbit order starting from rep (re-walks when unstored)."""
-        modulus = p**self.level
-        out = [self.rep]
-        x = map_value(fmap, self.rep, modulus, p)
-        while x != self.rep:
-            out.append(x)
-            x = map_value(fmap, x, modulus, p)
-        return out
-
-    def sorted_members(self, fmap, p: int) -> list[int]:
-        if self.members is not None:
-            return list(self.members)
-        return sorted(self.walk_members(fmap, p))
 
 
 @dataclass

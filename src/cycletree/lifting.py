@@ -7,7 +7,11 @@ by the affine map t -> b + a*t induced on fiber offsets, where
     b = (f^k(x1) - x1) / p^n  (an integer; here stored mod p^n)
 
 Both are computed exactly by walking the cycle once at working precision
-p^{2n}, which is enough for every congruence used downstream.
+p^{2n}, which is enough for every congruence used downstream.  The offset
+map is affine because, for n >= 1, Taylor's formula gives
+f^k(x1 + t p^n) = f^k(x1) + t p^n (f^k)'(x1) (mod p^{2n}), and p^{2n} is
+divisible by p^{n+1}.  So ``expand_children`` reads the map off (a, b) mod p
+and walks each child once at p^{2(n+1)}, k*p evaluations in all.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from enum import Enum
 
 from .arith import IntPoly, Valuation, mult_order, ord_p
 from .errors import BudgetExceededError, NotACycleError
-from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle, map_value, map_value_deriv
+from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle, map_value_deriv
 
 __all__ = [
     "Behavior",
@@ -85,6 +89,27 @@ class LinearData:
         return self.b % self.p ** min(self.A.value, self.level)
 
 
+def _walk(fmap, p: int, x: int, steps: int, work: int):
+    """Yield (f(y), f'(y)) mod ``work`` for y = x, f(x), ..., ``steps`` times."""
+    if isinstance(fmap, IntPoly):
+        rc = tuple(reversed(fmap.coeffs))
+        for _ in range(steps):
+            val = der = 0
+            for c in rc:  # Horner for f and f' in one pass
+                der = (der * x + val) % work
+                val = (val * x + c) % work
+            x = val
+            yield val, der
+    else:
+        for _ in range(steps):
+            x, der = map_value_deriv(fmap, x, work, p)
+            yield x, der
+
+
+def _lin(p: int, level: int, a: int, b: int) -> LinearData:
+    return LinearData(p, level, a, b, ord_p(a - 1, p, level), ord_p(b, p, level))
+
+
 def compute_lin_at(fmap, p: int, level: int, length: int, member: int,
                    verify: bool = True) -> LinearData:
     """Linearization data computed from a specific cycle member."""
@@ -92,40 +117,16 @@ def compute_lin_at(fmap, p: int, level: int, length: int, member: int,
         raise ValueError("linearization data requires level >= 1")
     modulus = p**level
     work = modulus * modulus
-    a = 1
-    x = member
-    if isinstance(fmap, IntPoly):
-        # hot path: inline Horner for the value/derivative walk
-        rc = tuple(reversed(fmap.coeffs))
-        rd = tuple(reversed(fmap.derivative().coeffs))
-        for i in range(length):
-            der = 0
-            for c in rd:
-                der = (der * x + c) % work
-            val = 0
-            for c in rc:
-                val = (val * x + c) % work
-            a = a * der % work
-            x = val
-            if verify and i + 1 < length and (x - member) % modulus == 0:
-                raise NotACycleError(
-                    f"{member} returns after {i + 1} steps, not {length}, "
-                    f"at level {level}")
-    else:
-        for i in range(length):
-            val, der = map_value_deriv(fmap, x, work, p)
-            a = a * der % work
-            x = val
-            if verify and i + 1 < length and (x - member) % modulus == 0:
-                raise NotACycleError(
-                    f"{member} returns after {i + 1} steps, not {length}, "
-                    f"at level {level}")
+    a, x = 1, member
+    for i, (x, der) in enumerate(_walk(fmap, p, member, length, work), 1):
+        a = a * der % work
+        if verify and i < length and (x - member) % modulus == 0:
+            raise NotACycleError(
+                f"{member} returns after {i} steps, not {length}, at level {level}")
     if (x - member) % modulus != 0:
         raise NotACycleError(f"{member} is not on a {length}-cycle of f_{level}")
-    shift = (x - member) % work
-    b = (shift // modulus) % modulus
-    a %= modulus
-    return LinearData(p, level, a, b, ord_p(a - 1, p, level), ord_p(b, p, level))
+    b = (x - member) % work // modulus
+    return _lin(p, level, a % modulus, b)
 
 
 def compute_lin(fmap, p: int, cycle: Cycle, verify: bool = True) -> LinearData:
@@ -153,11 +154,8 @@ def multiplier_valuation(fmap, p: int, cycle: Cycle, cap: int) -> Valuation:
     """
     work = p ** (cap + 1)
     a = 1
-    x = cycle.rep
-    for _ in range(cycle.length):
-        val, der = map_value_deriv(fmap, x, work, p)
+    for _, der in _walk(fmap, p, cycle.rep, cycle.length, work):
         a = a * der % work
-        x = val
     return ord_p(a - 1, p, cap)
 
 
@@ -216,10 +214,18 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
                     member_cap: int = DEFAULT_MEMBER_CAP) -> list[CycleNode]:
     """Children of a node, computed without global enumeration.
 
-    Walks the p residues x1 + p^n t under f^k mod p^{n+1}, groups the induced
-    offset map into cycles, and builds one child per offset cycle.  The child
-    multiset is asserted against the lift-length law.  Cost is O(k*p) map
-    evaluations; the work is charged against ``budget``.
+    The offsets t of the lifts x1 + p^n t move under f^k by t -> b + a*t
+    (mod p), read off the node's (a, b) with no walk.  Each cycle of that map,
+    listed from its smallest offset t0, is one child; it is walked once from
+    x1 + p^n t0 at p^{2(n+1)}, which checks the closed form against the real
+    map and yields the child's members, its a, and its b at the walk start.
+    Cost: the child lengths sum to k*p, so k*p evaluations, charged against
+    ``budget``.  The child multiset is asserted against the lift-length law.
+
+    b at the canonical rep needs no second walk.  With m = n+1, L the child
+    length, F = f^L, y_j = f^j(start) and D_j = (f^j)'(start), Taylor mod p^{2m}
+    gives F(y_j) - y_j = D_j * (F(start) - start) (rotation), and for
+    rep = y_j - u p^m, F(rep) - rep = F(y_j) - y_j - u p^m (a - 1) (re-lift).
     """
     if node.expanded:
         return node.children
@@ -229,63 +235,56 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
     x1 = node.cycle.rep
     base = p**n
     modulus = base * p
+    work = modulus * modulus
+    a, b = node.lin.a_mod_p, node.lin.b_mod_p
 
-    # Induced map on offsets: t -> (f^k(x1 + t p^n) - x1) / p^n  (mod p).
-    phi = []
-    for t in range(p):
-        y = x1 + t * base
-        for _ in range(k):
-            y = map_value(fmap, y, modulus, p)
-        phi.append((y - x1) // base % p)
-
-    # Offsets on cycles of the induced map (p iterations land on a cycle).
-    cyclic = set()
-    for t in range(p):
-        u = t
-        for _ in range(p):
-            u = phi[u]
-        if u not in cyclic:
-            cyclic.add(u)
-            v = phi[u]
-            while v != u:
-                cyclic.add(v)
-                v = phi[v]
+    # Offset cycles as (smallest offset, cycle length); a = 0 has one, [b].
+    if a == 0:
+        offset_cycles = [(b, 1)]
+    else:
+        offset_cycles = []
+        seen = [False] * p
+        for t0 in range(p):
+            if seen[t0]:
+                continue
+            r, t = 0, t0
+            while not seen[t]:
+                seen[t] = True
+                r += 1
+                t = (b + a * t) % p
+            offset_cycles.append((t0, r))
 
     children = []
-    seen = [False] * p
-    for t0 in range(p):
-        if seen[t0] or t0 not in cyclic:
-            continue
-        offsets = [t0]
-        t = phi[t0]
-        while t != t0:
-            offsets.append(t)
-            t = phi[t]
-        for t in offsets:
-            seen[t] = True
-        r = len(offsets)
+    for t0, r in offset_cycles:
         length = r * k
         start = x1 + t0 * base
         members = [start]
-        y = map_value(fmap, start, modulus, p)
-        while y != start:
-            members.append(y)
-            y = map_value(fmap, y, modulus, p)
+        deriv, rep, rep_lift, rep_deriv = 1, start, start, 1
+        for y, der in _walk(fmap, p, start, length, work):
+            deriv = deriv * der % modulus
+            low = y % modulus
+            if low == start:
+                break
+            members.append(low)
+            if low < rep:
+                rep, rep_lift, rep_deriv = low, y, deriv
+        # Early return leaves fewer than length members, none leaves one more.
         if len(members) != length:
             raise AssertionError("offset cycle length disagrees with lift length")
-        cycle = Cycle(n + 1, length, min(members),
+        b_start = (y - start) % work // modulus
+        child_b = (b_start * rep_deriv - rep_lift // modulus * (deriv - 1)) % modulus
+        lin = _lin(p, n + 1, deriv, child_b)
+        cycle = Cycle(n + 1, length, rep,
                       tuple(sorted(members)) if length <= member_cap else None)
-        children.append(make_node(fmap, p, cycle, offset=t0, start=start))
+        children.append(CycleNode(cycle, lin, classify(lin, p), offset=t0, start=start,
+                                  parent=node))
 
-    # The grows-tails case leaves offsets off any cycle; mark them unseen only.
     children.sort(key=lambda c: c.cycle.rep)
     got = sorted(c.cycle.length for c in children)
     want = _expected_child_lengths(node.classification, k, p)
     if got != want:
         raise AssertionError(
             f"lift-length law violated at level {n}: got {got}, expected {want}")
-    for child in children:
-        child.parent = node
     node.children = children
     node.expanded = True
     return children

@@ -385,16 +385,18 @@ class _Analysis:
     # -- expansion with work accounting -------------------------------------
 
     def can_expand(self, node: CycleNode) -> bool:
+        """Charge one expansion of ``node`` to the work budget if it fits;
+        every True answer is followed by ``expand``."""
         if node.level >= self.max_level:
             return False
-        cost = 3 * node.length * self.p
+        cost = 3 * node.length * self.p  # flat; charging actual evaluations is left for later
         if self.work + cost > self.budget:
             self.budget_exceeded = True
             return False
+        self.work += cost
         return True
 
     def expand(self, node: CycleNode) -> list[CycleNode]:
-        self.work += 3 * node.length * self.p
         try:
             return expand_children(self.fmap, self.p, node, budget=self.budget,
                                    member_cap=self.member_cap)

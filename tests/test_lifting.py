@@ -1,12 +1,14 @@
 """Tests for linearization data, classification, and child expansion."""
 
+import dataclasses
 import random
 
 import pytest
 
 from cycletree.arith import IntPoly, Valuation, mult_order
+from cycletree.checkers import RationalMap
 from cycletree.errors import NotACycleError
-from cycletree.graph import Cycle, build_tree_bruteforce, enumerate_level
+from cycletree.graph import Cycle, build_tree_bruteforce, enumerate_level, map_value
 from cycletree.lifting import (Behavior, classify, compute_lin, compute_lin_at,
                                expand_children, make_node)
 
@@ -243,3 +245,99 @@ def test_expected_child_multisets():
     kids = expand_children(f, 3, node)
     assert [c.cycle.length for c in kids] == [1]
     assert kids[0].classification.behavior is Behavior.GROWS_TAILS
+
+
+def _random_map(rng, p, rational):
+    f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
+    if not rational:
+        return f
+    while True:
+        den = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(1, 3)))
+        if any(c % p for c in den.coeffs):
+            return RationalMap(f, den)
+
+
+def _check_children_against_reference(f, p, n, node, next_level):
+    """Every child of ``node`` equals the oracle's cycle over it, with the lin
+    and classification computed afresh at the child's rep, and its offset is
+    the smallest offset of its cycle under the walked f^k offset map."""
+    x1, k = node.cycle.rep, node.cycle.length
+    base, modulus = p**n, p ** (n + 1)
+    phi = []
+    for t in range(p):
+        y = x1 + t * base
+        for _ in range(k):
+            y = map_value(f, y, modulus, p)
+        phi.append((y - x1) // base % p)
+    over = [c for c in next_level.cycles if c.rep % base in node.cycle.members]
+    kids = expand_children(f, p, node)
+    assert [c.cycle.rep for c in kids] == [c.rep for c in over]
+    for child, ref in zip(kids, over):
+        assert (child.cycle.level, child.cycle.length) == (ref.level, ref.length)
+        assert child.cycle.members == ref.members
+        lin = compute_lin(f, p, ref)
+        assert child.lin == lin
+        assert child.classification == classify(lin, p)
+        orbit, t = [child.offset], phi[child.offset]
+        while t != child.offset:
+            assert len(orbit) < p, "offset is not on a cycle of the offset map"
+            orbit.append(t)
+            t = phi[t]
+        assert child.offset == min(orbit)
+        assert child.start == x1 + child.offset * base
+        assert child.start in child.cycle.members
+    return node.classification.behavior
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_expand_matches_reference(rational):
+    """Closed-form expansion against enumeration, compute_lin and a walked
+    offset map, at p in {3, 5, 7, 11} with n <= 3."""
+    rng = random.Random(31 + rational)
+    seen = set()
+    for _ in range(40):
+        p = rng.choice([3, 5, 7, 11])
+        f = _random_map(rng, p, rational)
+        levels = [enumerate_level(f, p, n) for n in range(1, 5 if p < 11 else 4)]
+        for n, (level, next_level) in enumerate(zip(levels, levels[1:]), 1):
+            for cycle in level.cycles:
+                node = make_node(f, p, cycle)
+                seen.add(_check_children_against_reference(f, p, n, node, next_level))
+    assert seen == set(Behavior)
+
+
+def test_expand_matches_reference_large_prime():
+    rng = random.Random(101)
+    f = IntPoly(rng.randrange(101) for _ in range(4))
+    levels = [enumerate_level(f, 101, n) for n in (1, 2, 3)]
+    for n, (level, next_level) in enumerate(zip(levels, levels[1:]), 1):
+        for cycle in level.cycles:
+            _check_children_against_reference(f, 101, n, make_node(f, 101, cycle),
+                                              next_level)
+
+
+def test_tampered_lin_is_caught():
+    """The offset map comes from (a, b) alone, so a wrong (a, b) must be
+    caught by the walk of the real map, not turned into children.  The
+    classification is tampered to match, so the lift-length law agrees with
+    the wrong offset cycles and only the walk can object."""
+    rng = random.Random(4)
+    tampered = 0
+    for _ in range(20):
+        p = rng.choice([3, 5, 7])
+        f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
+        for cycle in enumerate_level(f, p, rng.randint(1, 2)).cycles:
+            node = make_node(f, p, cycle)
+            beh = node.classification.behavior
+            if beh not in (Behavior.GROWS, Behavior.SPLITS):
+                continue
+            wrong_b = 0 if beh is Behavior.GROWS else 1
+            for lin in (dataclasses.replace(node.lin, b=node.lin.b + wrong_b - node.lin.b % p),
+                        dataclasses.replace(node.lin, a=node.lin.a + 1)):
+                bad = make_node(f, p, cycle)
+                bad.lin, bad.classification = lin, classify(lin, p)
+                with pytest.raises(AssertionError):
+                    expand_children(f, p, bad)
+                assert not bad.expanded and bad.children == []
+                tampered += 1
+    assert tampered >= 20
