@@ -12,7 +12,7 @@ from .checkers import (InverseEvalMap, RationalMap, analyze_rational,
                        is_permutation, is_single_cycle, surrogate_eval,
                        surrogate_poly)
 from .errors import (BadReductionError, BudgetExceededError, CycletreeError,
-                     NotACycleError, NotPeriodicError, SeparationError)
+                     InvariantError, NotACycleError, NotPeriodicError, SeparationError)
 from .graph import (Cycle, LevelDecomposition, TailStats, build_tree_bruteforce,
                     enumerate_level, tail_analysis)
 from .lifting import (Behavior, Classification, CycleNode, LinearData, classify,
@@ -20,7 +20,7 @@ from .lifting import (Behavior, Classification, CycleNode, LinearData, classify,
 from .predictor import (AnalyzedTree, OrbitReport, PredictedShape,
                         SeparationAnalysis, ShapeKind, analyze, check_corollaries,
                         predict, separation_analysis)
-from .verify import verify_map
+from .verify import verify_all, verify_map
 
 __version__ = "0.1.0"
 
@@ -35,8 +35,8 @@ __all__ = [
     "ShapeKind", "analyze", "check_corollaries", "predict", "separation_analysis",
     "InverseEvalMap", "RationalMap", "analyze_rational", "is_permutation",
     "is_single_cycle", "surrogate_eval", "surrogate_poly",
-    "verify_map",
-    "CycletreeError", "BudgetExceededError", "BadReductionError",
+    "verify_all", "verify_map",
+    "CycletreeError", "BudgetExceededError", "BadReductionError", "InvariantError",
     "NotACycleError", "NotPeriodicError", "SeparationError",
     "__version__",
 ]

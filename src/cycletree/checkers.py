@@ -14,6 +14,7 @@ independent oracle route inverts den by extended Euclid instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import IntPoly
 from .errors import BadReductionError, BudgetExceededError
@@ -51,6 +52,10 @@ class RationalMap:
         if self.den.degree < 0:
             raise ValueError("denominator must be nonzero")
 
+    @cached_property
+    def _derivatives(self) -> tuple[IntPoly, IntPoly]:
+        return self.num.derivative(), self.den.derivative()
+
     def _den_unit(self, x: int, modulus: int, p: int) -> int:
         dx = self.den.eval_mod(x, modulus)
         if dx % p == 0:
@@ -69,8 +74,9 @@ class RationalMap:
         """(h(x), h'(x)) mod modulus via the quotient rule; exact in Z_p."""
         dx = self._den_unit(x, modulus, p)
         nx = self.num.eval_mod(x, modulus)
-        ndx = self.num.derivative().eval_mod(x, modulus)
-        ddx = self.den.derivative().eval_mod(x, modulus)
+        dnum, dden = self._derivatives
+        ndx = dnum.eval_mod(x, modulus)
+        ddx = dden.eval_mod(x, modulus)
         inv_d = pow(dx, _phi(modulus, p) - 1, modulus)
         value = nx * inv_d % modulus
         deriv = (dx * ndx - nx * ddx) % modulus * inv_d % modulus * inv_d % modulus

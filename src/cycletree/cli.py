@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage/parse error, 3 budget
-exceeded.  Output formats: text (default), json, dot.  The point budget
-defaults to 10^7 and can be overridden with --budget or CYCLETREE_BUDGET.
+exceeded, 4 broken internal invariant (InvariantError).  Output formats: text
+(default), json, dot.  The point budget defaults to 10^7 and can be overridden
+with --budget or CYCLETREE_BUDGET.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ import sys
 from .arith import IntPoly, OddPrime
 from .checkers import (RationalMap, analyze_rational, is_permutation,
                        is_single_cycle)
-from .errors import BudgetExceededError, CycletreeError
-from .graph import DEFAULT_BUDGET, build_tree_bruteforce, enumerate_level, tail_analysis
+from .errors import BudgetExceededError, CycletreeError, InvariantError
+from .graph import DEFAULT_BUDGET, enumerate_level, tail_analysis
 from .predictor import AnalyzedTree, analyze
-from .verify import (check_chain_congruences, check_kd_identity,
-                     check_lift_length_law, check_orbit_lengths,
-                     check_tail_bounds, random_poly, verify_map)
+from .verify import random_poly, verify_all
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 
 def _default_budget() -> int:
@@ -194,15 +194,7 @@ def cmd_analyze(args) -> int:
 
 
 def _verify_one(fmap, p, budget, max_level) -> tuple[int, int, dict]:
-    report = verify_map(fmap, p, budget=budget, max_level=max_level)
-    top = report.oracle_levels
-    tree = build_tree_bruteforce(fmap, p, top, budget=budget)
-    check_lift_length_law(tree, p, report)
-    check_chain_congruences(fmap, p, tree, report)
-    check_kd_identity(fmap, p, tree, report)
-    check_orbit_lengths(tree, p, report)
-    if any(tree.tail_points[1:]):
-        check_tail_bounds(fmap, p, top, budget=budget, report=report)
+    report, _ = verify_all(fmap, p, max_level=max_level, budget=budget)
     return report.checked, report.mismatches, {
         name: (s.checked, s.mismatches) for name, s in report.rules.items()}
 
@@ -332,6 +324,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, CycletreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

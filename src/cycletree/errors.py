@@ -14,6 +14,19 @@ class BudgetExceededError(CycletreeError):
         super().__init__(f"budget exceeded: {required} {what} required, budget is {budget}")
 
 
+class InvariantError(CycletreeError, AssertionError):
+    """A structural invariant of the lift theory or of the oracle failed; the
+    message names p, the map, the level and the cycle rep where known."""
+
+    def __init__(self, what: str, p=None, fmap=None, level=None, rep=None):
+        self.p, self.fmap, self.level, self.rep = p, fmap, level, rep
+        if hasattr(fmap, "den"):
+            fmap = f"({fmap.num})/({fmap.den})"
+        context = ", ".join(f"{name}={value}" for name, value in zip(
+            ("p", "map", "level", "rep"), (p, fmap, level, rep)) if value is not None)
+        super().__init__(f"invariant violated: {what} [{context}]")
+
+
 class NotACycleError(CycletreeError):
     """The residues handed in do not form a cycle of the stated length."""
 

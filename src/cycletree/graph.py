@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import IntPoly
-from .errors import BadReductionError, BudgetExceededError
+from .errors import BadReductionError, BudgetExceededError, InvariantError
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -100,12 +100,13 @@ class LevelDecomposition:
 
 
 class _Sweep:
-    """Raw per-level data: successor table, cycle labels, reps and lengths."""
+    """Raw per-level data: successor table, cycle labels, reps, lengths and
+    the orbit array (cycles in rep order, each in orbit order from its rep)."""
 
     __slots__ = ("level", "modulus", "succ", "labels", "reps", "lengths",
-                 "excluded", "jump")
+                 "orbit", "excluded", "jump")
 
-    def __init__(self, level, modulus, succ, labels, reps, lengths, excluded=0,
+    def __init__(self, level, modulus, succ, labels, reps, lengths, orbit, excluded=0,
                  jump=None):
         self.level = level
         self.modulus = modulus
@@ -113,6 +114,7 @@ class _Sweep:
         self.labels = labels  # numpy int32, residue -> cycle id or -1
         self.reps = reps
         self.lengths = lengths
+        self.orbit = orbit
         self.excluded = excluded
         self.jump = jump  # f^(2^j) pointer table when the numpy path ran
 
@@ -166,11 +168,12 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     if modulus > budget:
         raise BudgetExceededError(modulus, budget)
     if n == 0:
-        return _Sweep(0, 1, [0], np.zeros(1, dtype=np.int32), [0], [1])
+        return _Sweep(0, 1, [0], np.zeros(1, np.int32), [0], [1], np.zeros(1, np.int32))
     succ, excluded = _successor_table(fmap, p, n)
     labels = np.full(modulus, -1, dtype=np.int32)
     reps: list[int] = []
     lengths: list[int] = []
+    orbit_dtype = np.int32 if modulus < 2**31 else np.int64
 
     if excluded == 0 and modulus >= 4096:
         # Pointer doubling marks cyclic points, then walk only those.
@@ -181,7 +184,10 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
             steps *= 2
         cyclic = np.zeros(modulus, dtype=bool)
         cyclic[jump] = True
-        for s in np.flatnonzero(cyclic).tolist():
+        starts = np.flatnonzero(cyclic)
+        orbit = np.empty(len(starts), dtype=orbit_dtype)
+        pos = 0
+        for s in starts.tolist():
             if labels[s] != -1:
                 continue
             members = [s]
@@ -191,14 +197,17 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
                 x = succ[x]
             cid = len(reps)
             labels[members] = cid
+            orbit[pos:pos + len(members)] = members
+            pos += len(members)
             reps.append(s)  # ascending scan: s is the smallest member
             lengths.append(len(members))
-        return _Sweep(n, modulus, succ, labels, reps, lengths, jump=jump)
+        return _Sweep(n, modulus, succ, labels, reps, lengths, orbit, jump=jump)
 
     # Small or partial maps: classic visited walk.  state: 0 unvisited,
     # 1 on current path, 2 settled.
     state = bytearray(modulus)
     pos = [-1] * modulus
+    orbits: list[list[int]] = []
     for s in range(modulus):
         if state[s]:
             continue
@@ -210,12 +219,13 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
             path.append(x)
             x = succ[x]
         if x != -1 and state[x] == 1:
-            i = pos[x]
-            members = path[i:]
+            members = path[pos[x]:]
             cid = len(reps)
             for m in members:
                 labels[m] = cid
-            reps.append(min(members))
+            i = members.index(min(members))
+            orbits.append(members[i:] + members[:i])  # rotated to start at the rep
+            reps.append(members[i])
             lengths.append(len(members))
         for m in path:
             state[m] = 2
@@ -224,12 +234,14 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     if order != list(range(len(reps))):
         reps = [reps[i] for i in order]
         lengths = [lengths[i] for i in order]
+        orbits = [orbits[i] for i in order]
         remap = np.empty(len(order) + 1, dtype=np.int32)
         remap[-1] = -1
         for new, old in enumerate(order):
             remap[old] = new
         labels = remap[labels]
-    return _Sweep(n, modulus, succ, labels, reps, lengths, excluded)
+    orbit = np.array([m for members in orbits for m in members], dtype=orbit_dtype)
+    return _Sweep(n, modulus, succ, labels, reps, lengths, orbit, excluded)
 
 
 def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET,
@@ -304,7 +316,9 @@ class BruteTree:
     """Cycle-lift tree built by exhaustive enumeration of levels 0..max_level.
 
     Nodes are addressed as (level, index); index orders cycles by rep.  The
-    level-0 root is the single 1-cycle of the trivial ring.  When built with
+    level-0 root is the single 1-cycle of the trivial ring.  ``orbits[n]``
+    holds every cycle member of level n, cycles in index order, each in orbit
+    order from its rep (int32 while p^n < 2^31).  When built with
     ``with_tail_lengths`` each level records (cycle length, longest tail)
     pairs for cycles that own tails.
     """
@@ -316,20 +330,14 @@ class BruteTree:
     parents: list[list[int]]
     children: list[list[list[int]]]
     tail_points: list[int]
-    max_tail_len: list[int]
+    orbits: list[np.ndarray]
     tail_pairs: list[list[tuple[int, int]]] | None = None
-
-    def node_count(self) -> int:
-        return sum(len(r) for r in self.reps)
 
     def cycle_index(self, level: int, rep: int) -> int:
         i = bisect.bisect_left(self.reps[level], rep)
         if i == len(self.reps[level]) or self.reps[level][i] != rep:
             raise KeyError(f"no cycle with rep {rep} at level {level}")
         return i
-
-    def cycle(self, level: int, idx: int) -> Cycle:
-        return Cycle(level, self.lengths[level][idx], self.reps[level][idx])
 
 
 def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BUDGET,
@@ -348,8 +356,8 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
     parents = [[-1]]
     children: list[list[list[int]]] = [[[]]]
     tail_points = [0]
-    max_tail = [0]
     tail_pairs: list[list[tuple[int, int]]] = [[]]
+    orbits = [np.zeros(1, dtype=np.int32)]
     prev_labels = np.zeros(1, dtype=np.int32)
     prev_modulus = 1
     for n in range(1, max_level + 1):
@@ -357,35 +365,30 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
         reps.append(sw.reps)
         lengths.append(sw.lengths)
         tail_points.append(sw.tail_point_count + sw.excluded)
-        if with_tail_lengths and (sw.tail_point_count or sw.excluded):
-            dist = distance_to_cycle(sw)
-            max_tail.append(int(dist.max()) if dist is not None else -1)
-            tail_pairs.append(tail_length_by_cycle(sw, dist))
-        else:
-            max_tail.append(0)
-            tail_pairs.append([])
-        par = []
+        with_tails = with_tail_lengths and (sw.tail_point_count or sw.excluded)
+        tail_pairs.append(tail_length_by_cycle(sw) if with_tails else [])
+        orbits.append(sw.orbit)
+        # The level-(n-1) cycle under each orbit member; a cycle starts at its rep.
+        owner = prev_labels[sw.orbit % prev_modulus]
+        par = owner[np.cumsum([0] + sw.lengths)[:-1]]
+        lead = np.repeat(par, sw.lengths)
+        stray = (lead < 0) | (owner != lead) if verify_projection else lead < 0
+        if stray.any():
+            cid = np.searchsorted(np.cumsum(sw.lengths), np.argmax(stray), "right")
+            raise InvariantError("cycle does not project into one parent cycle", p, fmap,
+                                 n, sw.reps[int(cid)])
+        par = par.tolist()
         kids = [[] for _ in reps[n - 1]]
-        succ = sw.succ
-        for idx, rep in enumerate(sw.reps):
-            pid = int(prev_labels[rep % prev_modulus])
-            if pid < 0:
-                raise AssertionError("cycle projects onto a tail point")
-            if verify_projection:
-                x = rep
-                for _ in range(sw.lengths[idx]):
-                    if int(prev_labels[x % prev_modulus]) != pid:
-                        raise AssertionError("cycle member escapes parent cycle")
-                    x = succ[x]
-            par.append(pid)
+        for idx, pid in enumerate(par):
             kids[pid].append(idx)
         parents.append(par)
         children.append([[] for _ in sw.reps])
         children[n - 1] = kids
         prev_labels = sw.labels
         prev_modulus = sw.modulus
+        del sw  # free this level's tables before the next, p times larger, sweep
     return BruteTree(p, max_level, reps, lengths, parents, children,
-                     tail_points, max_tail,
+                     tail_points, orbits,
                      tail_pairs if with_tail_lengths else None)
 
 

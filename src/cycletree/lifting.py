@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import IntPoly, Valuation, mult_order, ord_p
-from .errors import BudgetExceededError, NotACycleError
+from .errors import BudgetExceededError, InvariantError, NotACycleError
 from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle, map_value_deriv
 
 __all__ = [
@@ -89,21 +89,22 @@ class LinearData:
         return self.b % self.p ** min(self.A.value, self.level)
 
 
-def _walk(fmap, p: int, x: int, steps: int, work: int):
-    """Yield (f(y), f'(y)) mod ``work`` for y = x, f(x), ..., ``steps`` times."""
+def _walk(fmap, p: int, x: int, steps: int, work: int, dwork: int):
+    """Yield (f(y) mod ``work``, f'(y) mod ``dwork``) for y = x, f(x), ...,
+    ``steps`` times; ``dwork`` divides ``work``."""
     if isinstance(fmap, IntPoly):
         rc = tuple(reversed(fmap.coeffs))
         for _ in range(steps):
             val = der = 0
             for c in rc:  # Horner for f and f' in one pass
-                der = (der * x + val) % work
+                der = (der * x + val) % dwork
                 val = (val * x + c) % work
             x = val
             yield val, der
     else:
         for _ in range(steps):
             x, der = map_value_deriv(fmap, x, work, p)
-            yield x, der
+            yield x, der % dwork
 
 
 def _lin(p: int, level: int, a: int, b: int) -> LinearData:
@@ -118,15 +119,15 @@ def compute_lin_at(fmap, p: int, level: int, length: int, member: int,
     modulus = p**level
     work = modulus * modulus
     a, x = 1, member
-    for i, (x, der) in enumerate(_walk(fmap, p, member, length, work), 1):
-        a = a * der % work
+    for i, (x, der) in enumerate(_walk(fmap, p, member, length, work, modulus), 1):
+        a = a * der % modulus
         if verify and i < length and (x - member) % modulus == 0:
             raise NotACycleError(
                 f"{member} returns after {i} steps, not {length}, at level {level}")
     if (x - member) % modulus != 0:
         raise NotACycleError(f"{member} is not on a {length}-cycle of f_{level}")
     b = (x - member) % work // modulus
-    return _lin(p, level, a % modulus, b)
+    return _lin(p, level, a, b)
 
 
 def compute_lin(fmap, p: int, cycle: Cycle, verify: bool = True) -> LinearData:
@@ -154,7 +155,7 @@ def multiplier_valuation(fmap, p: int, cycle: Cycle, cap: int) -> Valuation:
     """
     work = p ** (cap + 1)
     a = 1
-    for _, der in _walk(fmap, p, cycle.rep, cycle.length, work):
+    for _, der in _walk(fmap, p, cycle.rep, cycle.length, work, work):
         a = a * der % work
     return ord_p(a - 1, p, cap)
 
@@ -260,7 +261,7 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
         start = x1 + t0 * base
         members = [start]
         deriv, rep, rep_lift, rep_deriv = 1, start, start, 1
-        for y, der in _walk(fmap, p, start, length, work):
+        for y, der in _walk(fmap, p, start, length, work, modulus):
             deriv = deriv * der % modulus
             low = y % modulus
             if low == start:
@@ -270,7 +271,8 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
                 rep, rep_lift, rep_deriv = low, y, deriv
         # Early return leaves fewer than length members, none leaves one more.
         if len(members) != length:
-            raise AssertionError("offset cycle length disagrees with lift length")
+            raise InvariantError("offset cycle length disagrees with lift length",
+                                 p, fmap, n, x1)
         b_start = (y - start) % work // modulus
         child_b = (b_start * rep_deriv - rep_lift // modulus * (deriv - 1)) % modulus
         lin = _lin(p, n + 1, deriv, child_b)
@@ -283,8 +285,8 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
     got = sorted(c.cycle.length for c in children)
     want = _expected_child_lengths(node.classification, k, p)
     if got != want:
-        raise AssertionError(
-            f"lift-length law violated at level {n}: got {got}, expected {want}")
+        raise InvariantError(f"lift-length law violated: got {got}, expected {want}",
+                             p, fmap, n, x1)
     node.children = children
     node.expanded = True
     return children

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import IntPoly, iterate_series, mult_order, ord_p, exact_orbit
-from .errors import BadReductionError, SeparationError
+from .errors import BadReductionError, InvariantError, SeparationError
 from .graph import (DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle, describe_map,
                     map_value, map_value_deriv)
 from .lifting import (Behavior, CycleNode, expand_children, make_node,
@@ -208,7 +208,8 @@ def predict(fmap, p: int, node: CycleNode, parent: CycleNode | None = None) -> P
             return _undetermined(nu + nu * d, UndeterminedReason.PARTIAL_SPLIT_HORIZON,
                                  split_known_until=nu + nu * d)
         if e.value < 2:
-            raise AssertionError("splitting kd-lift must have e >= 2")
+            raise InvariantError("splitting kd-lift must have e >= 2",
+                                 p, fmap, node.level, node.rep)
         return _splits_then_grows(e.value - 2, Scope.ALL)
 
     A, B = node.lin.A, node.lin.B
@@ -480,12 +481,14 @@ class _Analysis:
         regular = [c for c in children
                    if not (c.lin.B.saturated or c.lin.B.value >= a_val)]
         if len(exceptional) != 1 or any(c.lin.B.value != a_val - 1 for c in regular):
-            raise AssertionError("exceptional-lift pattern violated in case 2")
+            raise InvariantError("exceptional-lift pattern violated in case 2",
+                                 self.p, self.fmap, node.level, node.rep)
         # Closed-form check: the exceptional offset is -b/(a-1) at precision A.
         unit = (lin.a - 1) // self.p**a_val % self.p
         z = -(lin.b // self.p**a_val) * pow(unit, -1, self.p) % self.p
         if exceptional[0].offset != z:
-            raise AssertionError("exceptional lift disagrees with -b/(a-1) offset")
+            raise InvariantError("exceptional lift disagrees with -b/(a-1) offset",
+                                 self.p, self.fmap, node.level, node.rep)
         for child in children:
             self.process(child, node, 0, 0)
 
@@ -537,12 +540,15 @@ class _Analysis:
                     if m_known is None:
                         m_known = e_own
                     elif m_known != e_own:
-                        raise AssertionError(
-                            "kd-lifts of one chain disagree on the certified m")
+                        raise InvariantError(
+                            "kd-lifts of one chain disagree on the certified m",
+                            self.p, self.fmap, node.level, node.rep)
             if k_child is None or k_child.classification.behavior is not Behavior.PARTIALLY_SPLITS:
-                raise AssertionError("partial split lost its same-length lift")
+                raise InvariantError("partial split lost its same-length lift",
+                                     self.p, self.fmap, node.level, node.rep)
             if k_child.classification.d != d:
-                raise AssertionError("partial split changed d along the chain")
+                raise InvariantError("partial split changed d along the chain",
+                                     self.p, self.fmap, node.level, node.rep)
             node = k_child
         if m_known is not None:
             for visited in chain_nodes:
@@ -661,10 +667,13 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
                 confirmed.append(OrbitChain(cnode.length, "exceptional-split", nid, cnode.level))
 
     for chain in confirmed:
+        head = cycle_nodes[chain.node_id]
         if chain.length > p * p:
-            raise AssertionError(f"confirmed orbit length {chain.length} exceeds p^2")
+            raise InvariantError(f"confirmed orbit length {chain.length} exceeds p^2",
+                                 p, fmap, chain.level, head.rep)
         if p > 3 and not _has_orbit_form(chain.length, p):
-            raise AssertionError(f"confirmed orbit length {chain.length} violates k*r form")
+            raise InvariantError(f"confirmed orbit length {chain.length} violates k*r form",
+                                 p, fmap, chain.level, head.rep)
 
     stable: dict[int, int] = {}
     undetermined_count = 0
@@ -783,7 +792,8 @@ def separation_analysis(f: IntPoly, p: int, alpha: int, k: int,
     order = max(d, 2)
     taylor = iterate_series(f, alpha, k * d, order)
     if taylor[1] != h1:
-        raise AssertionError("iterate series disagrees with multiplier product")
+        raise InvariantError("iterate series disagrees with multiplier product",
+                             p, f, rep=alpha)
     if h1 != 1:
         m = 0
         v = h1 - 1
@@ -804,8 +814,8 @@ def separation_analysis(f: IntPoly, p: int, alpha: int, k: int,
         taylor = iterate_series(f, alpha, k * d, order)
     if d > 1 and ell % d != 1:
         # commuting compositions force the first nonzero index = 1 mod d
-        raise AssertionError(f"first nonzero iterate coefficient at {ell}, "
-                             f"violating ell = 1 (mod {d})")
+        raise InvariantError(f"first nonzero iterate coefficient at {ell}, "
+                             f"violating ell = 1 (mod {d})", p, f, rep=alpha)
     m = 0
     v = taylor[ell]
     while v % p == 0:

@@ -1,30 +1,42 @@
 """Differential harness: every analytic claim is checked against the oracle.
 
-``verify_map`` builds the exhaustive lift tree, runs the predictor, and then
-checks (a) that the analyzed prefix matches the oracle node for node, and
-(b) that every annotation's subtree claim holds in the oracle up to its
-horizon.  Auxiliary checkers cover the structural laws that do not need the
-predictor at all: the lift-length law, the multiplier/offset chain
-congruences, the capped-valuation identity on kd-lifts, orbit-length bounds,
-and tail-length bounds.
+``verify_all`` is the pipeline: it builds one oracle (a ``BruteTree`` with
+tail lengths and orbit arrays) and runs on it ``verify_map`` (the analyzed
+prefix matches the oracle node for node, and every annotation's subtree claim
+holds up to the oracle's horizon) and the structural laws that need no
+predictor: the lift-length law, the multiplier/offset chain congruences, the
+capped-valuation identity on kd-lifts, orbit-length and tail-length bounds.
+
+The chain congruences read (a, b) off the orbit arrays in numpy.  At level m,
+P = p^m, take a cycle x_0 = rep, ..., x_{L-1} in orbit order and write
+f(x_i) = c_i P + x_{i+1} (mod P^2); the low limb must be the next member, so
+the oracle's orbit is never trusted.  Lifting the walk from x_0 to Z/P^2 as
+x_i + u_i P (u_0 = 0), Taylor's f(x + uP) = f(x) + uP f'(x) (mod P^2) gives
+the exact carry recurrence u_{i+1} = c_i + u_i f'(x_i) (mod P): b at the rep
+is u_L and a is the product of the f'(x_i), one segmented scan of the affine
+steps.  At x_j, with D_j = f'(x_0)...f'(x_{j-1}), b_j = b D_j - u_j (a - 1).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .arith import IntPoly
-from .graph import (DEFAULT_BUDGET, BruteTree, _sweep_level, build_tree_bruteforce,
-                    map_value, tail_length_by_cycle)
-from .lifting import compute_lin_at
-from .predictor import (AnalyzedTree, KdLiftSample, Scope, ShapeKind, analyze,
-                        check_identity_sample)
+from .errors import InvariantError
+from .graph import (_NUMPY_SAFE_MODULUS, DEFAULT_BUDGET, BruteTree, build_tree_bruteforce,
+                    describe_map, map_value_deriv)
+from .predictor import (AnalyzedTree, KdLiftSample, Scope, ShapeKind, _has_orbit_form,
+                        analyze, check_identity_sample)
 
 __all__ = [
     "RuleStats",
     "VerifyReport",
     "verify_map",
+    "verify_all",
     "random_poly",
     "check_lift_length_law",
     "check_chain_congruences",
@@ -229,8 +241,6 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
         oracle = build_tree_bruteforce(fmap, p, top, budget=budget)
     if analyzed is None:
         analyzed = analyze(fmap, p, budget=budget, **analyze_opts)
-    from .graph import describe_map
-
     report = VerifyReport(int(p), describe_map(fmap), top)
     checker = _OracleChecker(oracle, p)
 
@@ -352,6 +362,87 @@ def _partial_pattern(lens: list[int], k: int, p: int) -> bool:
             and all(x == k * d for x in long))
 
 
+_CHAIN_CHUNK = 1 << 15  # orbit members per chunk of whole cycles (bounds peak memory)
+
+
+def _member_data(fmap, p: int, x: np.ndarray, modulus: int):
+    """(hi, lo, d) at the members x of one level, modulus P: f(x) = hi*P + lo
+    (mod P^2) and d = f'(x) (mod P).
+
+    An IntPoly with P below the safe modulus runs Horner on two limbs in base
+    P, so no product exceeds P^2 < 2^63; anything else is evaluated member by
+    member (object arrays when P itself is too large for int64 products).
+    """
+    if isinstance(fmap, IntPoly) and modulus < _NUMPY_SAFE_MODULUS:
+        hi, lo, der = (np.zeros_like(x) for _ in range(3))
+        for c in reversed(fmap.coeffs):
+            c_hi, c_lo = divmod(c % (modulus * modulus), modulus)
+            der = (der * x + lo) % modulus
+            prod = lo * x
+            lo = prod % modulus + c_lo
+            hi = (hi * x + prod // modulus + c_hi + lo // modulus) % modulus
+            lo %= modulus
+        return hi, lo, der
+    pairs = np.fromiter(chain.from_iterable(map_value_deriv(fmap, y, modulus * modulus, p)
+                                            for y in x.tolist()), x.dtype, 2 * len(x))
+    return pairs[0::2] // modulus, pairs[0::2] % modulus, pairs[1::2] % modulus
+
+
+def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
+    """Arrays (chosen member, a, b at it) over the cycles of ``level``, in
+    chunks of whole cycles.  The chosen member is the rep, or with ``over``
+    the first member from the rep that is over[cycle] mod p^(level-1)."""
+    modulus = p**level
+    dtype = np.int64 if modulus < _NUMPY_SAFE_MODULUS else object
+    lengths = np.array(tree.lengths[level], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    chosen, a, b = (np.empty(len(lengths), dtype=dtype) for _ in range(3))
+    i0 = 0
+    while i0 < len(lengths):
+        i1 = max(i0 + 1, int(np.searchsorted(starts, starts[i0] + _CHAIN_CHUNK, "right")) - 1)
+        x = tree.orbits[level][starts[i0]:starts[i1]].astype(dtype)
+        seg = starts[i0:i1] - starts[i0]
+        seg_len = lengths[i0:i1]
+        last = seg + seg_len - 1
+        cyc = np.repeat(np.arange(i1 - i0), seg_len)
+        pos = np.arange(len(x)) - seg[cyc]
+        hi, lo, der = _member_data(fmap, p, x, modulus)
+        follow = np.arange(1, len(x) + 1)
+        follow[last] = seg
+        bad = np.flatnonzero(lo != x[follow])
+        if len(bad):
+            raise InvariantError("orbit array disagrees with the map", p, fmap, level,
+                                 tree.reps[level][i0 + cyc[bad[0]]])
+        # Inclusive scan of the carry steps u -> hi + u * f' along each cycle:
+        # afterwards (slope, carry)[i] = (D, u) after the members up to i.
+        slope, carry = der, hi
+        shift = 1
+        while shift < seg_len.max():
+            live = pos[shift:] >= shift
+            s_prev, c_prev = slope[:-shift][live], carry[:-shift][live]
+            s_here = slope[shift:][live]
+            slope[shift:][live] = s_prev * s_here % modulus
+            carry[shift:][live] = (s_here * c_prev + carry[shift:][live]) % modulus
+            shift *= 2
+        if over is None:
+            first = seg
+        else:
+            hit = np.append(np.flatnonzero(x % (modulus // p) == over[i0:i1][cyc]), len(x))
+            first = hit[np.searchsorted(hit, seg)]
+            stray = np.flatnonzero(first > last)
+            if len(stray):
+                raise InvariantError("child has no member over the parent rep", p, fmap,
+                                     level, tree.reps[level][i0 + stray[0]])
+        at_rep = first == seg
+        d_j = np.where(at_rep, 1, slope[first - 1])
+        u_j = np.where(at_rep, 0, carry[first - 1])
+        a[i0:i1] = slope[last]
+        b[i0:i1] = (carry[last] * d_j - u_j * (slope[last] - 1)) % modulus
+        chosen[i0:i1] = x[first]
+        i0 = i1
+    return chosen, a, b
+
+
 def check_chain_congruences(fmap, p: int, tree: BruteTree,
                             report: VerifyReport | None = None) -> RuleStats:
     """The multiplier power law and the offset recurrence across every
@@ -360,65 +451,36 @@ def check_chain_congruences(fmap, p: int, tree: BruteTree,
         a' = a^r (mod p^n)
         p b' = t (a^r - 1) + b (1 + a + ... + a^{r-1})  (mod p^n)
 
-    computed at coherent representatives (each child's start point reduces to
-    its parent's start point).
+    computed at coherent representatives (each child's chosen member reduces
+    to its parent's chosen member, x' = x + t p^n; level 1 uses the reps).
+    Every (a, b) is read off the oracle's orbit arrays by ``_level_lin``.
     """
     stats = report.stat("chain-congruence") if report else RuleStats()
-    poly_rc = tuple(reversed(fmap.coeffs)) if isinstance(fmap, IntPoly) else None
-    # chosen[level][idx] = start member; level 1 uses the canonical reps.
-    chosen = {(1, i): r for i, r in enumerate(tree.reps[1])}
-    lin = {}
-    for i in range(len(tree.reps[1])):
-        lin[(1, i)] = compute_lin_at(fmap, p, 1, tree.lengths[1][i],
-                                     chosen[(1, i)], verify=False)
+    if tree.max_level < 2:
+        return stats
+    chosen, a, b = _level_lin(fmap, p, 1, tree, None)
     for level in range(1, tree.max_level):
         base = p**level
-        mod_next = base * p
-        for idx in range(len(tree.reps[level])):
-            if (level, idx) not in chosen:
-                continue
-            x1 = chosen[(level, idx)]
-            parent_lin = lin[(level, idx)]
-            k = tree.lengths[level][idx]
-            a, b = parent_lin.a, parent_lin.b
-            for c in tree.children[level][idx]:
-                clen = tree.lengths[level + 1][c]
-                r = clen // k
-                # locate the child member over x1
-                y = tree.reps[level + 1][c]
-                if poly_rc is not None:
-                    for _ in range(clen):
-                        if y % base == x1:
-                            break
-                        acc = 0
-                        for cf in poly_rc:
-                            acc = (acc * y + cf) % mod_next
-                        y = acc
-                    else:
-                        raise AssertionError("child has no member over the parent rep")
-                else:
-                    for _ in range(clen):
-                        if y % base == x1:
-                            break
-                        y = map_value(fmap, y, mod_next, p)
-                    else:
-                        raise AssertionError("child has no member over the parent rep")
-                t = (y - x1) // base
-                child_lin = compute_lin_at(fmap, p, level + 1, clen, y, verify=False)
-                chosen[(level + 1, c)] = y
-                lin[(level + 1, c)] = child_lin
-                a_pow = pow(a, r, base)
-                geo = 0
-                term = 1
-                for _ in range(r):
-                    geo = (geo + term) % base
-                    term = term * a % base
-                ok_a = (child_lin.a - a_pow) % base == 0
-                ok_b = (p * child_lin.b - (t * (a_pow - 1) + b * geo)) % base == 0
-                stats.record(ok_a and ok_b)
-                if not (ok_a and ok_b) and report and len(report.details) < 50:
-                    report.details.append(
-                        f"chain-congruence: rep={tree.reps[level + 1][c]}@{level + 1}")
+        par = np.array(tree.parents[level + 1], dtype=np.int64)
+        c_chosen, c_a, c_b = _level_lin(fmap, p, level + 1, tree, chosen[par])
+        r = np.array(tree.lengths[level + 1]) // np.array(tree.lengths[level])[par]
+        pa, pb = a[par], b[par]
+        a_pow, geo = np.ones_like(pa), np.zeros_like(pa)
+        for i in range(int(r.max()) if len(r) else 0):
+            live = i < r
+            geo = np.where(live, (geo + a_pow) % base, geo)
+            a_pow = np.where(live, a_pow * pa % base, a_pow)
+        t = (c_chosen - chosen[par]) // base
+        ok = (((c_a - a_pow) % base == 0)
+              & ((p * c_b - (t * (a_pow - 1) + pb * geo)) % base == 0))
+        stats.checked += len(ok)
+        stats.mismatches += int(len(ok) - ok.sum())
+        if report:
+            bad = np.flatnonzero(~ok)
+            bad = bad[np.argsort(par[bad], kind="stable")][:50 - len(report.details)]
+            report.details += [f"chain-congruence: rep={tree.reps[level + 1][c]}@{level + 1}"
+                               for c in bad]
+        chosen, a, b = c_chosen, c_a, c_b
     return stats
 
 
@@ -472,8 +534,8 @@ def check_orbit_lengths(tree: BruteTree, p: int,
             level, i = level - 1, pidx
         if not stationary:
             continue
-        ok = c <= p * p and (p == 3 or _orbit_form(c, p))
-        if p == 3 and c <= p * p and not _orbit_form(c, p):
+        ok = c <= p * p and (p == 3 or _has_orbit_form(c, p))
+        if p == 3 and c <= p * p and not _has_orbit_form(c, p):
             ok = c == 9  # the p = 3 exception
         stats.record(ok)
         if not ok and report and len(report.details) < 50:
@@ -481,39 +543,43 @@ def check_orbit_lengths(tree: BruteTree, p: int,
     return stats
 
 
-def _orbit_form(c: int, p: int) -> bool:
-    for r in range(1, p):
-        if (p - 1) % r == 0 and c % r == 0 and c // r <= p:
-            return True
-    return False
-
-
-def check_tail_bounds(fmap, p: int, max_level: int, budget: int = DEFAULT_BUDGET,
+def check_tail_bounds(fmap, p: int, max_level: int,
                       report: VerifyReport | None = None,
                       tree: BruteTree | None = None) -> RuleStats:
     """Observed longest tail over each cycle with tails is at most
     p + (n-2)k at level n.
 
-    A tree built with ``with_tail_lengths=True`` supplies the per-cycle pairs
-    directly; otherwise the levels are re-swept.
+    Reads the per-cycle pairs of a tree built with ``with_tail_lengths=True``
+    (levels 1..``max_level``); ``fmap`` is not evaluated.
     """
+    if tree is None or tree.tail_pairs is None:
+        raise ValueError("check_tail_bounds needs a tree built with_tail_lengths")
     stats = report.stat("tail-bound") if report else RuleStats()
-
-    def record(n, pairs):
-        for k, longest in pairs:
+    for n in range(1, max_level + 1):
+        for k, longest in tree.tail_pairs[n]:
             ok = longest <= p + (n - 2) * k
             stats.record(ok)
             if not ok and report and len(report.details) < 50:
                 report.details.append(
                     f"tail-bound: tail of {longest} at level {n} over k={k}")
-
-    if tree is not None and tree.tail_pairs is not None:
-        for n in range(1, tree.max_level + 1):
-            record(n, tree.tail_pairs[n])
-        return stats
-    for n in range(1, max_level + 1):
-        sw = _sweep_level(fmap, p, n, budget)
-        if sw.tail_point_count + sw.excluded == 0:
-            continue
-        record(n, tail_length_by_cycle(sw))
     return stats
+
+
+def verify_all(fmap, p: int, max_level: int | None = None,
+               budget: int = DEFAULT_BUDGET) -> tuple[VerifyReport, BruteTree]:
+    """Every check on one oracle: ``verify_map`` and the structural checkers,
+    all reading one tree built with tail lengths.  Returns (report, tree).
+
+    The tail-bound rule runs only when some level has tails, so a map without
+    tails reports no tail-bound line.
+    """
+    top = max_level if max_level is not None else oracle_depth(p, budget)
+    tree = build_tree_bruteforce(fmap, p, top, budget=budget, with_tail_lengths=True)
+    report = verify_map(fmap, p, budget=budget, max_level=top, oracle=tree)
+    check_lift_length_law(tree, p, report)
+    check_chain_congruences(fmap, p, tree, report)
+    check_kd_identity(fmap, p, tree, report)
+    check_orbit_lengths(tree, p, report)
+    if any(tree.tail_points[1:]):
+        check_tail_bounds(fmap, p, top, report=report, tree=tree)
+    return report, tree

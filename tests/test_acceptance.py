@@ -16,9 +16,7 @@ from cycletree.checkers import (InverseEvalMap, RationalMap, analyze_rational,
 from cycletree.graph import build_tree_bruteforce, enumerate_level, tail_analysis
 from cycletree.lifting import compute_lin
 from cycletree.predictor import Scope, ShapeKind, analyze, separation_analysis
-from cycletree.verify import (RuleStats, check_chain_congruences, check_kd_identity,
-                              check_lift_length_law, check_orbit_lengths,
-                              check_tail_bounds, oracle_depth, random_poly,
+from cycletree.verify import (RuleStats, oracle_depth, random_poly, verify_all,
                               verify_map)
 
 BUDGET = 10**7
@@ -56,14 +54,7 @@ def corpus():
         depth = oracle_depth(p, ORACLE_POINTS)
         for _ in range(count):
             f = random_poly(rng, p, max_degree=5)
-            tree = build_tree_bruteforce(f, p, depth, budget=BUDGET,
-                                         with_tail_lengths=True)
-            rep = verify_map(f, p, budget=BUDGET, max_level=depth, oracle=tree)
-            check_lift_length_law(tree, p, rep)
-            check_chain_congruences(f, p, tree, rep)
-            check_kd_identity(f, p, tree, rep)
-            check_orbit_lengths(tree, p, rep)
-            check_tail_bounds(f, p, depth, budget=BUDGET, report=rep, tree=tree)
+            rep, tree = verify_all(f, p, max_level=depth, budget=BUDGET)
             for name, rule in rep.rules.items():
                 bucket = {
                     "lift-length-law": stats.law,

@@ -1,0 +1,215 @@
+"""Tests for the verification pipeline and the array chain congruences."""
+
+import random
+
+import numpy as np
+import pytest
+
+from cycletree import cli, verify
+from cycletree.arith import IntPoly
+from cycletree.checkers import InverseEvalMap, RationalMap
+from cycletree.errors import InvariantError
+from cycletree.graph import build_tree_bruteforce, map_value
+from cycletree.lifting import compute_lin_at
+from cycletree.verify import (check_chain_congruences, check_kd_identity,
+                              check_lift_length_law, check_orbit_lengths,
+                              check_tail_bounds, oracle_depth, random_poly,
+                              verify_all, verify_map)
+
+# `cycletree verify --prime 3 --poly 2,1,3,1,3,2 --max-level 8`, recorded
+# before verify shared one oracle between its checks.
+README_VERIFY_STDOUT = """\
+chain-congruence: 229 checked, 0 mismatches, pass
+exceptional-split: 2 checked, 0 mismatches, pass
+grows-then-splits: 1 checked, 0 mismatches, pass
+kd-identity: 0 checked, 0 mismatches, pass
+lift-length-law: 149 checked, 0 mismatches, pass
+orbit-bound: 27 checked, 0 mismatches, pass
+prefix: 16 checked, 0 mismatches, pass
+splits-then-grows: 6 checked, 0 mismatches, pass
+undetermined-prefix: 2 checked, 0 mismatches, pass
+polynomials: 1; total mismatches: 0
+"""
+
+
+def _random_case(rng, p, rational):
+    """(map, oracle map) with the rational oracle on the Euclid route."""
+    if not rational:
+        f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
+        return f, f
+    while True:
+        den = IntPoly(rng.randrange(p * p) for _ in range(3))
+        if den.degree >= 0:
+            break
+    h = RationalMap(IntPoly(rng.randrange(p * p) for _ in range(4)), den)
+    return h, InverseEvalMap.of(h)
+
+
+def _chain_lins(fmap, p, tree):
+    """Per level, the (chosen, a, b) arrays the chain check compares."""
+    lins = [None, verify._level_lin(fmap, p, 1, tree, None)]
+    for level in range(2, tree.max_level + 1):
+        over = lins[-1][0][np.array(tree.parents[level], dtype=np.int64)]
+        lins.append(verify._level_lin(fmap, p, level, tree, over))
+    return lins
+
+
+def _rule_table(report):
+    return {name: (s.checked, s.mismatches) for name, s in report.rules.items()}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("rational", [False, True])
+def test_array_lin_matches_scalar(p, rational):
+    rng = random.Random(10 * p + rational)
+    compared = 0
+    for _ in range(6):
+        fmap, oracle_map = _random_case(rng, p, rational)
+        tree = build_tree_bruteforce(oracle_map, p, oracle_depth(p, 3000))
+        lins = _chain_lins(fmap, p, tree)
+        for level in range(1, tree.max_level + 1):
+            chosen, a, b = lins[level]
+            for i, length in enumerate(tree.lengths[level]):
+                x = int(chosen[i])
+                if level > 1:
+                    parent = tree.parents[level][i]
+                    assert x % p ** (level - 1) == lins[level - 1][0][parent]
+                lin = compute_lin_at(fmap, p, level, length, x, verify=False)
+                assert (int(a[i]), int(b[i])) == (lin.a, lin.b)
+                compared += 1
+    assert compared > 50
+
+
+def test_level_without_cycles():
+    h = RationalMap(IntPoly([7, 4, 7, 7]), IntPoly([3, 8, 6]))
+    tree = build_tree_bruteforce(InverseEvalMap.of(h), 3, 5)
+    assert tree.lengths[1] == []
+    stats = check_chain_congruences(h, 3, tree)
+    assert (stats.checked, stats.mismatches) == (0, 0)
+
+
+def test_cycle_longer_than_chunk(monkeypatch):
+    rng = random.Random(7)
+    cases = [(IntPoly([1, 1]), 3)] + [(random_poly(rng, p), p) for p in (3, 5, 7)]
+    longest = 0
+    for f, p in cases:
+        tree = build_tree_bruteforce(f, p, oracle_depth(p, 5000))
+        longest = max(longest, *(max(lens, default=0) for lens in tree.lengths))
+        want = [tuple(map(list, lin)) for lin in _chain_lins(f, p, tree)[1:]]
+        stats = check_chain_congruences(f, p, tree)
+        monkeypatch.setattr(verify, "_CHAIN_CHUNK", 4)
+        assert [tuple(map(list, lin)) for lin in _chain_lins(f, p, tree)[1:]] == want
+        assert check_chain_congruences(f, p, tree) == stats
+        assert stats.mismatches == 0
+        monkeypatch.undo()
+    assert longest > 4
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_generic_path(monkeypatch, rational):
+    rng = random.Random(11 + rational)
+    for p in (3, 5):
+        fmap, oracle_map = _random_case(rng, p, rational)
+        tree = build_tree_bruteforce(oracle_map, p, 5)
+        want = [tuple(map(list, lin)) for lin in _chain_lins(fmap, p, tree)[1:]]
+        stats = check_chain_congruences(fmap, p, tree)
+        monkeypatch.setattr(verify, "_NUMPY_SAFE_MODULUS", p * p)
+        got = _chain_lins(fmap, p, tree)[1:]
+        assert got[-1][1].dtype == object
+        assert [tuple(map(list, lin)) for lin in got] == want
+        assert check_chain_congruences(fmap, p, tree) == stats
+        monkeypatch.undo()
+
+
+def test_tampered_orbit_raises():
+    f = IntPoly([2, 1, 3, 1, 3, 2])
+    tree = build_tree_bruteforce(f, 3, 6)
+    level = 4
+    i = next(i for i, k in enumerate(tree.lengths[level]) if k >= 3)
+    start = sum(tree.lengths[level][:i])
+    orbit = tree.orbits[level]
+    orbit[start + 1], orbit[start + 2] = orbit[start + 2], orbit[start + 1]
+    with pytest.raises(InvariantError) as info:
+        check_chain_congruences(f, 3, tree)
+    err = info.value
+    assert (err.p, err.level, err.rep) == (3, level, tree.reps[level][i])
+    assert isinstance(err, AssertionError)
+
+
+def test_orbit_arrays_follow_the_map():
+    rng = random.Random(3)
+    for p, rational in [(3, False), (5, False), (3, True), (5, True)]:
+        fmap, oracle_map = _random_case(rng, p, rational)
+        tree = build_tree_bruteforce(oracle_map, p, oracle_depth(p, 20000))
+        for level in range(1, tree.max_level + 1):
+            modulus = p**level
+            orbit = tree.orbits[level].tolist()
+            assert len(orbit) == sum(tree.lengths[level])
+            pos = 0
+            for rep, k in zip(tree.reps[level], tree.lengths[level]):
+                members = orbit[pos:pos + k]
+                assert members[0] == rep == min(members)
+                for x, y in zip(members, members[1:] + members[:1]):
+                    assert map_value(oracle_map, x, modulus, p) == y
+                pos += k
+
+
+def test_verify_all_matches_hand_sequence():
+    rng = random.Random(5)
+    for _ in range(12):
+        p = rng.choice([3, 5, 7])
+        f = random_poly(rng, p, max_degree=rng.randint(1, 5))
+        depth = oracle_depth(p, 5000)
+        tree = build_tree_bruteforce(f, p, depth, with_tail_lengths=True)
+        want = verify_map(f, p, max_level=depth, oracle=tree)
+        check_lift_length_law(tree, p, want)
+        check_chain_congruences(f, p, tree, want)
+        check_kd_identity(f, p, tree, want)
+        check_orbit_lengths(tree, p, want)
+        if any(tree.tail_points[1:]):
+            check_tail_bounds(f, p, depth, report=want, tree=tree)
+        got, got_tree = verify_all(f, p, max_level=depth)
+        assert _rule_table(got) == _rule_table(want)
+        assert got.details == want.details
+        assert got_tree.reps == tree.reps
+
+
+def test_verify_builds_one_oracle(monkeypatch, capsys):
+    calls = []
+    real = verify.build_tree_bruteforce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_tree_bruteforce", counting)
+    verify_all(IntPoly([0, 0, 1]), 5, max_level=4)
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(["verify", "--prime", "5", "--poly", "0,0,1", "--max-level", "4"]) == 0
+    assert len(calls) == 1
+    assert "tail-bound" in capsys.readouterr().out
+
+
+def test_cli_verify_readme_stdout(capsys):
+    code = cli.main(["verify", "--prime", "3", "--poly", "2,1,3,1,3,2",
+                     "--max-level", "8"])
+    assert code == 0
+    assert capsys.readouterr().out == README_VERIFY_STDOUT
+
+
+def test_invariant_error_exit_4(capsys, monkeypatch):
+    def broken(fmap, p, tree, report=None):
+        raise InvariantError("planted", p, fmap, 2, 0)
+
+    monkeypatch.setattr(verify, "check_chain_congruences", broken)
+    code = cli.main(["verify", "--prime", "3", "--poly", "1,1", "--max-level", "3"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "planted" in err and "p=3" in err and "level=2" in err and "rep=0" in err
+
+
+def test_check_tail_bounds_needs_tail_lengths():
+    tree = build_tree_bruteforce(IntPoly([0, 0, 1]), 3, 3)
+    with pytest.raises(ValueError):
+        check_tail_bounds(IntPoly([0, 0, 1]), 3, 3, tree=tree)
