@@ -6,8 +6,7 @@ of the infinite lift tree from a finite prefix, and verifies every analytic
 claim against the oracle.
 """
 
-from .arith import (IntPoly, OddPrime, Residue, Valuation, eval_mod,
-                    iterate_eval, iterate_series, mult_order, ord_p)
+from .arith import IntPoly, OddPrime, Valuation, iterate_series, mult_order, ord_p
 from .checkers import (InverseEvalMap, RationalMap, analyze_rational,
                        is_permutation, is_single_cycle, surrogate_eval,
                        surrogate_poly)
@@ -25,8 +24,7 @@ from .verify import verify_all, verify_map
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntPoly", "OddPrime", "Residue", "Valuation", "eval_mod", "iterate_eval",
-    "iterate_series", "mult_order", "ord_p",
+    "IntPoly", "OddPrime", "Valuation", "iterate_series", "mult_order", "ord_p",
     "Cycle", "LevelDecomposition", "TailStats", "build_tree_bruteforce",
     "enumerate_level", "tail_analysis",
     "Behavior", "Classification", "CycleNode", "LinearData", "classify",

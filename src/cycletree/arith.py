@@ -16,11 +16,8 @@ from .errors import NotPeriodicError
 
 __all__ = [
     "OddPrime",
-    "Residue",
     "IntPoly",
     "Valuation",
-    "eval_mod",
-    "iterate_eval",
     "ord_p",
     "mult_order",
     "iterate_series",
@@ -69,27 +66,6 @@ class OddPrime(int):
         if value < 3 or not is_probable_prime(value):
             raise ValueError(f"{value} is not an odd prime")
         return super().__new__(cls, value)
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A residue class value in [0, p^level).  Level 0 is the zero ring."""
-
-    value: int
-    p: int
-    level: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        if not 0 <= self.value < self.p**self.level:
-            raise ValueError(
-                f"residue {self.value} out of range for p^n = {self.p}**{self.level}"
-            )
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.level
 
 
 class Valuation(NamedTuple):
@@ -255,21 +231,6 @@ class IntPoly:
                 x = "x" if i == 1 else f"x^{i}"
                 terms.append(x if c == 1 else f"-{x}" if c == -1 else f"{c}{x}")
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def eval_mod(f: IntPoly, x: Residue) -> Residue:
-    """f(x) reduced into [0, p^n); exact for all coefficient sizes."""
-    return Residue(f.eval_mod(x.value, x.modulus), x.p, x.level)
-
-
-def iterate_eval(f: IntPoly, x: Residue, k: int) -> Residue:
-    """k-th iterate of f applied to x, all arithmetic mod p^n."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    v, m = x.value, x.modulus
-    for _ in range(k):
-        v = f.eval_mod(v, m)
-    return Residue(v, x.p, x.level)
 
 
 @functools.lru_cache(maxsize=256)

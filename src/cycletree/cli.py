@@ -15,8 +15,7 @@ import random
 import sys
 
 from .arith import IntPoly, OddPrime
-from .checkers import (RationalMap, analyze_rational, is_permutation,
-                       is_single_cycle)
+from .checkers import RationalMap, is_permutation, is_single_cycle
 from .errors import BudgetExceededError, CycletreeError, InvariantError
 from .graph import DEFAULT_BUDGET, enumerate_level, tail_analysis
 from .predictor import AnalyzedTree, analyze
@@ -182,12 +181,8 @@ def cmd_analyze(args) -> int:
     p = _parse_prime(args.prime)
     fmap = _parse_map(args)
     budget = args.budget or _default_budget()
-    if isinstance(fmap, RationalMap):
-        tree = analyze_rational(fmap, p, max_level=args.max_level, budget=budget,
-                                max_deepen=args.max_deepen)
-    else:
-        tree = analyze(fmap, p, max_level=args.max_level, budget=budget,
-                       max_deepen=args.max_deepen)
+    tree = analyze(fmap, p, max_level=args.max_level, budget=budget,
+                   max_deepen=args.max_deepen)
     render = {"text": render_text, "json": render_json, "dot": render_dot}[args.format]
     sys.stdout.write(render(tree))
     return EXIT_BUDGET if tree.budget_exceeded else EXIT_OK
@@ -290,12 +285,8 @@ def cmd_orbits(args) -> int:
     p = _parse_prime(args.prime)
     fmap = _parse_map(args)
     budget = args.budget or _default_budget()
-    if isinstance(fmap, RationalMap):
-        tree = analyze_rational(fmap, p, max_level=args.max_level, budget=budget,
-                                max_deepen=args.max_deepen)
-    else:
-        tree = analyze(fmap, p, max_level=args.max_level, budget=budget,
-                       max_deepen=args.max_deepen)
+    tree = analyze(fmap, p, max_level=args.max_level, budget=budget,
+                   max_deepen=args.max_deepen)
     orb = tree.orbits
     confirmed = sorted({c.length for c in orb.confirmed})
     print(f"confirmed orbit lengths: {confirmed}")

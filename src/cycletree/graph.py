@@ -1,19 +1,26 @@
 """Brute-force oracle: exhaustive cycle/tail decomposition of f_n on Z/p^nZ.
 
 This is the ground truth that every analytic prediction is checked against.
-The sweep is O(p^n): successor tables are built with numpy where the modulus
-allows exact int64 arithmetic, cycles are then extracted with a linear walk.
+Every map and every level takes one path.  The successor table is an int64
+array (Horner in numpy where the modulus allows exact int64 arithmetic; for
+rational maps one evaluation per residue outside the pole classes, -1 at
+poles).  Poles point to an absorbing sink, pointer doubling over the table
+finds the cyclic points, and an ascending walk over those alone lists the
+cycles in rep order, each in orbit order from its rep.  The doubled table
+also names the cycle each tail ends in.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arith import IntPoly
-from .errors import BadReductionError, BudgetExceededError, InvariantError
+from .errors import BudgetExceededError, InvariantError
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -100,44 +107,45 @@ class LevelDecomposition:
 
 
 class _Sweep:
-    """Raw per-level data: successor table, cycle labels, reps, lengths and
-    the orbit array (cycles in rep order, each in orbit order from its rep)."""
+    """Raw per-level data.
+
+    ``succ`` is the int64 successor table, -1 at poles.  ``jump`` is
+    f^(2^k) for the first 2^k >= modulus, extended by an absorbing sink at
+    index ``modulus`` that every pole maps to, so ``jump[x]`` lies on the cycle
+    that x's orbit ends in, or is the sink.  ``labels`` maps each residue to
+    its cycle id (-1 off cycles); cycles are in rep order, and ``orbit`` holds
+    their members, each cycle in orbit order from its rep.
+    """
 
     __slots__ = ("level", "modulus", "succ", "labels", "reps", "lengths",
                  "orbit", "excluded", "jump")
 
-    def __init__(self, level, modulus, succ, labels, reps, lengths, orbit, excluded=0,
-                 jump=None):
+    def __init__(self, level, modulus, succ, labels, reps, lengths, orbit, excluded, jump):
         self.level = level
         self.modulus = modulus
-        self.succ = succ  # python list; entry -1 marks an undefined point (pole)
-        self.labels = labels  # numpy int32, residue -> cycle id or -1
+        self.succ = succ
+        self.labels = labels
         self.reps = reps
         self.lengths = lengths
         self.orbit = orbit
         self.excluded = excluded
-        self.jump = jump  # f^(2^j) pointer table when the numpy path ran
+        self.jump = jump
 
     @property
     def tail_point_count(self) -> int:
         return self.modulus - sum(self.lengths) - self.excluded
 
-    def cycle(self, idx: int, member_cap: int = DEFAULT_MEMBER_CAP) -> Cycle:
-        rep, length = self.reps[idx], self.lengths[idx]
-        members = None
-        if length <= member_cap:
-            succ = self.succ
-            out = [rep]
-            x = succ[rep]
-            while x != rep:
-                out.append(x)
-                x = succ[x]
-            members = tuple(sorted(out))
-        return Cycle(self.level, length, rep, members)
+    def cycles(self, member_cap: int) -> list[Cycle]:
+        """Every cycle in rep order, members read off the orbit array."""
+        orbit = self.orbit.tolist()
+        ends = itertools.accumulate(self.lengths)
+        return [Cycle(self.level, length, rep,
+                      tuple(sorted(orbit[end - length:end])) if length <= member_cap else None)
+                for rep, length, end in zip(self.reps, self.lengths, ends)]
 
 
-def _successor_table(fmap, p: int, n: int) -> tuple[list[int], int]:
-    """Full successor list for f_n, plus count of undefined points."""
+def _successor_table(fmap, p: int, n: int) -> tuple[np.ndarray, int]:
+    """Full int64 successor table for f_n (-1 at poles), plus the pole count."""
     modulus = p**n
     if isinstance(fmap, IntPoly):
         if modulus <= _NUMPY_SAFE_MODULUS:
@@ -148,133 +156,93 @@ def _successor_table(fmap, p: int, n: int) -> tuple[list[int], int]:
                 acc %= modulus
                 acc += c % modulus
                 acc %= modulus
-            return acc.tolist(), 0
-        return [fmap.eval_mod(x, modulus) for x in range(modulus)], 0
-    # Rational map: poles (denominator = 0 mod p) become dead points.
-    succ = []
-    excluded = 0
-    for x in range(modulus):
-        try:
-            succ.append(fmap.surrogate_value(x, modulus, p))
-        except BadReductionError:
-            succ.append(-1)
-            excluded += 1
-    return succ, excluded
+            return acc, 0
+        return np.fromiter((fmap.eval_mod(x, modulus) for x in range(modulus)),
+                           np.int64, modulus), 0
+    # Rational map: den(x) = 0 (mod p) depends only on x mod p, so the pole
+    # classes are found once and their residues never reach the map.
+    pole = np.array([fmap.den.eval_mod(r, p) == 0 for r in range(p)])
+    defined = np.flatnonzero(~np.tile(pole, modulus // p))
+    succ = np.full(modulus, -1, dtype=np.int64)
+    succ[defined] = np.fromiter((fmap.surrogate_value(x, modulus, p) for x in defined.tolist()),
+                                np.int64, len(defined))
+    return succ, modulus - len(defined)
 
 
 def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
-    """Classify every residue of Z/p^nZ as cycle member or tail point."""
+    """Classify every residue of Z/p^nZ as cycle member, tail point or pole."""
     modulus = p**n
     if modulus > budget:
         raise BudgetExceededError(modulus, budget)
-    if n == 0:
-        return _Sweep(0, 1, [0], np.zeros(1, np.int32), [0], [1], np.zeros(1, np.int32))
+    if n == 0:  # the zero ring; a rational map would otherwise read as one pole
+        return _Sweep(0, 1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
+                      np.zeros(1, np.int32), 0, np.arange(2))
     succ, excluded = _successor_table(fmap, p, n)
-    labels = np.full(modulus, -1, dtype=np.int32)
-    reps: list[int] = []
+    # Pointer doubling: after 2^k >= modulus steps every point sits on its
+    # cycle or in the sink, so the images of jump are exactly the cyclic points.
+    jump = np.append(succ, modulus)
+    jump[jump < 0] = modulus
+    steps = 1
+    while steps < modulus:
+        jump = jump[jump]
+        steps *= 2
+    cyclic = np.zeros(modulus + 1, dtype=bool)
+    cyclic[jump] = True
+    starts = np.flatnonzero(cyclic[:modulus])
+    del cyclic
+    rank = np.empty(modulus, dtype=np.int64)
+    rank[starts] = np.arange(len(starts))
+    # Walk the cyclic points in ascending order, as positions in ``starts``:
+    # the first point met on each cycle is its smallest member, its rep.
+    nxt = rank[succ[starts]].tolist()
+    del rank
+    seen = bytearray(len(starts))
+    order = array("q")
+    append = order.append
     lengths: list[int] = []
-    orbit_dtype = np.int32 if modulus < 2**31 else np.int64
-
-    if excluded == 0 and modulus >= 4096:
-        # Pointer doubling marks cyclic points, then walk only those.
-        jump = np.array(succ, dtype=np.int64)
-        steps = 1
-        while steps < modulus:
-            jump = jump[jump]
-            steps *= 2
-        cyclic = np.zeros(modulus, dtype=bool)
-        cyclic[jump] = True
-        starts = np.flatnonzero(cyclic)
-        orbit = np.empty(len(starts), dtype=orbit_dtype)
-        pos = 0
-        for s in starts.tolist():
-            if labels[s] != -1:
-                continue
-            members = [s]
-            x = succ[s]
-            while x != s:
-                members.append(x)
-                x = succ[x]
-            cid = len(reps)
-            labels[members] = cid
-            orbit[pos:pos + len(members)] = members
-            pos += len(members)
-            reps.append(s)  # ascending scan: s is the smallest member
-            lengths.append(len(members))
-        return _Sweep(n, modulus, succ, labels, reps, lengths, orbit, jump=jump)
-
-    # Small or partial maps: classic visited walk.  state: 0 unvisited,
-    # 1 on current path, 2 settled.
-    state = bytearray(modulus)
-    pos = [-1] * modulus
-    orbits: list[list[int]] = []
-    for s in range(modulus):
-        if state[s]:
+    for s in range(len(starts)):
+        if seen[s]:
             continue
-        path = []
-        x = s
-        while x != -1 and state[x] == 0:
-            state[x] = 1
-            pos[x] = len(path)
-            path.append(x)
-            x = succ[x]
-        if x != -1 and state[x] == 1:
-            members = path[pos[x]:]
-            cid = len(reps)
-            for m in members:
-                labels[m] = cid
-            i = members.index(min(members))
-            orbits.append(members[i:] + members[:i])  # rotated to start at the rep
-            reps.append(members[i])
-            lengths.append(len(members))
-        for m in path:
-            state[m] = 2
-            pos[m] = -1
-    order = sorted(range(len(reps)), key=reps.__getitem__)
-    if order != list(range(len(reps))):
-        reps = [reps[i] for i in order]
-        lengths = [lengths[i] for i in order]
-        orbits = [orbits[i] for i in order]
-        remap = np.empty(len(order) + 1, dtype=np.int32)
-        remap[-1] = -1
-        for new, old in enumerate(order):
-            remap[old] = new
-        labels = remap[labels]
-    orbit = np.array([m for members in orbits for m in members], dtype=orbit_dtype)
-    return _Sweep(n, modulus, succ, labels, reps, lengths, orbit, excluded)
+        size = len(order)
+        i = s
+        while not seen[i]:
+            seen[i] = 1
+            append(i)
+            i = nxt[i]
+        lengths.append(len(order) - size)
+    del nxt, seen
+    orbit = starts[np.frombuffer(order, dtype=np.int64)]
+    del order
+    sizes = np.array(lengths, dtype=np.int64)
+    reps = orbit[np.cumsum(sizes) - sizes].tolist()
+    labels = np.full(modulus, -1, dtype=np.int32)
+    labels[orbit] = np.repeat(np.arange(len(reps), dtype=np.int32), lengths)
+    orbit = orbit.astype(np.int32 if modulus < 2**31 else np.int64)
+    return _Sweep(n, modulus, succ, labels, reps, lengths, orbit, excluded, jump)
 
 
 def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET,
                     member_cap: int = DEFAULT_MEMBER_CAP) -> LevelDecomposition:
     """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep."""
     sw = _sweep_level(fmap, p, n, budget)
-    cycles = [sw.cycle(i, member_cap) for i in range(len(sw.reps))]
-    return LevelDecomposition(n, cycles, sw.tail_point_count, sw.excluded)
+    return LevelDecomposition(n, sw.cycles(member_cap), sw.tail_point_count, sw.excluded)
 
 
-def distance_to_cycle(sweep: _Sweep, max_rounds: int | None = None) -> np.ndarray | None:
+def distance_to_cycle(sweep: _Sweep) -> np.ndarray:
     """Per-residue distance to the nearest cycle point along the orbit.
 
-    Returns int32 array (0 on cycles).  None if not converged in max_rounds,
-    which means some tail is longer than max_rounds.  Points with undefined
-    forward orbit (poles) keep a sentinel distance of -1.
+    Returns an int32 array, 0 on cycles.  Points whose forward orbit meets a
+    pole keep a sentinel distance of -1.
     """
-    n_pts = sweep.modulus
-    succ = np.array(sweep.succ, dtype=np.int64)
-    dead = succ == -1
-    succ[dead] = 0
+    dead = sweep.succ < 0
+    succ = np.where(dead, 0, sweep.succ)
     inf = np.iinfo(np.int32).max
-    dist = np.where(np.asarray(sweep.labels) >= 0, 0, inf).astype(np.int64)
+    dist = np.where(sweep.labels >= 0, 0, inf).astype(np.int64)
     dist[dead] = -1
-    rounds = 0
-    cap = max_rounds if max_rounds is not None else n_pts + 1
     while True:
         pending = dist == inf
         if not pending.any():
             break
-        rounds += 1
-        if rounds > cap:
-            return None
         nxt = dist[succ] + 1
         better = pending & (nxt < inf) & (nxt > 0)
         if not better.any():
@@ -285,23 +253,10 @@ def distance_to_cycle(sweep: _Sweep, max_rounds: int | None = None) -> np.ndarra
     return dist.astype(np.int32)
 
 
-def tail_length_by_cycle(sweep: _Sweep, dist=None) -> list[tuple[int, int]]:
+def tail_length_by_cycle(sweep: _Sweep) -> list[tuple[int, int]]:
     """(cycle length, longest attached tail) for cycles with tails."""
-    if dist is None:
-        dist = distance_to_cycle(sweep)
-    if dist is None:
-        return []
-    labels = np.asarray(sweep.labels)
-    if sweep.jump is not None:
-        owner = labels[sweep.jump]
-    else:
-        owner = np.empty(sweep.modulus, dtype=np.int64)
-        succ = sweep.succ
-        for x in range(sweep.modulus):
-            y, d = x, dist[x]
-            for _ in range(int(d) if d > 0 else 0):
-                y = succ[y]
-            owner[x] = labels[y] if y != -1 else -1
+    dist = distance_to_cycle(sweep)
+    owner = np.append(sweep.labels, -1)[sweep.jump[:-1]]  # the sink reads -1
     valid = (dist > 0) & (owner >= 0)
     if not valid.any():
         return []
@@ -341,13 +296,12 @@ class BruteTree:
 
 
 def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BUDGET,
-                          verify_projection: bool = True,
                           with_tail_lengths: bool = False) -> BruteTree:
     """Build the full lift tree by sweeping each level and attaching each
     cycle to the unique level-(n-1) cycle it projects onto.
 
-    With ``verify_projection`` every member of every cycle is checked to
-    reduce into its parent's member set (via the parent level's labels).
+    Every member of every cycle is checked to reduce into its parent's member
+    set (via the parent level's labels).
     """
     if p**max_level > budget:
         raise BudgetExceededError(p**max_level, budget)
@@ -372,7 +326,7 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
         owner = prev_labels[sw.orbit % prev_modulus]
         par = owner[np.cumsum([0] + sw.lengths)[:-1]]
         lead = np.repeat(par, sw.lengths)
-        stray = (lead < 0) | (owner != lead) if verify_projection else lead < 0
+        stray = (lead < 0) | (owner != lead)
         if stray.any():
             cid = np.searchsorted(np.cumsum(sw.lengths), np.argmax(stray), "right")
             raise InvariantError("cycle does not project into one parent cycle", p, fmap,
@@ -422,30 +376,18 @@ def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
     _, deriv = map_value_deriv(fmap, x0, p, p)
     if deriv % p != 0:
         raise ValueError(f"f' is a unit mod {p} at {x0}; no tails over this class")
-    modulus = p**n
-    if modulus > budget:
-        raise BudgetExceededError(modulus, budget)
+    sw = _sweep_level(fmap, p, n, budget)
 
     # Fiber histogram over the class {x = x0 (mod p)}.
-    counts: dict[int, int] = {}
-    for t in range(p ** (n - 1)):
-        y = map_value(fmap, x0 + p * t, modulus, p)
-        counts[y] = counts.get(y, 0) + 1
-    hist: dict[int, int] = {}
-    for size in counts.values():
-        hist[size] = hist.get(size, 0) + 1
+    _, fibers = np.unique(sw.succ[x0::p], return_counts=True)
+    sizes, counts = np.unique(fibers, return_counts=True)
+    hist = dict(zip(sizes.tolist(), counts.tolist()))
 
-    # Longest tail over all classes of the containing mod-p cycle.
-    members1 = []
-    m = level1.reps[cid]
-    for _ in range(level1.lengths[cid]):
-        members1.append(m)
-        m = level1.succ[m]
-    sw = _sweep_level(fmap, p, n, budget)
-    dist = distance_to_cycle(sw)
-    residues = np.arange(modulus, dtype=np.int64)
-    over_cycle = np.isin(residues % p, np.array(members1))
-    max_tail = int(dist[over_cycle].max()) if dist is not None else -1
+    # Longest tail over all classes of the containing mod-p cycle; column r
+    # of the reshaped distances holds the residues = r (mod p).
+    end = sum(level1.lengths[:cid + 1])
+    members1 = level1.orbit[end - level1.lengths[cid]:end]
+    max_tail = int(distance_to_cycle(sw).reshape(-1, p)[:, members1].max())
 
     taylor = map_taylor(fmap, x0, 2, p, p)
     f2_unit = taylor[2] % p != 0

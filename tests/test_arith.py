@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycletree.arith import (IntPoly, OddPrime, Residue, Valuation, eval_mod,
-                             exact_orbit, iterate_eval, iterate_series,
-                             mult_order, ord_p)
+from cycletree.arith import (IntPoly, OddPrime, Valuation, exact_orbit,
+                             iterate_series, mult_order, ord_p)
 from cycletree.errors import NotPeriodicError
 
 small_polys = st.builds(
@@ -24,27 +23,17 @@ def test_odd_prime_rejects(bad):
         OddPrime(bad)
 
 
-def test_residue_bounds():
-    Residue(8, 3, 2)
-    Residue(0, 5, 0)
-    with pytest.raises(ValueError):
-        Residue(9, 3, 2)
-    with pytest.raises(ValueError):
-        Residue(-1, 3, 2)
-
-
 def test_eval_mod_examples():
-    assert eval_mod(IntPoly([1, 0, 1]), Residue(2, 3, 2)).value == 5
-    assert eval_mod(IntPoly([]), Residue(7, 3, 2)).value == 0
-    assert eval_mod(IntPoly([2, 1, 3, 1, 3, 2]), Residue(0, 3, 4)).value == 2
-
-
-def test_iterate_eval_examples():
-    assert iterate_eval(IntPoly([1, 1]), Residue(0, 5, 1), 5).value == 0
-    assert iterate_eval(IntPoly([0, 0, 1]), Residue(2, 5, 1), 2).value == 1
-    assert iterate_eval(IntPoly([0, 1]), Residue(3, 7, 1), 12).value == 3
-    with pytest.raises(ValueError):
-        iterate_eval(IntPoly([0, 1]), Residue(3, 7, 1), 0)
+    assert IntPoly([1, 0, 1]).eval_mod(2, 9) == 5
+    assert IntPoly([]).eval_mod(7, 9) == 0
+    assert IntPoly([2, 1, 3, 1, 3, 2]).eval_mod(0, 81) == 2
+    # iterated: x + 1 has period 5 mod 5, x^2 maps 2 -> 4 -> 1 mod 5,
+    # and the identity fixes 3 mod 7
+    for f, x, k, m, want in [(IntPoly([1, 1]), 0, 5, 5, 0), (IntPoly([0, 0, 1]), 2, 2, 5, 1),
+                             (IntPoly([0, 1]), 3, 12, 7, 3)]:
+        for _ in range(k):
+            x = f.eval_mod(x, m)
+        assert x == want
 
 
 def test_derivative_examples():

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycletree.arith import IntPoly
+from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BudgetExceededError
 from cycletree.graph import build_tree_bruteforce, enumerate_level, tail_analysis
 
@@ -35,6 +38,93 @@ def brute_decompose(f, p, n):
                 state[y] = "t"
     tails = sum(1 for v in state.values() if v != "c")
     return sorted(cycles), tails
+
+
+def reference_level(fmap, p, n):
+    """Independent reference with poles: dict walk over exact integer values.
+
+    Returns (the cycles in rep order, each in orbit order from its rep as
+    the smallest member; tail points; poles; [(cycle length, longest tail)]
+    in rep order for cycles that own tails).
+    """
+    m = p**n
+    if isinstance(fmap, IntPoly):
+        succ = {x: fmap(x) % m for x in range(m)}
+    else:
+        succ = {x: None if fmap.den(x) % p == 0 else fmap.num(x) * pow(fmap.den(x), -1, m) % m
+                for x in range(m)}
+    cycles, rep_of, settled = [], {}, set()
+    for s in range(m):
+        path, pos, x = [], {}, s
+        while x is not None and x not in settled and x not in pos:
+            pos[x] = len(path)
+            path.append(x)
+            x = succ[x]
+        if x is not None and x in pos:
+            cycle = path[pos[x]:]
+            i = cycle.index(min(cycle))
+            cycles.append(cycle[i:] + cycle[:i])
+            for y in cycle:
+                rep_of[y] = cycle[i]
+        settled.update(path)
+    dist = {y: 0 for y in rep_of}
+    owner = dict(rep_of)
+    for s in range(m):
+        path, x = [], s
+        while x is not None and x not in dist:
+            path.append(x)
+            x = succ[x]
+        d, o = (dist[x], owner[x]) if x is not None else (-1, None)
+        for y in reversed(path):
+            d = d + 1 if o is not None else -1
+            dist[y], owner[y] = d, o
+    cycles.sort()
+    longest = {c[0]: 0 for c in cycles}
+    for y, rep in owner.items():
+        if rep is not None:
+            longest[rep] = max(longest[rep], dist[y])
+    poles = sum(1 for y in succ.values() if y is None)
+    pairs = [(len(c), longest[c[0]]) for c in cycles if longest[c[0]] > 0]
+    return cycles, m - len(rep_of) - poles, poles, pairs
+
+
+def _coeffs(p):
+    return st.lists(st.one_of(st.integers(0, p * p), st.integers(-2**80, 2**80)), max_size=6)
+
+
+@st.composite
+def maps(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    num = IntPoly(draw(_coeffs(p)))
+    if draw(st.booleans()):
+        return p, num
+    den = IntPoly(draw(_coeffs(p).filter(any)))
+    return p, draw(st.sampled_from([RationalMap, InverseEvalMap]))(num, den)
+
+
+@settings(max_examples=15, deadline=None)
+@given(maps())
+@example((3, IntPoly([])))  # zero map
+@example((5, IntPoly([4])))  # constant map
+@example((3, IntPoly([2**70 + 2, 1, 3, 1, 3, 2])))  # coefficient beyond int64
+@example((3, InverseEvalMap(IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4]))))  # poles at 1, 2 mod 3
+@example((3, RationalMap(IntPoly([0, 1, 1]), IntPoly([1, 0, 1]))))  # 1 + x^2 has no root mod 3
+def test_sweep_matches_reference_with_poles(case):
+    # every level up to p^n <= 20000, from a few points to the largest
+    p, fmap = case
+    top = {3: 9, 5: 6, 7: 5}[p]
+    tree = build_tree_bruteforce(fmap, p, top, with_tail_lengths=True)
+    for n in range(1, top + 1):
+        cycles, tails, poles, pairs = reference_level(fmap, p, n)
+        orbit = tree.orbits[n].tolist()
+        ends = [sum(tree.lengths[n][:i + 1]) for i in range(len(tree.lengths[n]))]
+        assert [orbit[e - k:e] for e, k in zip(ends, tree.lengths[n])] == cycles
+        assert tree.reps[n] == [c[0] for c in cycles]
+        assert tree.tail_points[n] == tails + poles
+        assert tree.tail_pairs[n] == pairs
+        dec = enumerate_level(fmap, p, n)
+        assert [(c.rep, c.members) for c in dec.cycles] == [(c[0], tuple(sorted(c))) for c in cycles]
+        assert (dec.tail_point_count, dec.excluded_points) == (tails, poles)
 
 
 def test_enumerate_square_mod_3():
@@ -79,7 +169,7 @@ def test_sweep_matches_reference(seed):
 
 
 def test_numpy_and_python_paths_agree():
-    # 3^8 = 6561 crosses the vectorization threshold; reference stays naive
+    # 3^8 = 6561 points against the naive reference
     f = IntPoly([2, 1, 3, 1, 3, 2])
     dec = enumerate_level(f, 3, 8)
     want, tails = brute_decompose(f, 3, 8)
