@@ -27,7 +27,10 @@ def test_eval_mod_examples():
     assert IntPoly([1, 0, 1]).eval_mod(2, 9) == 5
     assert IntPoly([]).eval_mod(7, 9) == 0
     assert IntPoly([2, 1, 3, 1, 3, 2]).eval_mod(0, 81) == 2
-    # iterated: x + 1 has period 5 mod 5, x^2 maps 2 -> 4 -> 1 mod 5,
+
+
+def test_iterate_eval_examples():
+    # x + 1 has period 5 mod 5, x^2 maps 2 -> 4 -> 1 mod 5,
     # and the identity fixes 3 mod 7
     for f, x, k, m, want in [(IntPoly([1, 1]), 0, 5, 5, 0), (IntPoly([0, 0, 1]), 2, 2, 5, 1),
                              (IntPoly([0, 1]), 3, 12, 7, 3)]:
