@@ -1,21 +1,26 @@
-"""Exact integer and modular arithmetic for iterating polynomials over Z/p^nZ.
+"""Exact integer and modular arithmetic, and the map protocol.
 
-Everything here works with plain Python integers, so evaluation is exact for
-any coefficient size.  Reduction happens at evaluation sites only; polynomial
-coefficients are never destructively reduced.
+Evaluation is exact for any coefficient size: reduction happens at
+evaluation sites only, and polynomial coefficients are never destructively
+reduced.  ``MapProtocol`` is the one interface every layer (oracle, analytic
+engine, predictor, verifier) uses to evaluate a map; ``IntPoly`` implements
+it with Horner kernels, ``checkers.RationalMap`` through modular inverses.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import NotPeriodicError
 
 __all__ = [
     "OddPrime",
+    "MapProtocol",
     "IntPoly",
     "Valuation",
     "ord_p",
@@ -111,6 +116,68 @@ def mult_order(a: int, p: int) -> int:
     return d
 
 
+# Largest modulus for which (m-1)^2 still fits in int64 during Horner steps.
+_NUMPY_SAFE_MODULUS = 3_000_000_000
+
+
+class MapProtocol:
+    """How every layer evaluates a map f on Z/p^nZ.
+
+    ``p`` is always passed last (maps without poles ignore it), every
+    ``modulus`` is a power of p, and ``dwork`` divides ``work``.  A map type
+    implements ``walk``, ``taylor_at``, ``describe`` and ``__str__``, plus
+    ``poles`` if it has any; the rest default to point-by-point evaluation.
+
+    * ``value(x, modulus, p)``: f(x) mod modulus.
+    * ``value_deriv(x, modulus, p)``: (f(x), f'(x)) mod modulus.
+    * ``walk(x, steps, work, dwork, p)``: yields (f(y) mod work, f'(y) mod
+      dwork) for y = x, f(x), ..., ``steps`` times.
+    * ``taylor_at(x0, order, modulus, p)``: Hasse coefficients of f at x0.
+    * ``table(modulus, p)``: int64 successor array of f mod modulus, -1 at poles.
+    * ``limbs(x, modulus, p)``: arrays (hi, lo, d) over the residues x, with
+      f(x) = hi*P + lo (mod P^2) and d = f'(x) (mod P), P = modulus.
+    * ``poles(p)``: the classes mod p where f is undefined.
+    * ``describe()``: the JSON description of the map.
+
+    Evaluating at a pole raises ``BadReductionError``.  Loops over many
+    points take their per-point function from ``_at`` (or ``_values``) once
+    per call, so a map can do its per-call work there once.
+    """
+
+    def value(self, x: int, modulus: int, p: int) -> int:
+        return self.value_deriv(x, modulus, p)[0]
+
+    def value_deriv(self, x: int, modulus: int, p: int) -> tuple[int, int]:
+        return self._at(modulus, modulus, p)(x)
+
+    def _at(self, work: int, dwork: int, p: int):
+        """The function y -> (f(y) mod work, f'(y) mod dwork)."""
+        return lambda y: next(self.walk(y, 1, work, dwork, p))
+
+    def poles(self, p: int) -> list[int]:
+        return []
+
+    def table(self, modulus: int, p: int) -> np.ndarray:
+        # Whether x is a pole depends only on x mod p, so the pole classes
+        # are found once and their residues never reach the map.
+        pole = np.zeros(p, dtype=bool)
+        pole[self.poles(p)] = True
+        defined = np.flatnonzero(~np.tile(pole, modulus // p))
+        succ = np.full(modulus, -1, dtype=np.int64)
+        succ[defined] = np.fromiter(self._values(defined.tolist(), modulus, p),
+                                    np.int64, len(defined))
+        return succ
+
+    def _values(self, xs: list[int], modulus: int, p: int) -> Iterator[int]:
+        """f at each of ``xs`` (no poles among them): the table's inner loop."""
+        return (self.value(x, modulus, p) for x in xs)
+
+    def limbs(self, x: np.ndarray, modulus: int, p: int):
+        at = self._at(modulus * modulus, modulus, p)
+        pairs = np.fromiter(chain.from_iterable(map(at, x.tolist())), x.dtype, 2 * len(x))
+        return pairs[0::2] // modulus, pairs[0::2] % modulus, pairs[1::2]
+
+
 def _as_coeff_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
     out = [int(c) for c in coeffs]
     while out and out[-1] == 0:
@@ -119,7 +186,7 @@ def _as_coeff_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class IntPoly:
+class IntPoly(MapProtocol):
     """Dense integer polynomial; coeffs[i] multiplies x^i.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
@@ -155,6 +222,52 @@ class IntPoly:
             acc = (acc * x + c) % modulus
         return acc
 
+    # -- the map protocol (see MapProtocol); p is ignored ---------------------
+
+    def value(self, x: int, modulus: int, p: int) -> int:
+        return self.eval_mod(x, modulus)
+
+    def walk(self, x: int, steps: int, work: int, dwork: int,
+             p: int) -> Iterator[tuple[int, int]]:
+        rc = tuple(reversed(self.coeffs))
+        for _ in range(steps):
+            val = der = 0
+            for c in rc:  # Horner for f and f' in one pass
+                der = (der * x + val) % dwork
+                val = (val * x + c) % work
+            x = val
+            yield val, der
+
+    def table(self, modulus: int, p: int) -> np.ndarray:
+        if modulus > _NUMPY_SAFE_MODULUS:
+            return super().table(modulus, p)
+        x = np.arange(modulus, dtype=np.int64)
+        acc = np.zeros(modulus, dtype=np.int64)
+        for c in reversed(self.coeffs):
+            acc *= x
+            acc %= modulus
+            acc += c % modulus
+            acc %= modulus
+        return acc
+
+    def limbs(self, x: np.ndarray, modulus: int, p: int):
+        """On int64 arrays (P below the safe modulus), Horner on two limbs in
+        base P, so no product exceeds P^2 < 2^63; object arrays point by point."""
+        if x.dtype == object:
+            return super().limbs(x, modulus, p)
+        hi, lo, der = (np.zeros_like(x) for _ in range(3))
+        for c in reversed(self.coeffs):
+            c_hi, c_lo = divmod(c % (modulus * modulus), modulus)
+            der = (der * x + lo) % modulus
+            prod = lo * x
+            lo = prod % modulus + c_lo
+            hi = (hi * x + prod // modulus + c_hi + lo // modulus) % modulus
+            lo %= modulus
+        return hi, lo, der
+
+    def describe(self) -> dict:
+        return {"poly": list(self.coeffs)}
+
     def derivative(self, order: int = 1) -> "IntPoly":
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -169,7 +282,8 @@ class IntPoly:
             raise ValueError("i must be >= 0")
         return IntPoly(math.comb(j, i) * c for j, c in enumerate(self.coeffs[i:], start=i))
 
-    def taylor_at(self, x0: int, order: int, modulus: int | None = None) -> list[int]:
+    def taylor_at(self, x0: int, order: int, modulus: int | None = None,
+                  p: int | None = None) -> list[int]:
         """Hasse derivative values [f(x0), f'(x0), f''(x0)/2, ...] up to ``order``.
 
         Computed by repeated synthetic division by (x - x0), optionally mod m.
@@ -233,16 +347,6 @@ class IntPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-@functools.lru_cache(maxsize=256)
-def _derivative_of(f: IntPoly) -> IntPoly:
-    return f.derivative()
-
-
-def value_and_deriv(f: IntPoly, x: int, modulus: int) -> tuple[int, int]:
-    """(f(x) mod m, f'(x) mod m) with the derivative polynomial cached."""
-    return f.eval_mod(x, modulus), _derivative_of(f).eval_mod(x, modulus)
-
-
 def _series_mul_trunc(u: Sequence[int], v: Sequence[int], order: int,
                       modulus: int | None) -> list[int]:
     out = [0] * (order + 1)
@@ -264,17 +368,12 @@ def iterate_series(fmap, x0: int, k: int, order: int,
 
     Returns [s_0, ..., s_order] with f^k(x0 + y) = sum s_i y^i + O(y^{order+1});
     s_0 = f^k(x0), s_1 = (f^k)'(x0), and s_i is the i-th Hasse derivative.
-    With modulus=None all coefficients are exact integers.  ``fmap`` is an
-    IntPoly or any map exposing ``taylor_at(x0, order, modulus[, p])``.
+    With modulus=None (polynomials only) all coefficients are exact integers.
     """
     cur = [x0, 1] + [0] * max(order - 1, 0)
     cur = cur[: order + 1]
     for _ in range(k):
-        c0 = cur[0]
-        if isinstance(fmap, IntPoly):
-            shifted = fmap.taylor_at(c0, order, modulus)
-        else:
-            shifted = fmap.taylor_at(c0, order, modulus, p)
+        shifted = fmap.taylor_at(cur[0], order, modulus, p)
         u = [0] + cur[1:]  # cur minus its constant term
         new = [0] * (order + 1)
         new[0] = shifted[0]

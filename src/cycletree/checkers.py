@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import IntPoly
+from .arith import IntPoly, MapProtocol
 from .errors import BadReductionError, BudgetExceededError
 from .predictor import AnalyzedTree, analyze
 
@@ -37,12 +37,13 @@ def _phi(modulus: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class RationalMap:
+class RationalMap(MapProtocol):
     """x -> num(x)/den(x) on residues where den(x) is a unit.
 
     Evaluation uses the surrogate power form den(x)^(phi(m)-1), which equals
-    the modular inverse on units; the distinct InverseEvalMap route exists so
-    differential tests never compare the surrogate against itself.
+    the modular inverse on units; the InverseEvalMap subclass inverts by
+    extended Euclid instead, so differential tests never compare the
+    surrogate against itself.
     """
 
     num: IntPoly
@@ -52,35 +53,49 @@ class RationalMap:
         if self.den.degree < 0:
             raise ValueError("denominator must be nonzero")
 
+    def __str__(self) -> str:
+        return f"({self.num})/({self.den})"
+
     @cached_property
     def _derivatives(self) -> tuple[IntPoly, IntPoly]:
         return self.num.derivative(), self.den.derivative()
 
-    def _den_unit(self, x: int, modulus: int, p: int) -> int:
-        dx = self.den.eval_mod(x, modulus)
-        if dx % p == 0:
-            raise BadReductionError(x, p)
-        return dx
+    def _inverse_exponent(self, modulus: int, p: int) -> int:
+        """e with d^e = 1/d (mod modulus) for every unit d."""
+        return _phi(modulus, p) - 1
 
-    def value_mod(self, x: int, modulus: int, p: int) -> int:
-        dx = self._den_unit(x, modulus, p)
-        return self.num.eval_mod(x, modulus) * pow(dx, _phi(modulus, p) - 1, modulus) % modulus
+    def describe(self) -> dict:
+        return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
 
-    # graph-layer protocol names
-    def surrogate_value(self, x: int, modulus: int, p: int) -> int:
-        return self.value_mod(x, modulus, p)
+    def poles(self, p: int) -> list[int]:
+        return [x for x in range(p) if self.den.eval_mod(x, p) == 0]
 
-    def surrogate_value_deriv(self, x: int, modulus: int, p: int) -> tuple[int, int]:
-        """(h(x), h'(x)) mod modulus via the quotient rule; exact in Z_p."""
-        dx = self._den_unit(x, modulus, p)
-        nx = self.num.eval_mod(x, modulus)
-        dnum, dden = self._derivatives
-        ndx = dnum.eval_mod(x, modulus)
-        ddx = dden.eval_mod(x, modulus)
-        inv_d = pow(dx, _phi(modulus, p) - 1, modulus)
-        value = nx * inv_d % modulus
-        deriv = (dx * ndx - nx * ddx) % modulus * inv_d % modulus * inv_d % modulus
-        return value, deriv
+    def _at(self, work: int, dwork: int, p: int):
+        """y -> (h(y), h'(y)); h' by the quotient rule, exact in Z_p."""
+        e = self._inverse_exponent(work, p)
+        num, den = self.num.eval_mod, self.den.eval_mod
+        dnum, dden = (d.eval_mod for d in self._derivatives)
+
+        def at(x: int) -> tuple[int, int]:
+            dx = den(x, work)
+            if dx % p == 0:
+                raise BadReductionError(x, p)
+            nx = num(x, work)
+            inv_d = pow(dx, e, work)
+            return (nx * inv_d % work,
+                    (dx * dnum(x, dwork) - nx * dden(x, dwork)) * inv_d % dwork * inv_d % dwork)
+        return at
+
+    def walk(self, x: int, steps: int, work: int, dwork: int, p: int):
+        at = self._at(work, dwork, p)
+        for _ in range(steps):
+            x, der = at(x)
+            yield x, der
+
+    def _values(self, xs: list[int], modulus: int, p: int):
+        e = self._inverse_exponent(modulus, p)
+        num, den = self.num.eval_mod, self.den.eval_mod
+        return (num(x, modulus) * pow(den(x, modulus), e, modulus) % modulus for x in xs)
 
     def taylor_at(self, x0: int, order: int, modulus: int, p: int) -> list[int]:
         """Series coefficients of h(x0 + u) mod modulus up to u^order."""
@@ -88,7 +103,7 @@ class RationalMap:
         den_c = self.den.taylor_at(x0, order, modulus)
         if den_c[0] % p == 0:
             raise BadReductionError(x0, p)
-        inv0 = pow(den_c[0], _phi(modulus, p) - 1, modulus)
+        inv0 = pow(den_c[0], self._inverse_exponent(modulus, p), modulus)
         out = []
         for i in range(order + 1):
             acc = num_c[i]
@@ -98,51 +113,18 @@ class RationalMap:
         return out
 
 
-@dataclass(frozen=True)
-class InverseEvalMap:
+class InverseEvalMap(RationalMap):
     """The same rational map evaluated through extended-Euclid inverses.
 
     Used only as the independent oracle route for differential tests.
     """
 
-    num: IntPoly
-    den: IntPoly
-
     @classmethod
     def of(cls, h: RationalMap) -> "InverseEvalMap":
         return cls(h.num, h.den)
 
-    def surrogate_value(self, x: int, modulus: int, p: int) -> int:
-        dx = self.den.eval_mod(x, modulus)
-        if dx % p == 0:
-            raise BadReductionError(x, p)
-        return self.num.eval_mod(x, modulus) * pow(dx, -1, modulus) % modulus
-
-    def surrogate_value_deriv(self, x: int, modulus: int, p: int) -> tuple[int, int]:
-        dx = self.den.eval_mod(x, modulus)
-        if dx % p == 0:
-            raise BadReductionError(x, p)
-        nx = self.num.eval_mod(x, modulus)
-        inv_d = pow(dx, -1, modulus)
-        value = nx * inv_d % modulus
-        deriv = (dx * self.num.derivative().eval_mod(x, modulus)
-                 - nx * self.den.derivative().eval_mod(x, modulus)) % modulus
-        deriv = deriv * inv_d % modulus * inv_d % modulus
-        return value, deriv
-
-    def taylor_at(self, x0: int, order: int, modulus: int, p: int) -> list[int]:
-        num_c = self.num.taylor_at(x0, order, modulus)
-        den_c = self.den.taylor_at(x0, order, modulus)
-        if den_c[0] % p == 0:
-            raise BadReductionError(x0, p)
-        inv0 = pow(den_c[0], -1, modulus)
-        out = []
-        for i in range(order + 1):
-            acc = num_c[i]
-            for j in range(1, i + 1):
-                acc -= den_c[j] * out[i - j]
-            out.append(acc % modulus * inv0 % modulus)
-        return out
+    def _inverse_exponent(self, modulus: int, p: int) -> int:
+        return -1  # pow(d, -1, m) runs extended Euclid
 
 
 def is_permutation(f: IntPoly, p: int, n: int) -> bool:
@@ -199,7 +181,7 @@ def surrogate_poly(h: RationalMap, p: int, n: int,
 
 def surrogate_eval(h: RationalMap, p: int, n: int, x: int) -> int:
     """Evaluation-form surrogate: num(x) * den(x)^(phi(p^{2n}) - 1) mod p^{2n}."""
-    return h.value_mod(x, p ** (2 * n), p)
+    return h.value(x, p ** (2 * n), p)
 
 
 def analyze_rational(h: RationalMap, p: int, **opts) -> AnalyzedTree:

@@ -17,7 +17,7 @@ import sys
 from .arith import IntPoly, OddPrime
 from .checkers import RationalMap, is_permutation, is_single_cycle
 from .errors import BudgetExceededError, CycletreeError, InvariantError
-from .graph import DEFAULT_BUDGET, enumerate_level, tail_analysis
+from .graph import DEFAULT_BUDGET, _sweep_level, tail_analysis
 from .predictor import AnalyzedTree, analyze
 from .verify import random_poly, verify_all
 
@@ -41,8 +41,6 @@ def _add_common(sub: argparse.ArgumentParser, rational: bool = False):
         sub.add_argument("--den", help="denominator coefficients (rational map)")
     sub.add_argument("--budget", type=int, default=None,
                      help="point budget (default: CYCLETREE_BUDGET or 10^7)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker bound; results are identical for any value")
 
 
 def _parse_prime(text: str) -> OddPrime:
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--max-level", type=int, default=None)
     ver.add_argument("--budget", type=int, default=None)
-    ver.add_argument("--threads", type=int, default=1)
 
     perm = subs.add_parser("permcheck", help="permutation criterion vs brute force")
     _add_common(perm)
@@ -222,43 +219,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if grand_mismatches == 0 else EXIT_MISMATCH
 
 
-def cmd_permcheck(args) -> int:
+def _brute_verdicts(args, title: str, criterion, brute) -> int:
+    """Print the closed-form verdict at each level 1..levels beside the one
+    read off that level's oracle sweep, wherever the budget allows one."""
     p = _parse_prime(args.prime)
     f = _parse_map(args)
     budget = args.budget or _default_budget()
-    print(f"permutation criterion for f = {f}, p = {p}")
+    print(f"{title} for f = {f}, p = {p}")
     agree = True
     for n in range(1, args.levels + 1):
-        verdict = is_permutation(f, p, n)
-        modulus = p**n
-        if modulus <= budget:
-            brute = len({f.eval_mod(x, modulus) for x in range(modulus)}) == modulus
-            mark = "agree" if brute == verdict else "DISAGREE"
-            agree &= brute == verdict
-            print(f"  n={n}: criterion={verdict} brute={brute} {mark}")
+        verdict = criterion(f, p, n)
+        if p**n <= budget:
+            seen = brute(_sweep_level(f, p, n, budget))
+            mark = "agree" if seen == verdict else "DISAGREE"
+            agree &= seen == verdict
+            print(f"  n={n}: criterion={verdict} brute={seen} {mark}")
         else:
             print(f"  n={n}: criterion={verdict} brute=(over budget)")
     return EXIT_OK if agree else EXIT_MISMATCH
+
+
+def cmd_permcheck(args) -> int:
+    return _brute_verdicts(args, "permutation criterion", is_permutation,
+                           lambda sweep: sweep.tail_point_count == 0)
 
 
 def cmd_cyclecheck(args) -> int:
-    p = _parse_prime(args.prime)
-    f = _parse_map(args)
-    budget = args.budget or _default_budget()
-    print(f"single-cycle criterion for f = {f}, p = {p}")
-    agree = True
-    for n in range(1, args.levels + 1):
-        verdict = is_single_cycle(f, p, n)
-        modulus = p**n
-        if modulus <= budget:
-            dec = enumerate_level(f, p, n, budget=budget)
-            brute = len(dec.cycles) == 1 and dec.cycles[0].length == modulus
-            mark = "agree" if brute == verdict else "DISAGREE"
-            agree &= brute == verdict
-            print(f"  n={n}: criterion={verdict} brute={brute} {mark}")
-        else:
-            print(f"  n={n}: criterion={verdict} brute=(over budget)")
-    return EXIT_OK if agree else EXIT_MISMATCH
+    return _brute_verdicts(args, "single-cycle criterion", is_single_cycle,
+                           lambda sweep: sweep.lengths == [sweep.modulus])
 
 
 def cmd_tails(args) -> int:

@@ -20,8 +20,6 @@ class InvariantError(CycletreeError, AssertionError):
 
     def __init__(self, what: str, p=None, fmap=None, level=None, rep=None):
         self.p, self.fmap, self.level, self.rep = p, fmap, level, rep
-        if hasattr(fmap, "den"):
-            fmap = f"({fmap.num})/({fmap.den})"
         context = ", ".join(f"{name}={value}" for name, value in zip(
             ("p", "map", "level", "rep"), (p, fmap, level, rep)) if value is not None)
         super().__init__(f"invariant violated: {what} [{context}]")

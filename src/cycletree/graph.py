@@ -1,13 +1,12 @@
 """Brute-force oracle: exhaustive cycle/tail decomposition of f_n on Z/p^nZ.
 
 This is the ground truth that every analytic prediction is checked against.
-Every map and every level takes one path.  The successor table is an int64
-array (Horner in numpy where the modulus allows exact int64 arithmetic; for
-rational maps one evaluation per residue outside the pole classes, -1 at
-poles).  Poles point to an absorbing sink, pointer doubling over the table
-finds the cyclic points, and an ascending walk over those alone lists the
-cycles in rep order, each in orbit order from its rep.  The doubled table
-also names the cycle each tail ends in.
+Every map and every level takes one path.  The map supplies its own int64
+successor table (``table`` of the map protocol in ``arith``, -1 at poles).
+Poles point to an absorbing sink, pointer doubling over the table finds the
+cyclic points, and an ascending walk over those alone lists the cycles in rep
+order, each in orbit order from its rep.  The doubled table also names the
+cycle each tail ends in.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import IntPoly
 from .errors import BudgetExceededError, InvariantError
 
 __all__ = [
@@ -36,38 +34,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_MEMBER_CAP = 1 << 16
-
-# Largest modulus for which (m-1)^2 still fits in int64 during Horner steps.
-_NUMPY_SAFE_MODULUS = 3_000_000_000
-
-
-def map_value(fmap, x: int, modulus: int, p: int) -> int:
-    """Value of the map at x mod ``modulus`` (a power of p)."""
-    if isinstance(fmap, IntPoly):
-        return fmap.eval_mod(x, modulus)
-    return fmap.surrogate_value(x, modulus, p)
-
-
-def map_value_deriv(fmap, x: int, modulus: int, p: int) -> tuple[int, int]:
-    """(value, derivative) of the map at x mod ``modulus``."""
-    if isinstance(fmap, IntPoly):
-        from .arith import value_and_deriv
-
-        return value_and_deriv(fmap, x, modulus)
-    return fmap.surrogate_value_deriv(x, modulus, p)
-
-
-def map_taylor(fmap, x0: int, order: int, modulus: int, p: int) -> list[int]:
-    if isinstance(fmap, IntPoly):
-        return fmap.taylor_at(x0, order, modulus)
-    return fmap.taylor_at(x0, order, modulus, p)
-
-
-def describe_map(fmap) -> dict:
-    """JSON-friendly description of a polynomial or rational map."""
-    if isinstance(fmap, IntPoly):
-        return {"poly": list(fmap.coeffs)}
-    return {"num": list(fmap.num.coeffs), "den": list(fmap.den.coeffs)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,31 +110,6 @@ class _Sweep:
                 for rep, length, end in zip(self.reps, self.lengths, ends)]
 
 
-def _successor_table(fmap, p: int, n: int) -> tuple[np.ndarray, int]:
-    """Full int64 successor table for f_n (-1 at poles), plus the pole count."""
-    modulus = p**n
-    if isinstance(fmap, IntPoly):
-        if modulus <= _NUMPY_SAFE_MODULUS:
-            x = np.arange(modulus, dtype=np.int64)
-            acc = np.zeros(modulus, dtype=np.int64)
-            for c in reversed(fmap.coeffs):
-                acc *= x
-                acc %= modulus
-                acc += c % modulus
-                acc %= modulus
-            return acc, 0
-        return np.fromiter((fmap.eval_mod(x, modulus) for x in range(modulus)),
-                           np.int64, modulus), 0
-    # Rational map: den(x) = 0 (mod p) depends only on x mod p, so the pole
-    # classes are found once and their residues never reach the map.
-    pole = np.array([fmap.den.eval_mod(r, p) == 0 for r in range(p)])
-    defined = np.flatnonzero(~np.tile(pole, modulus // p))
-    succ = np.full(modulus, -1, dtype=np.int64)
-    succ[defined] = np.fromiter((fmap.surrogate_value(x, modulus, p) for x in defined.tolist()),
-                                np.int64, len(defined))
-    return succ, modulus - len(defined)
-
-
 def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     """Classify every residue of Z/p^nZ as cycle member, tail point or pole."""
     modulus = p**n
@@ -177,11 +118,14 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     if n == 0:  # the zero ring; a rational map would otherwise read as one pole
         return _Sweep(0, 1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
                       np.zeros(1, np.int32), 0, np.arange(2))
-    succ, excluded = _successor_table(fmap, p, n)
+    succ = fmap.table(modulus, p)
     # Pointer doubling: after 2^k >= modulus steps every point sits on its
     # cycle or in the sink, so the images of jump are exactly the cyclic points.
     jump = np.append(succ, modulus)
-    jump[jump < 0] = modulus
+    poles = jump < 0
+    excluded = int(np.count_nonzero(poles))
+    jump[poles] = modulus
+    del poles
     steps = 1
     while steps < modulus:
         jump = jump[jump]
@@ -373,8 +317,8 @@ def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
     cid = int(level1.labels[x0])
     if cid < 0:
         raise ValueError(f"class {x0} is not on a cycle of f_1")
-    _, deriv = map_value_deriv(fmap, x0, p, p)
-    if deriv % p != 0:
+    taylor = fmap.taylor_at(x0, 2, p, p)
+    if taylor[1] % p != 0:
         raise ValueError(f"f' is a unit mod {p} at {x0}; no tails over this class")
     sw = _sweep_level(fmap, p, n, budget)
 
@@ -389,7 +333,6 @@ def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
     members1 = level1.orbit[end - level1.lengths[cid]:end]
     max_tail = int(distance_to_cycle(sw).reshape(-1, p)[:, members1].max())
 
-    taylor = map_taylor(fmap, x0, 2, p, p)
     f2_unit = taylor[2] % p != 0
     expected = _expected_tail_histogram(p, n) if f2_unit else None
     matches = (hist == expected) if f2_unit else None

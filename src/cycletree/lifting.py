@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import IntPoly, Valuation, mult_order, ord_p
+from .arith import Valuation, mult_order, ord_p
 from .errors import BudgetExceededError, InvariantError, NotACycleError
-from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle, map_value_deriv
+from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle
 
 __all__ = [
     "Behavior",
@@ -89,24 +89,6 @@ class LinearData:
         return self.b % self.p ** min(self.A.value, self.level)
 
 
-def _walk(fmap, p: int, x: int, steps: int, work: int, dwork: int):
-    """Yield (f(y) mod ``work``, f'(y) mod ``dwork``) for y = x, f(x), ...,
-    ``steps`` times; ``dwork`` divides ``work``."""
-    if isinstance(fmap, IntPoly):
-        rc = tuple(reversed(fmap.coeffs))
-        for _ in range(steps):
-            val = der = 0
-            for c in rc:  # Horner for f and f' in one pass
-                der = (der * x + val) % dwork
-                val = (val * x + c) % work
-            x = val
-            yield val, der
-    else:
-        for _ in range(steps):
-            x, der = map_value_deriv(fmap, x, work, p)
-            yield x, der % dwork
-
-
 def _lin(p: int, level: int, a: int, b: int) -> LinearData:
     return LinearData(p, level, a, b, ord_p(a - 1, p, level), ord_p(b, p, level))
 
@@ -119,7 +101,7 @@ def compute_lin_at(fmap, p: int, level: int, length: int, member: int,
     modulus = p**level
     work = modulus * modulus
     a, x = 1, member
-    for i, (x, der) in enumerate(_walk(fmap, p, member, length, work, modulus), 1):
+    for i, (x, der) in enumerate(fmap.walk(member, length, work, modulus, p), 1):
         a = a * der % modulus
         if verify and i < length and (x - member) % modulus == 0:
             raise NotACycleError(
@@ -155,7 +137,7 @@ def multiplier_valuation(fmap, p: int, cycle: Cycle, cap: int) -> Valuation:
     """
     work = p ** (cap + 1)
     a = 1
-    for _, der in _walk(fmap, p, cycle.rep, cycle.length, work, work):
+    for _, der in fmap.walk(cycle.rep, cycle.length, work, work, p):
         a = a * der % work
     return ord_p(a - 1, p, cap)
 
@@ -261,7 +243,7 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
         start = x1 + t0 * base
         members = [start]
         deriv, rep, rep_lift, rep_deriv = 1, start, start, 1
-        for y, der in _walk(fmap, p, start, length, work, modulus):
+        for y, der in fmap.walk(start, length, work, modulus, p):
             deriv = deriv * der % modulus
             low = y % modulus
             if low == start:

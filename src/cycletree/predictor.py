@@ -32,8 +32,7 @@ from enum import Enum
 
 from .arith import IntPoly, iterate_series, mult_order, ord_p, exact_orbit
 from .errors import BadReductionError, InvariantError, SeparationError
-from .graph import (DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle, describe_map,
-                    map_value, map_value_deriv)
+from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle
 from .lifting import (Behavior, CycleNode, expand_children, make_node,
                       multiplier_valuation)
 
@@ -606,9 +605,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     for child in root.children:
         analysis.process(child, None, max_deepen, 0)
 
-    if not isinstance(fmap, IntPoly):
-        analysis.bad_reduction_classes = [
-            x for x in range(p) if fmap.den.eval_mod(x, p) == 0]
+    analysis.bad_reduction_classes = fmap.poles(p)
 
     # Flatten breadth-first with children in rep order.
     nodes: list[TreeNode] = []
@@ -694,7 +691,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     determined = analysis.unresolved == 0 and not analysis.budget_exceeded
     return AnalyzedTree(
         p=int(p),
-        map_desc=describe_map(fmap),
+        map_desc=fmap.describe(),
         max_level=max_level,
         budget=budget,
         determined=determined,
@@ -854,19 +851,12 @@ def check_identity_sample(fmap, p: int, sample: KdLiftSample) -> dict:
     cap = n * d
 
     big = p ** (n + cap + 1)
-    x = y
-    for _ in range(kd):
-        x = map_value(fmap, x, big, p)
-    lhs_ord = ord_p((x - y) % big, p, n + cap + 1)
-    lhs = min(lhs_ord.value - n, cap)
-
     med = p ** (cap + 1)
     a = 1
-    x = y
-    for _ in range(kd):
-        val, der = map_value_deriv(fmap, x, med, p)
+    for x, der in fmap.walk(y, kd, big, med, p):
         a = a * der % med
-        x = val
+    lhs_ord = ord_p((x - y) % big, p, n + cap + 1)
+    lhs = min(lhs_ord.value - n, cap)
     rhs_ord = ord_p(a - 1, p, cap + 1)
     rhs = min(rhs_ord.value, cap)
 

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .arith import IntPoly
+from .arith import _NUMPY_SAFE_MODULUS, IntPoly
 from .errors import InvariantError
-from .graph import (_NUMPY_SAFE_MODULUS, DEFAULT_BUDGET, BruteTree, build_tree_bruteforce,
-                    describe_map, map_value_deriv)
+from .graph import DEFAULT_BUDGET, BruteTree, build_tree_bruteforce
 from .predictor import (AnalyzedTree, KdLiftSample, Scope, ShapeKind, _has_orbit_form,
                         analyze, check_identity_sample)
 
@@ -241,7 +239,7 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
         oracle = build_tree_bruteforce(fmap, p, top, budget=budget)
     if analyzed is None:
         analyzed = analyze(fmap, p, budget=budget, **analyze_opts)
-    report = VerifyReport(int(p), describe_map(fmap), top)
+    report = VerifyReport(int(p), fmap.describe(), top)
     checker = _OracleChecker(oracle, p)
 
     # Locate every analyzed node in the oracle.
@@ -365,29 +363,6 @@ def _partial_pattern(lens: list[int], k: int, p: int) -> bool:
 _CHAIN_CHUNK = 1 << 15  # orbit members per chunk of whole cycles (bounds peak memory)
 
 
-def _member_data(fmap, p: int, x: np.ndarray, modulus: int):
-    """(hi, lo, d) at the members x of one level, modulus P: f(x) = hi*P + lo
-    (mod P^2) and d = f'(x) (mod P).
-
-    An IntPoly with P below the safe modulus runs Horner on two limbs in base
-    P, so no product exceeds P^2 < 2^63; anything else is evaluated member by
-    member (object arrays when P itself is too large for int64 products).
-    """
-    if isinstance(fmap, IntPoly) and modulus < _NUMPY_SAFE_MODULUS:
-        hi, lo, der = (np.zeros_like(x) for _ in range(3))
-        for c in reversed(fmap.coeffs):
-            c_hi, c_lo = divmod(c % (modulus * modulus), modulus)
-            der = (der * x + lo) % modulus
-            prod = lo * x
-            lo = prod % modulus + c_lo
-            hi = (hi * x + prod // modulus + c_hi + lo // modulus) % modulus
-            lo %= modulus
-        return hi, lo, der
-    pairs = np.fromiter(chain.from_iterable(map_value_deriv(fmap, y, modulus * modulus, p)
-                                            for y in x.tolist()), x.dtype, 2 * len(x))
-    return pairs[0::2] // modulus, pairs[0::2] % modulus, pairs[1::2] % modulus
-
-
 def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
     """Arrays (chosen member, a, b at it) over the cycles of ``level``, in
     chunks of whole cycles.  The chosen member is the rep, or with ``over``
@@ -406,7 +381,7 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
         last = seg + seg_len - 1
         cyc = np.repeat(np.arange(i1 - i0), seg_len)
         pos = np.arange(len(x)) - seg[cyc]
-        hi, lo, der = _member_data(fmap, p, x, modulus)
+        hi, lo, der = fmap.limbs(x, modulus, p)
         follow = np.arange(1, len(x) + 1)
         follow[last] = seg
         bad = np.flatnonzero(lo != x[follow])

@@ -8,7 +8,7 @@ import pytest
 from cycletree.arith import IntPoly, Valuation, mult_order
 from cycletree.checkers import RationalMap
 from cycletree.errors import NotACycleError
-from cycletree.graph import Cycle, build_tree_bruteforce, enumerate_level, map_value
+from cycletree.graph import Cycle, build_tree_bruteforce, enumerate_level
 from cycletree.lifting import (Behavior, classify, compute_lin, compute_lin_at,
                                expand_children, make_node)
 
@@ -267,7 +267,7 @@ def _check_children_against_reference(f, p, n, node, next_level):
     for t in range(p):
         y = x1 + t * base
         for _ in range(k):
-            y = map_value(f, y, modulus, p)
+            y = f.value(y, modulus, p)
         phi.append((y - x1) // base % p)
     over = [c for c in next_level.cycles if c.rep % base in node.cycle.members]
     kids = expand_children(f, p, node)

@@ -1,0 +1,124 @@
+"""Property test of the map protocol against exact-integer references.
+
+Every map type must agree with plain integer evaluation (rational maps with
+num * pow(den, -1, m) and the quotient rule) through each protocol method:
+value, value_deriv, walk, taylor_at, table, limbs and poles.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cycletree import arith
+from cycletree.arith import IntPoly
+from cycletree.checkers import InverseEvalMap, RationalMap
+from cycletree.errors import BadReductionError
+
+PRIMES_AND_LEVELS = [(3, n) for n in range(1, 8)] + [(5, n) for n in range(1, 5)] \
+    + [(7, n) for n in range(1, 4)]  # p^n <= 3^7
+
+
+def reference(fmap, x: int, modulus: int, p: int) -> tuple[int, int] | None:
+    """(f(x), f'(x)) mod modulus from exact integers; None at a pole."""
+    if isinstance(fmap, IntPoly):
+        return fmap(x) % modulus, fmap.derivative()(x) % modulus
+    num, den = fmap.num, fmap.den
+    d = den(x)
+    if d % p == 0:
+        return None
+    inv = pow(d, -1, modulus)
+    deriv = (d * num.derivative()(x) - num(x) * den.derivative()(x)) * inv * inv
+    return num(x) * inv % modulus, deriv % modulus
+
+
+def coeffs(p: int, size: int):
+    return st.lists(st.integers(-p**3, p**3), min_size=size, max_size=size)
+
+
+@st.composite
+def cases(draw):
+    p, n = draw(st.sampled_from(PRIMES_AND_LEVELS))
+    kind = draw(st.sampled_from(["poly", RationalMap, InverseEvalMap]))
+    if kind == "poly":
+        return IntPoly(draw(coeffs(p, draw(st.integers(0, 6))))), p, n
+    den = draw(coeffs(p, 3).filter(any))
+    return kind(IntPoly(draw(coeffs(p, 4))), IntPoly(den)), p, n
+
+
+WALKS = [(0, 5), (1, 3), (2, 6), (10**9 + 7, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.lists(st.tuples(st.integers(0, 10**12), st.integers(1, 6)),
+                         min_size=4, max_size=4))
+@example((IntPoly([]), 3, 4), WALKS)  # zero
+@example((IntPoly([5]), 5, 3), WALKS)  # constant
+@example((IntPoly([1, 2**70, 3]), 3, 7), WALKS)  # a coefficient beyond int64
+@example((RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1])), 3, 5), WALKS)  # a pole at 0
+@example((InverseEvalMap(IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4])), 3, 4), WALKS)  # poles 1, 2
+@example((RationalMap(IntPoly([1, 2, 1]), IntPoly([3, 0, 1])), 5, 3), WALKS)  # no poles
+def test_protocol_matches_reference(case, walks):
+    fmap, p, n = case
+    m = p**n
+    ref = [reference(fmap, x, m, p) for x in range(m)]
+    want_poles = [r for r in range(p) if ref[r] is None]
+    assert fmap.poles(p) == want_poles
+    if isinstance(fmap, IntPoly):
+        assert want_poles == []
+
+    # table: the value at every residue, -1 exactly on the pole classes
+    table = fmap.table(m, p)
+    assert table.dtype == np.int64
+    assert table.tolist() == [-1 if r is None else r[0] for r in ref]
+    defined = [x for x in range(m) if ref[x] is not None]
+    assert [fmap.value(x, m, p) for x in defined] == [ref[x][0] for x in defined]
+    for r in want_poles:
+        with pytest.raises(BadReductionError):
+            fmap.value(r, m, p)
+
+    # value_deriv and the first two Hasse coefficients agree with the reference
+    for x in defined[:: max(1, len(defined) // 20)]:
+        assert fmap.value_deriv(x, m, p) == ref[x]
+        assert fmap.taylor_at(x, 2, m, p)[:2] == list(ref[x])
+
+    # walk: k steps at (work, dwork) = (m^2, m), stopping with
+    # BadReductionError where the orbit meets a pole
+    work = m * m
+    for start, steps in walks:
+        x = start % work
+        want, y = [], x
+        for _ in range(steps):
+            r = reference(fmap, y, work, p)
+            if r is None:
+                break
+            want.append((r[0], r[1] % m))
+            y = r[0]
+        got = []
+        walker = fmap.walk(x, steps, work, m, p)
+        if len(want) < steps:
+            with pytest.raises(BadReductionError):
+                for pair in walker:
+                    got.append(pair)
+        else:
+            got = list(walker)
+        assert got == want
+
+    # limbs on int64 and on object arrays: f = hi*m + lo (mod m^2), d = f' (mod m)
+    square = [reference(fmap, x, work, p) for x in defined]
+    want = ([v // m for v, _ in square], [v % m for v, _ in square], [d % m for _, d in square])
+    for dtype in (np.int64, object):
+        hi, lo, d = fmap.limbs(np.array(defined, dtype=dtype), m, p)
+        assert (hi.tolist(), lo.tolist(), d.tolist()) == want
+
+
+@pytest.mark.parametrize("f", [IntPoly([]), IntPoly([4]), IntPoly([2, 1, 3, 1, 3, 2]),
+                               IntPoly([-7, 2**70, 0, 5])])
+def test_point_by_point_table_above_numpy_cutoff(monkeypatch, f):
+    """IntPoly's table falls back to per-residue evaluation above the int64
+    cutoff; with the cutoff lowered it must equal the numpy table."""
+    for p, n in [(3, 6), (5, 4), (7, 3)]:
+        want = f.table(p**n, p).tolist()
+        monkeypatch.setattr(arith, "_NUMPY_SAFE_MODULUS", p)
+        assert f.table(p**n, p).tolist() == want
+        monkeypatch.undo()
