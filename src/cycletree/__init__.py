@@ -7,15 +7,13 @@ claim against the oracle.
 """
 
 from .arith import IntPoly, OddPrime, Valuation, iterate_series, mult_order, ord_p
-from .checkers import (InverseEvalMap, RationalMap, analyze_rational,
-                       is_permutation, is_single_cycle, surrogate_eval,
-                       surrogate_poly)
+from .checkers import InverseEvalMap, RationalMap, is_permutation, is_single_cycle
 from .errors import (BadReductionError, BudgetExceededError, CycletreeError,
                      InvariantError, NotACycleError, NotPeriodicError, SeparationError)
 from .graph import (Cycle, LevelDecomposition, TailStats, build_tree_bruteforce,
                     enumerate_level, tail_analysis)
 from .lifting import (Behavior, Classification, CycleNode, LinearData, classify,
-                      compute_lin, expand_children, make_node)
+                      classify_lifts, compute_lin, expand_children, make_node)
 from .predictor import (AnalyzedTree, OrbitReport, PredictedShape,
                         SeparationAnalysis, ShapeKind, analyze, check_corollaries,
                         predict, separation_analysis)
@@ -28,11 +26,10 @@ __all__ = [
     "Cycle", "LevelDecomposition", "TailStats", "build_tree_bruteforce",
     "enumerate_level", "tail_analysis",
     "Behavior", "Classification", "CycleNode", "LinearData", "classify",
-    "compute_lin", "expand_children", "make_node",
+    "classify_lifts", "compute_lin", "expand_children", "make_node",
     "AnalyzedTree", "OrbitReport", "PredictedShape", "SeparationAnalysis",
     "ShapeKind", "analyze", "check_corollaries", "predict", "separation_analysis",
-    "InverseEvalMap", "RationalMap", "analyze_rational", "is_permutation",
-    "is_single_cycle", "surrogate_eval", "surrogate_poly",
+    "InverseEvalMap", "RationalMap", "is_permutation", "is_single_cycle",
     "verify_all", "verify_map",
     "CycletreeError", "BudgetExceededError", "BadReductionError", "InvariantError",
     "NotACycleError", "NotPeriodicError", "SeparationError",

@@ -17,17 +17,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import IntPoly, MapProtocol
-from .errors import BadReductionError, BudgetExceededError
-from .predictor import AnalyzedTree, analyze
+from .errors import BadReductionError
 
 __all__ = [
     "RationalMap",
     "InverseEvalMap",
     "is_permutation",
     "is_single_cycle",
-    "surrogate_poly",
-    "surrogate_eval",
-    "analyze_rational",
 ]
 
 
@@ -161,33 +157,3 @@ def is_single_cycle(f: IntPoly, p: int, n: int) -> bool:
         steps += 1
     return steps == modulus
 
-
-def surrogate_poly(h: RationalMap, p: int, n: int,
-                   degree_budget: int = 4096) -> IntPoly:
-    """The integer polynomial num * den^(phi(p^{2n}) - 1), expanded.
-
-    Its degree is deg num + (phi(p^{2n}) - 1) * deg den; construction refuses
-    degrees above ``degree_budget`` (use surrogate_eval pointwise instead).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    modulus = p ** (2 * n)
-    exponent = _phi(modulus, p) - 1
-    degree = h.num.degree + exponent * max(h.den.degree, 0)
-    if degree > degree_budget:
-        raise BudgetExceededError(degree, degree_budget, what="polynomial degree")
-    return h.num * (h.den**exponent)
-
-
-def surrogate_eval(h: RationalMap, p: int, n: int, x: int) -> int:
-    """Evaluation-form surrogate: num(x) * den(x)^(phi(p^{2n}) - 1) mod p^{2n}."""
-    return h.value(x, p ** (2 * n), p)
-
-
-def analyze_rational(h: RationalMap, p: int, **opts) -> AnalyzedTree:
-    """Run the full predictor pipeline on a rational map.
-
-    Classes where den vanishes mod p are reported in bad_reduction_classes;
-    branches that would need evaluation there are flagged, not explored.
-    """
-    return analyze(h, p, **opts)

@@ -83,11 +83,9 @@ class _Sweep:
     their members, each cycle in orbit order from its rep.
     """
 
-    __slots__ = ("level", "modulus", "succ", "labels", "reps", "lengths",
-                 "orbit", "excluded", "jump")
+    __slots__ = ("modulus", "succ", "labels", "reps", "lengths", "orbit", "excluded", "jump")
 
-    def __init__(self, level, modulus, succ, labels, reps, lengths, orbit, excluded, jump):
-        self.level = level
+    def __init__(self, modulus, succ, labels, reps, lengths, orbit, excluded, jump):
         self.modulus = modulus
         self.succ = succ
         self.labels = labels
@@ -101,14 +99,6 @@ class _Sweep:
     def tail_point_count(self) -> int:
         return self.modulus - sum(self.lengths) - self.excluded
 
-    def cycles(self, member_cap: int) -> list[Cycle]:
-        """Every cycle in rep order, members read off the orbit array."""
-        orbit = self.orbit.tolist()
-        ends = itertools.accumulate(self.lengths)
-        return [Cycle(self.level, length, rep,
-                      tuple(sorted(orbit[end - length:end])) if length <= member_cap else None)
-                for rep, length, end in zip(self.reps, self.lengths, ends)]
-
 
 def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     """Classify every residue of Z/p^nZ as cycle member, tail point or pole."""
@@ -116,7 +106,7 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     if modulus > budget:
         raise BudgetExceededError(modulus, budget)
     if n == 0:  # the zero ring; a rational map would otherwise read as one pole
-        return _Sweep(0, 1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
+        return _Sweep(1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
                       np.zeros(1, np.int32), 0, np.arange(2))
     succ = fmap.table(modulus, p)
     # Pointer doubling: after 2^k >= modulus steps every point sits on its
@@ -162,14 +152,20 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     labels = np.full(modulus, -1, dtype=np.int32)
     labels[orbit] = np.repeat(np.arange(len(reps), dtype=np.int32), lengths)
     orbit = orbit.astype(np.int32 if modulus < 2**31 else np.int64)
-    return _Sweep(n, modulus, succ, labels, reps, lengths, orbit, excluded, jump)
+    return _Sweep(modulus, succ, labels, reps, lengths, orbit, excluded, jump)
 
 
-def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET,
-                    member_cap: int = DEFAULT_MEMBER_CAP) -> LevelDecomposition:
-    """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep."""
+def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> LevelDecomposition:
+    """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep,
+    members read off the orbit array (None above ``DEFAULT_MEMBER_CAP``)."""
     sw = _sweep_level(fmap, p, n, budget)
-    return LevelDecomposition(n, sw.cycles(member_cap), sw.tail_point_count, sw.excluded)
+    orbit = sw.orbit.tolist()
+    ends = itertools.accumulate(sw.lengths)
+    cycles = [Cycle(n, length, rep,
+                    tuple(sorted(orbit[end - length:end])) if length <= DEFAULT_MEMBER_CAP
+                    else None)
+              for rep, length, end in zip(sw.reps, sw.lengths, ends)]
+    return LevelDecomposition(n, cycles, sw.tail_point_count, sw.excluded)
 
 
 def distance_to_cycle(sweep: _Sweep) -> np.ndarray:

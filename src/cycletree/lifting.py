@@ -12,6 +12,11 @@ map is affine because, for n >= 1, Taylor's formula gives
 f^k(x1 + t p^n) = f^k(x1) + t p^n (f^k)'(x1) (mod p^{2n}), and p^{2n} is
 divisible by p^{n+1}.  So ``expand_children`` reads the map off (a, b) mod p
 and walks each child once at p^{2(n+1)}, k*p evaluations in all.
+
+The lift-length law (a k-cycle lifts to one pk-cycle, to p k-cycles, to one
+k-cycle carrying tails, or to one k-cycle plus (p-1)/d kd-cycles) is stated
+once, in ``classify_lifts``; ``expand_children`` and ``verify`` both check
+against it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "compute_lin",
     "compute_lin_at",
     "classify",
+    "classify_lifts",
     "expand_children",
     "multiplier_valuation",
 ]
@@ -84,17 +90,12 @@ class LinearData:
     def b_mod_p(self) -> int:
         return self.b % self.p
 
-    @property
-    def b_invariant(self) -> int:
-        return self.b % self.p ** min(self.A.value, self.level)
-
 
 def _lin(p: int, level: int, a: int, b: int) -> LinearData:
     return LinearData(p, level, a, b, ord_p(a - 1, p, level), ord_p(b, p, level))
 
 
-def compute_lin_at(fmap, p: int, level: int, length: int, member: int,
-                   verify: bool = True) -> LinearData:
+def compute_lin_at(fmap, p: int, level: int, length: int, member: int) -> LinearData:
     """Linearization data computed from a specific cycle member."""
     if level < 1:
         raise ValueError("linearization data requires level >= 1")
@@ -103,7 +104,7 @@ def compute_lin_at(fmap, p: int, level: int, length: int, member: int,
     a, x = 1, member
     for i, (x, der) in enumerate(fmap.walk(member, length, work, modulus, p), 1):
         a = a * der % modulus
-        if verify and i < length and (x - member) % modulus == 0:
+        if i < length and (x - member) % modulus == 0:
             raise NotACycleError(
                 f"{member} returns after {i} steps, not {length}, at level {level}")
     if (x - member) % modulus != 0:
@@ -112,9 +113,9 @@ def compute_lin_at(fmap, p: int, level: int, length: int, member: int,
     return _lin(p, level, a, b)
 
 
-def compute_lin(fmap, p: int, cycle: Cycle, verify: bool = True) -> LinearData:
+def compute_lin(fmap, p: int, cycle: Cycle) -> LinearData:
     """Linearization data of a cycle, computed at its canonical representative."""
-    return compute_lin_at(fmap, p, cycle.level, cycle.length, cycle.rep, verify)
+    return compute_lin_at(fmap, p, cycle.level, cycle.length, cycle.rep)
 
 
 def classify(lin: LinearData, p: int) -> Classification:
@@ -127,6 +128,26 @@ def classify(lin: LinearData, p: int) -> Classification:
     if a == 0:
         return Classification(Behavior.GROWS_TAILS)
     return Classification(Behavior.PARTIALLY_SPLITS, mult_order(a, p))
+
+
+def classify_lifts(child_lengths, k: int, p: int) -> Classification | None:
+    """The lift-length law: the classification that the lift lengths of a
+    k-cycle read, or None if they match no pattern.  Lengths {pk}: grows; k
+    p times: splits; {k}: grows tails; k plus (p-1)/d times kd (d > 1 dividing
+    p-1): partially splits."""
+    lens = sorted(child_lengths)
+    if lens == [p * k]:
+        return Classification(Behavior.GROWS)
+    if lens == [k] * p:
+        return Classification(Behavior.SPLITS)
+    if lens == [k]:
+        return Classification(Behavior.GROWS_TAILS)
+    if len(lens) < 2 or lens[0] != k or lens[1] % k:
+        return None
+    d = lens[1] // k
+    if d > 1 and (p - 1) % d == 0 and lens[1:] == [k * d] * ((p - 1) // d):
+        return Classification(Behavior.PARTIALLY_SPLITS, d)
+    return None
 
 
 def multiplier_valuation(fmap, p: int, cycle: Cycle, cap: int) -> Valuation:
@@ -181,20 +202,8 @@ def make_node(fmap, p: int, cycle: Cycle, offset: int | None = None,
     return CycleNode(cycle, lin, classify(lin, p), offset=offset, start=start)
 
 
-def _expected_child_lengths(classification: Classification, k: int, p: int) -> list[int]:
-    b = classification.behavior
-    if b is Behavior.GROWS:
-        return [p * k]
-    if b is Behavior.SPLITS:
-        return [k] * p
-    if b is Behavior.GROWS_TAILS:
-        return [k]
-    d = classification.d
-    return sorted([k] + [k * d] * ((p - 1) // d))
-
-
-def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
-                    member_cap: int = DEFAULT_MEMBER_CAP) -> list[CycleNode]:
+def expand_children(fmap, p: int, node: CycleNode,
+                    budget: int = DEFAULT_BUDGET) -> list[CycleNode]:
     """Children of a node, computed without global enumeration.
 
     The offsets t of the lifts x1 + p^n t move under f^k by t -> b + a*t
@@ -203,7 +212,8 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
     x1 + p^n t0 at p^{2(n+1)}, which checks the closed form against the real
     map and yields the child's members, its a, and its b at the walk start.
     Cost: the child lengths sum to k*p, so k*p evaluations, charged against
-    ``budget``.  The child multiset is asserted against the lift-length law.
+    ``budget``.  The child lengths must match the node's classification under
+    the lift-length law (``classify_lifts``).
 
     b at the canonical rep needs no second walk.  With m = n+1, L the child
     length, F = f^L, y_j = f^j(start) and D_j = (f^j)'(start), Taylor mod p^{2m}
@@ -259,16 +269,15 @@ def expand_children(fmap, p: int, node: CycleNode, budget: int = DEFAULT_BUDGET,
         child_b = (b_start * rep_deriv - rep_lift // modulus * (deriv - 1)) % modulus
         lin = _lin(p, n + 1, deriv, child_b)
         cycle = Cycle(n + 1, length, rep,
-                      tuple(sorted(members)) if length <= member_cap else None)
+                      tuple(sorted(members)) if length <= DEFAULT_MEMBER_CAP else None)
         children.append(CycleNode(cycle, lin, classify(lin, p), offset=t0, start=start,
                                   parent=node))
 
     children.sort(key=lambda c: c.cycle.rep)
-    got = sorted(c.cycle.length for c in children)
-    want = _expected_child_lengths(node.classification, k, p)
-    if got != want:
-        raise InvariantError(f"lift-length law violated: got {got}, expected {want}",
-                             p, fmap, n, x1)
+    got = [c.cycle.length for c in children]
+    if classify_lifts(got, k, p) != node.classification:
+        raise InvariantError(f"lift-length law violated: lengths {sorted(got)} under "
+                             f"k={k} do not read {node.classification}", p, fmap, n, x1)
     node.children = children
     node.expanded = True
     return children

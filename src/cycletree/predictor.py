@@ -32,7 +32,7 @@ from enum import Enum
 
 from .arith import IntPoly, iterate_series, mult_order, ord_p, exact_orbit
 from .errors import BadReductionError, InvariantError, SeparationError
-from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle
+from .graph import DEFAULT_BUDGET, Cycle, enumerate_level
 from .lifting import (Behavior, CycleNode, expand_children, make_node,
                       multiplier_valuation)
 
@@ -50,6 +50,7 @@ __all__ = [
     "analyze",
     "separation_analysis",
     "check_corollaries",
+    "orbit_length_allowed",
     "KdLiftSample",
 ]
 
@@ -98,20 +99,6 @@ class PredictedShape:
             "reason": self.reason.value if self.reason else None,
             "splitKnownUntil": self.split_known_until,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PredictedShape":
-        return cls(
-            kind=ShapeKind(d["kind"]),
-            splits=d.get("splits"),
-            scope=Scope(d["scope"]) if d.get("scope") else None,
-            d=d.get("d"),
-            m=d.get("m"),
-            tail_bound=d.get("tailBound"),
-            beyond_level=d.get("beyondLevel"),
-            reason=UndeterminedReason(d["reason"]) if d.get("reason") else None,
-            split_known_until=d.get("splitKnownUntil"),
-        )
 
     def describe(self) -> str:
         k = self.kind
@@ -254,15 +241,6 @@ class TreeNode:
             "badReduction": self.bad_reduction,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        pred = d.get("prediction")
-        return cls(d["id"], d["parent"], d["level"], d["length"], d["rep"],
-                   d["class"], d.get("d"), d.get("A"), d.get("B"),
-                   d.get("Asat"), d.get("Bsat"),
-                   PredictedShape.from_dict(pred) if pred else None,
-                   bool(d.get("badReduction", False)))
-
 
 @dataclass(frozen=True)
 class OrbitChain:
@@ -276,10 +254,6 @@ class OrbitChain:
     def to_dict(self) -> dict:
         return {"length": self.length, "kind": self.kind,
                 "node": self.node_id, "level": self.level}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrbitChain":
-        return cls(d["length"], d["kind"], d["node"], d["level"])
 
 
 @dataclass
@@ -300,12 +274,6 @@ class OrbitReport:
             "bound": dict(self.bound),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrbitReport":
-        return cls([OrbitChain.from_dict(c) for c in d["confirmed"]],
-                   [dict(s) for s in d["stableSoFar"]],
-                   d["undeterminedChains"], dict(d["bound"]))
-
 
 def orbit_bound_statement(p: int) -> dict:
     return {
@@ -313,6 +281,13 @@ def orbit_bound_statement(p: int) -> dict:
         "form": f"k*r with k <= {p} and r dividing {p - 1}",
         "p3Exception": p == 3,
     }
+
+
+def orbit_length_allowed(c: int, p: int) -> bool:
+    """Whether a p-adic periodic orbit may have length c (at most p^2): c = k*r
+    with k <= p and r | p-1, or c = 9 at p = 3 (the exception)."""
+    return (p == 3 and c == 9) or any(
+        (p - 1) % r == 0 and c % r == 0 and c // r <= p for r in range(1, p))
 
 
 @dataclass
@@ -326,12 +301,6 @@ class AnalyzedTree:
     nodes: list[TreeNode]
     orbits: OrbitReport
     bad_reduction_classes: list[int] = field(default_factory=list)
-
-    def node_by_id(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
-
-    def children_of(self, node_id: int) -> list[TreeNode]:
-        return [n for n in self.nodes if n.parent == node_id]
 
     def to_dict(self) -> dict:
         out = {
@@ -347,35 +316,21 @@ class AnalyzedTree:
         }
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalyzedTree":
-        poly = d["poly"]
-        desc = {"poly": poly} if isinstance(poly, list) else dict(poly)
-        return cls(
-            p=d["prime"],
-            map_desc=desc,
-            max_level=d["maxLevel"],
-            budget=d["budget"],
-            determined=d["determined"],
-            budget_exceeded=d["budgetExceeded"],
-            nodes=[TreeNode.from_dict(n) for n in d["nodes"]],
-            orbits=OrbitReport.from_dict(d["orbits"]),
-            bad_reduction_classes=list(d.get("badReductionClasses", [])),
-        )
+
+# Undetermined nodes one analyze() run deepens at most; past it the frontier stays
+# undetermined (perpetually splitting maps would force exponential exploration).
+DEEPEN_WIDTH = 4096
 
 
 class _Analysis:
     """Worklist state for one analyze() run."""
 
-    def __init__(self, fmap, p: int, max_level: int, budget: int,
-                 max_deepen: int, member_cap: int, deepen_width: int):
+    def __init__(self, fmap, p: int, max_level: int, budget: int, max_deepen: int):
         self.fmap = fmap
         self.p = p
         self.max_level = max_level
         self.budget = budget
         self.max_deepen = max_deepen
-        self.member_cap = member_cap
-        self.deepen_width = deepen_width
         self.deepen_nodes = 0
         self.work = 0
         self.budget_exceeded = False
@@ -398,8 +353,7 @@ class _Analysis:
 
     def expand(self, node: CycleNode) -> list[CycleNode]:
         try:
-            return expand_children(self.fmap, self.p, node, budget=self.budget,
-                                   member_cap=self.member_cap)
+            return expand_children(self.fmap, self.p, node, budget=self.budget)
         except BadReductionError:
             node.bad_reduction = True
             return []
@@ -443,7 +397,7 @@ class _Analysis:
                                        shape.split_known_until)
             self.unresolved += 1
             return
-        if self.deepen_nodes >= self.deepen_width:
+        if self.deepen_nodes >= DEEPEN_WIDTH:
             # deepening frontier got too wide; stay honestly undetermined
             self.unresolved += 1
             return
@@ -463,7 +417,7 @@ class _Analysis:
         at every deeper level, so one expansion certifies the whole chain.
         """
         chain_entry = (parent is not None and parent.shape is not None
-                       and getattr(parent.shape, "kind", None) is ShapeKind.SPLITS_THEN_GROWS
+                       and parent.shape.kind is ShapeKind.SPLITS_THEN_GROWS
                        and parent.shape.scope is Scope.ALL_BUT_ONE
                        and parent.length == node.length)
         if chain_entry:
@@ -571,12 +525,10 @@ class _Analysis:
             self.unresolved += 1
 
 
-def _expand_root(fmap, p: int, budget: int, member_cap: int) -> CycleNode:
+def _expand_root(fmap, p: int, budget: int) -> CycleNode:
     """Level-0 root plus its level-1 children from direct enumeration."""
-    from .graph import enumerate_level
-
     root = CycleNode(Cycle(0, 1, 0, (0,)), None, None, expanded=True)
-    level1 = enumerate_level(fmap, p, 1, budget=budget, member_cap=member_cap)
+    level1 = enumerate_level(fmap, p, 1, budget=budget)
     for cyc in level1.cycles:
         child = make_node(fmap, p, cyc, offset=cyc.rep, start=cyc.rep)
         child.parent = root
@@ -585,19 +537,17 @@ def _expand_root(fmap, p: int, budget: int, member_cap: int) -> CycleNode:
 
 
 def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
-            max_deepen: int = 3, member_cap: int = DEFAULT_MEMBER_CAP,
-            deepen_width: int = 4096) -> AnalyzedTree:
+            max_deepen: int = 3) -> AnalyzedTree:
     """Explore the lift tree with expand_children, annotate every node with
     its predicted shape, and report possible p-adic orbit lengths.
 
-    ``deepen_width`` bounds how many undetermined nodes one run will deepen;
-    past it the frontier is reported undetermined as-is (perpetually splitting
-    maps would otherwise force exponential exploration).
+    Classes where a rational map's denominator vanishes mod p are reported in
+    ``bad_reduction_classes``; branches that would evaluate there are flagged,
+    not explored.
     """
-    analysis = _Analysis(fmap, p, max_level, budget, max_deepen, member_cap,
-                         deepen_width)
+    analysis = _Analysis(fmap, p, max_level, budget, max_deepen)
     try:
-        root = _expand_root(fmap, p, budget, member_cap)
+        root = _expand_root(fmap, p, budget)
     except BadReductionError:
         root = CycleNode(Cycle(0, 1, 0, (0,)), None, None, expanded=True)
         root.bad_reduction = True
@@ -643,7 +593,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
             continue
         parent = cnode.parent
         beh = cnode.classification.behavior
-        kind = cnode.shape.kind if isinstance(cnode.shape, PredictedShape) else None
+        kind = cnode.shape.kind
         if beh is Behavior.PARTIALLY_SPLITS:
             if not (parent and parent.classification
                     and parent.classification.behavior is Behavior.PARTIALLY_SPLITS
@@ -657,25 +607,22 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
         elif (kind is ShapeKind.SPLITS_THEN_GROWS
               and cnode.shape.scope is Scope.ALL_BUT_ONE):
             parent_shape = parent.shape if parent else None
-            if not (isinstance(parent_shape, PredictedShape)
+            if not (parent_shape is not None
                     and parent_shape.kind is ShapeKind.SPLITS_THEN_GROWS
                     and parent_shape.scope is Scope.ALL_BUT_ONE
                     and parent.length == cnode.length):
                 confirmed.append(OrbitChain(cnode.length, "exceptional-split", nid, cnode.level))
 
     for chain in confirmed:
-        head = cycle_nodes[chain.node_id]
-        if chain.length > p * p:
-            raise InvariantError(f"confirmed orbit length {chain.length} exceeds p^2",
-                                 p, fmap, chain.level, head.rep)
-        if p > 3 and not _has_orbit_form(chain.length, p):
-            raise InvariantError(f"confirmed orbit length {chain.length} violates k*r form",
-                                 p, fmap, chain.level, head.rep)
+        if not orbit_length_allowed(chain.length, p):
+            raise InvariantError(f"confirmed orbit length {chain.length} violates the "
+                                 "orbit bound", p, fmap, chain.level,
+                                 cycle_nodes[chain.node_id].rep)
 
     stable: dict[int, int] = {}
     undetermined_count = 0
     for cnode in cycle_nodes:
-        if (isinstance(cnode.shape, PredictedShape)
+        if (cnode.shape is not None
                 and cnode.shape.kind is ShapeKind.UNDETERMINED
                 and not cnode.expanded):
             undetermined_count += 1
@@ -700,14 +647,6 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
         orbits=orbits,
         bad_reduction_classes=analysis.bad_reduction_classes,
     )
-
-
-def _has_orbit_form(c: int, p: int) -> bool:
-    """c = k*r with k <= p and r | p-1."""
-    for r in range(1, p):
-        if (p - 1) % r == 0 and c % r == 0 and c // r <= p:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -742,22 +681,10 @@ class SeparationAnalysis:
             return sep_n * (self.ell - 1) + self.m - 1
         return self.m - 1
 
-    def split_count(self, sep_n: int) -> int:
-        """Splits before growth for a cycle separating at level sep_n + 1."""
-        if not self.valid_at(sep_n):
-            raise SeparationError(f"rule not applicable at separation index {sep_n}")
-        return self.formula_splits(sep_n)
-
     def valid_at(self, sep_n: int) -> bool:
         if self.pathological:
             return sep_n > self.m
         return sep_n * self.d > self.m
-
-    def min_splits(self, sep_n: int) -> int:
-        """Lower bound on splits when the exact rule is not applicable."""
-        if self.pathological:
-            return sep_n * self.ell - 1
-        return 0
 
     def to_dict(self) -> dict:
         return {

@@ -6,6 +6,8 @@ prefix matches the oracle node for node, and every annotation's subtree claim
 holds up to the oracle's horizon) and the structural laws that need no
 predictor: the lift-length law, the multiplier/offset chain congruences, the
 capped-valuation identity on kd-lifts, orbit-length and tail-length bounds.
+Every reading of a cycle's lift lengths goes through ``lifting.classify_lifts``,
+the one statement of the lift-length law, which the analytic engine checks too.
 
 The chain congruences read (a, b) off the orbit arrays in numpy.  At level m,
 P = p^m, take a cycle x_0 = rep, ..., x_{L-1} in orbit order and write
@@ -27,8 +29,9 @@ import numpy as np
 from .arith import _NUMPY_SAFE_MODULUS, IntPoly
 from .errors import InvariantError
 from .graph import DEFAULT_BUDGET, BruteTree, build_tree_bruteforce
-from .predictor import (AnalyzedTree, KdLiftSample, Scope, ShapeKind, _has_orbit_form,
-                        analyze, check_identity_sample)
+from .lifting import Behavior, Classification, classify_lifts
+from .predictor import (AnalyzedTree, KdLiftSample, Scope, ShapeKind, analyze,
+                        check_identity_sample, orbit_length_allowed)
 
 __all__ = [
     "RuleStats",
@@ -98,20 +101,27 @@ class VerifyReport:
         return self.mismatches == 0
 
 
+_GROWS = Classification(Behavior.GROWS)
+_SPLITS = Classification(Behavior.SPLITS)
+_TAILS = Classification(Behavior.GROWS_TAILS)
+
+
+def _lifts(tree: BruteTree, level: int, idx: int) -> Classification | None:
+    """The lift pattern of cycle (level, idx) in the oracle, or None if lawless."""
+    lens = [tree.lengths[level + 1][c] for c in tree.children[level][idx]]
+    return classify_lifts(lens, tree.lengths[level][idx], tree.p)
+
+
 class _OracleChecker:
     """Structural subtree checks over a BruteTree, memoized."""
 
-    def __init__(self, tree: BruteTree, p: int):
+    def __init__(self, tree: BruteTree):
         self.tree = tree
-        self.p = p
         self.top = tree.max_level
         self._memo: dict[tuple, bool] = {}
 
     def kids(self, level: int, idx: int) -> list[int]:
         return self.tree.children[level][idx]
-
-    def length(self, level: int, idx: int) -> int:
-        return self.tree.lengths[level][idx]
 
     def grows_chain(self, level: int, idx: int) -> bool:
         """Single lift of length p*k at every level below."""
@@ -120,12 +130,10 @@ class _OracleChecker:
             return self._memo[key]
         ok = True
         while level < self.top:
-            kids = self.kids(level, idx)
-            want = self.p * self.length(level, idx)
-            if len(kids) != 1 or self.length(level + 1, kids[0]) != want:
+            if _lifts(self.tree, level, idx) != _GROWS:
                 ok = False
                 break
-            level, idx = level + 1, kids[0]
+            level, idx = level + 1, self.kids(level, idx)[0]
         self._memo[key] = ok
         return ok
 
@@ -139,11 +147,9 @@ class _OracleChecker:
         elif level >= self.top:
             ok = True  # beyond the oracle horizon; vacuous
         else:
-            kids = self.kids(level, idx)
-            k = self.length(level, idx)
-            ok = (len(kids) == self.p
-                  and all(self.length(level + 1, c) == k for c in kids)
-                  and all(self.own_splits_then_grows(level + 1, c, s - 1) for c in kids))
+            ok = (_lifts(self.tree, level, idx) == _SPLITS
+                  and all(self.own_splits_then_grows(level + 1, c, s - 1)
+                          for c in self.kids(level, idx)))
         self._memo[key] = ok
         return ok
 
@@ -155,11 +161,9 @@ class _OracleChecker:
         if level >= min(until, self.top):
             ok = True
         else:
-            kids = self.kids(level, idx)
-            k = self.length(level, idx)
-            ok = (len(kids) == self.p
-                  and all(self.length(level + 1, c) == k for c in kids)
-                  and all(self.full_split_until(level + 1, c, until) for c in kids))
+            ok = (_lifts(self.tree, level, idx) == _SPLITS
+                  and all(self.full_split_until(level + 1, c, until)
+                          for c in self.kids(level, idx)))
         self._memo[key] = ok
         return ok
 
@@ -168,11 +172,10 @@ class _OracleChecker:
         remaining lift repeats the pattern."""
         if level >= self.top:
             return True
-        kids = self.kids(level, idx)
-        k = self.length(level, idx)
-        if len(kids) != self.p or any(self.length(level + 1, c) != k for c in kids):
+        if _lifts(self.tree, level, idx) != _SPLITS:
             return False
-        stray = [c for c in kids if not self.own_splits_then_grows(level + 1, c, s)]
+        stray = [c for c in self.kids(level, idx)
+                 if not self.own_splits_then_grows(level + 1, c, s)]
         if len(stray) == 0:
             return True  # horizon too shallow to tell the chain apart
         if len(stray) > 1:
@@ -180,55 +183,42 @@ class _OracleChecker:
         return self.exceptional_chain(level + 1, stray[0], s)
 
     def tails_chain(self, level: int, idx: int) -> bool:
-        k = self.length(level, idx)
         while level < self.top:
-            kids = self.kids(level, idx)
-            if len(kids) != 1 or self.length(level + 1, kids[0]) != k:
+            if _lifts(self.tree, level, idx) != _TAILS:
                 return False
-            level, idx = level + 1, kids[0]
+            level, idx = level + 1, self.kids(level, idx)[0]
         return True
 
-    def partial_chain(self, level: int, idx: int, d: int, m: int | None,
-                      analyzed: set[tuple[int, int]]) -> bool:
+    def partial_chain(self, level: int, idx: int, d: int, m: int | None) -> bool:
         """Stationary partial-split chain: one k-lift plus (p-1)/d kd-lifts at
         every level; certified kd-lifts split m-1 times then grow."""
-        k = self.length(level, idx)
+        partial = Classification(Behavior.PARTIALLY_SPLITS, d)
+        k = self.tree.lengths[level][idx]
         while level < self.top:
-            kids = self.kids(level, idx)
-            same = [c for c in kids if self.length(level + 1, c) == k]
-            longer = [c for c in kids if self.length(level + 1, c) == k * d]
-            if len(same) != 1 or len(longer) != (self.p - 1) // d or \
-                    len(kids) != 1 + (self.p - 1) // d:
+            if _lifts(self.tree, level, idx) != partial:
                 return False
-            for c in longer:
-                if m is not None and level * d > m:
-                    if not self.own_splits_then_grows(level + 1, c, m - 1):
-                        return False
-                elif (level + 1, c) in analyzed:
-                    pass  # covered by that node's own annotation
-            level, idx = level + 1, same[0]
+            kids = self.kids(level, idx)
+            if m is not None and level * d > m and not all(
+                    self.own_splits_then_grows(level + 1, c, m - 1)
+                    for c in kids if self.tree.lengths[level + 1][c] != k):
+                return False
+            same = next(c for c in kids if self.tree.lengths[level + 1][c] == k)
+            level, idx = level + 1, same
         return True
 
     def grows_then_splits(self, level: int, idx: int) -> bool:
         if level >= self.top:
             return True
-        kids = self.kids(level, idx)
-        k = self.length(level, idx)
-        if len(kids) != 1 or self.length(level + 1, kids[0]) != self.p * k:
+        if _lifts(self.tree, level, idx) != _GROWS:
             return False
-        level, idx = level + 1, kids[0]
-        if level >= self.top:
-            return True
-        kids = self.kids(level, idx)
-        k = self.length(level, idx)
-        return len(kids) == self.p and all(self.length(level + 1, c) == k for c in kids)
+        level, idx = level + 1, self.kids(level, idx)[0]
+        return level >= self.top or _lifts(self.tree, level, idx) == _SPLITS
 
 
 def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
                max_level: int | None = None,
                analyzed: AnalyzedTree | None = None,
-               oracle: BruteTree | None = None,
-               **analyze_opts) -> VerifyReport:
+               oracle: BruteTree | None = None) -> VerifyReport:
     """Compare the predictor's annotated tree against the brute-force tree.
 
     ``max_level`` bounds the oracle depth (default: deepest level within the
@@ -238,13 +228,12 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
     if oracle is None:
         oracle = build_tree_bruteforce(fmap, p, top, budget=budget)
     if analyzed is None:
-        analyzed = analyze(fmap, p, budget=budget, **analyze_opts)
+        analyzed = analyze(fmap, p, budget=budget)
     report = VerifyReport(int(p), fmap.describe(), top)
-    checker = _OracleChecker(oracle, p)
+    checker = _OracleChecker(oracle)
 
     # Locate every analyzed node in the oracle.
     index: dict[int, tuple[int, int] | None] = {}
-    analyzed_pos: set[tuple[int, int]] = set()
     children_of: dict[int, list] = {}
     for node in analyzed.nodes:
         children_of.setdefault(node.parent, []).append(node)
@@ -263,8 +252,6 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
         report.record("prefix", ok,
                       f"length mismatch at rep={node.rep}@{node.level}")
         index[node.id] = (node.level, idx) if ok else None
-        if ok:
-            analyzed_pos.add((node.level, idx))
 
     # Expanded nodes must reproduce the oracle's child sets exactly.
     for node in analyzed.nodes:
@@ -308,8 +295,7 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
                           f"rep={node.rep}@{level}")
         elif kind is ShapeKind.STATIONARY_PARTIAL_SPLIT:
             report.record("partial-split",
-                          checker.partial_chain(level, idx, shape.d, shape.m,
-                                                analyzed_pos),
+                          checker.partial_chain(level, idx, shape.d, shape.m),
                           f"rep={node.rep}@{level}")
         elif kind is ShapeKind.TAILS_FOREVER:
             report.record("tails-forever", checker.tails_chain(level, idx),
@@ -331,33 +317,18 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
 
 def check_lift_length_law(tree: BruteTree, p: int,
                           report: VerifyReport | None = None) -> RuleStats:
-    """Child-length multisets must be one of the four lawful patterns:
-    {pk}, {k x p}, {k}, or {k, kd x (p-1)/d} with d | p-1."""
+    """Every cycle's lift lengths must form one of the four lawful patterns
+    (``classify_lifts``)."""
     stats = report.stat("lift-length-law") if report else RuleStats()
     for level in range(1, tree.max_level):
         for idx, k in enumerate(tree.lengths[level]):
-            kids = tree.children[level][idx]
-            lens = sorted(tree.lengths[level + 1][c] for c in kids)
-            ok = (lens == [p * k]
-                  or lens == [k] * p
-                  or lens == [k]
-                  or _partial_pattern(lens, k, p))
+            lens = sorted(tree.lengths[level + 1][c] for c in tree.children[level][idx])
+            ok = classify_lifts(lens, k, p) is not None
             stats.record(ok)
             if not ok and report and len(report.details) < 50:
                 report.details.append(
                     f"lift-length-law: {lens} under k={k}@{level}")
     return stats
-
-
-def _partial_pattern(lens: list[int], k: int, p: int) -> bool:
-    if not lens or lens[0] != k or len(lens) < 2:
-        return False
-    long = lens[1:]
-    if long[0] % k or long[0] == k:
-        return False
-    d = long[0] // k
-    return ((p - 1) % d == 0 and len(long) == (p - 1) // d
-            and all(x == k * d for x in long))
 
 
 _CHAIN_CHUNK = 1 << 15  # orbit members per chunk of whole cycles (bounds peak memory)
@@ -459,30 +430,25 @@ def check_chain_congruences(fmap, p: int, tree: BruteTree,
     return stats
 
 
-def collect_kd_samples(tree: BruteTree, max_samples: int | None = None) -> list[KdLiftSample]:
+def collect_kd_samples(tree: BruteTree) -> list[KdLiftSample]:
     """kd-lifts of partially splitting cycles, identified structurally."""
     samples = []
     for level in range(1, tree.max_level):
         for idx, k in enumerate(tree.lengths[level]):
-            kids = tree.children[level][idx]
-            lens = sorted(tree.lengths[level + 1][c] for c in kids)
-            if not _partial_pattern(lens, k, tree.p):
+            lifts = _lifts(tree, level, idx)
+            if lifts is None or lifts.behavior is not Behavior.PARTIALLY_SPLITS:
                 continue
-            d = lens[-1] // k
-            for c in kids:
-                if tree.lengths[level + 1][c] == k * d:
-                    samples.append(KdLiftSample(level, k, d,
-                                                tree.reps[level + 1][c], k * d))
-                    if max_samples and len(samples) >= max_samples:
-                        return samples
+            kd = k * lifts.d
+            samples += [KdLiftSample(level, k, lifts.d, tree.reps[level + 1][c], kd)
+                        for c in tree.children[level][idx]
+                        if tree.lengths[level + 1][c] == kd]
     return samples
 
 
 def check_kd_identity(fmap, p: int, tree: BruteTree,
-                      report: VerifyReport | None = None,
-                      max_samples: int | None = None) -> RuleStats:
+                      report: VerifyReport | None = None) -> RuleStats:
     stats = report.stat("kd-identity") if report else RuleStats()
-    for sample in collect_kd_samples(tree, max_samples):
+    for sample in collect_kd_samples(tree):
         result = check_identity_sample(fmap, p, sample)
         stats.record(result["holds"])
         if not result["holds"] and report and len(report.details) < 50:
@@ -493,7 +459,7 @@ def check_kd_identity(fmap, p: int, tree: BruteTree,
 def check_orbit_lengths(tree: BruteTree, p: int,
                         report: VerifyReport | None = None) -> RuleStats:
     """Chains of constant length reaching the deepest level must obey the
-    orbit bound: length <= p^2, and k*r form (k <= p, r | p-1) for p > 3."""
+    orbit bound (``orbit_length_allowed``)."""
     stats = report.stat("orbit-bound") if report else RuleStats()
     top = tree.max_level
     if top < 2:
@@ -509,9 +475,7 @@ def check_orbit_lengths(tree: BruteTree, p: int,
             level, i = level - 1, pidx
         if not stationary:
             continue
-        ok = c <= p * p and (p == 3 or _has_orbit_form(c, p))
-        if p == 3 and c <= p * p and not _has_orbit_form(c, p):
-            ok = c == 9  # the p = 3 exception
+        ok = orbit_length_allowed(c, p)
         stats.record(ok)
         if not ok and report and len(report.details) < 50:
             report.details.append(f"orbit-bound: stationary length {c}")

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from cycletree.arith import IntPoly, Valuation
-from cycletree.checkers import (InverseEvalMap, RationalMap, analyze_rational,
-                                is_permutation, is_single_cycle)
+from cycletree.checkers import InverseEvalMap, RationalMap, is_permutation, is_single_cycle
 from cycletree.graph import build_tree_bruteforce, enumerate_level, tail_analysis
 from cycletree.lifting import compute_lin
 from cycletree.predictor import Scope, ShapeKind, analyze, separation_analysis
@@ -251,7 +250,7 @@ def test_criterion_11_rational_maps():
             continue
         h = RationalMap(num, den)
         oracle = build_tree_bruteforce(InverseEvalMap.of(h), p, 5, budget=BUDGET)
-        analyzed = analyze_rational(h, p, budget=BUDGET)
+        analyzed = analyze(h, p, budget=BUDGET)
         rep = verify_map(h, p, max_level=5, budget=BUDGET,
                          oracle=oracle, analyzed=analyzed)
         checked += rep.checked

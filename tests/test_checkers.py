@@ -5,11 +5,10 @@ import random
 import pytest
 
 from cycletree.arith import IntPoly
-from cycletree.checkers import (InverseEvalMap, RationalMap, analyze_rational,
-                                is_permutation, is_single_cycle, surrogate_eval,
-                                surrogate_poly)
-from cycletree.errors import BadReductionError, BudgetExceededError
+from cycletree.checkers import InverseEvalMap, RationalMap, is_permutation, is_single_cycle
+from cycletree.errors import BadReductionError
 from cycletree.graph import build_tree_bruteforce, enumerate_level
+from cycletree.predictor import analyze
 from cycletree.verify import verify_map
 
 
@@ -68,29 +67,16 @@ def test_p3_needs_level_three():
             assert not is_single_cycle(f, 3, n)
 
 
-def test_surrogate_poly_small():
-    # 1/x at p = 3, n = 1: phi(9) = 6, so the surrogate is x^5
-    h = RationalMap(IntPoly([1]), IntPoly([0, 1]))
-    s = surrogate_poly(h, 3, 1)
-    assert s.coeffs == (0, 0, 0, 0, 0, 1)
-    assert s.eval_mod(2, 3) == 2  # 2 is its own inverse mod 3
-    assert s.eval_mod(2, 9) == pow(2, -1, 9)  # and the agreement holds mod p^2
-    # identity map: denominator 1
-    ident = RationalMap(IntPoly([0, 1]), IntPoly([1]))
-    assert surrogate_poly(ident, 5, 2).coeffs == (0, 1)
-
-
 def test_surrogate_value_example():
     h = RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1]))
-    assert surrogate_eval(h, 5, 1, 2) == (4 + 1) * pow(2, -1, 25) % 25 == 15
+    assert h.value(2, 5**2, 5) == (4 + 1) * pow(2, -1, 25) % 25 == 15
 
 
 def test_surrogate_degree_budget():
     h = RationalMap(IntPoly([1]), IntPoly([0, 1]))
-    with pytest.raises(BudgetExceededError):
-        surrogate_poly(h, 5, 3)  # degree phi(5^6) - 1 = 12499
-    # the evaluation form still works at that precision
-    v = surrogate_eval(h, 5, 3, 7)
+    # the evaluation form works where the expanded surrogate would have
+    # degree phi(5^6) - 1 = 12499
+    v = h.value(7, 5**6, 5)
     assert v * 7 % 5**6 == 1
 
 
@@ -134,7 +120,7 @@ def test_reciprocal_map_level1():
 
 def test_analyze_rational_flags_pole():
     h = RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1]))
-    tree = analyze_rational(h, 3, max_level=5)
+    tree = analyze(h, 3, max_level=5)
     assert tree.bad_reduction_classes == [0]
 
 
@@ -149,7 +135,7 @@ def test_rational_tree_matches_inverse_oracle():
             continue
         h = RationalMap(num, den)
         oracle = build_tree_bruteforce(InverseEvalMap.of(h), p, 5)
-        analyzed = analyze_rational(h, p)
+        analyzed = analyze(h, p)
         report = verify_map(h, p, max_level=5, oracle=oracle, analyzed=analyzed)
         assert report.ok, report.details
         done += 1

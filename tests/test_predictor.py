@@ -6,10 +6,9 @@ from cycletree.arith import IntPoly
 from cycletree.errors import NotPeriodicError, SeparationError
 from cycletree.graph import build_tree_bruteforce, enumerate_level
 from cycletree.lifting import expand_children, make_node
-from cycletree.predictor import (AnalyzedTree, Scope, ShapeKind,
-                                 UndeterminedReason, analyze, check_corollaries,
-                                 check_multiplier_divisibility, predict,
-                                 separation_analysis)
+from cycletree.predictor import (Scope, ShapeKind, UndeterminedReason, analyze,
+                                 check_corollaries, check_multiplier_divisibility,
+                                 predict, separation_analysis)
 from cycletree.verify import collect_kd_samples, verify_map
 
 
@@ -125,14 +124,6 @@ def test_orbit_bound_statement():
     tree = analyze(IntPoly([1, 1]), 7)
     assert tree.orbits.bound["maxLength"] == 49
     assert tree.orbits.bound["p3Exception"] is False
-
-
-def test_json_roundtrip():
-    for f, p in [(IntPoly([2, 1, 3, 1, 3, 2]), 3), (IntPoly([0, 1, 3]), 3),
-                 (IntPoly([0, 0, 1]), 5)]:
-        tree = analyze(f, p, max_level=7)
-        clone = AnalyzedTree.from_dict(tree.to_dict())
-        assert clone == tree
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_array_lin_matches_scalar(p, rational):
                 if level > 1:
                     parent = tree.parents[level][i]
                     assert x % p ** (level - 1) == lins[level - 1][0][parent]
-                lin = compute_lin_at(fmap, p, level, length, x, verify=False)
+                lin = compute_lin_at(fmap, p, level, length, x)
                 assert (int(a[i]), int(b[i])) == (lin.a, lin.b)
                 compared += 1
     assert compared > 50
