@@ -4,7 +4,8 @@ Evaluation is exact for any coefficient size: reduction happens at
 evaluation sites only, and polynomial coefficients are never destructively
 reduced.  ``MapProtocol`` is the one interface every layer (oracle, analytic
 engine, predictor, verifier) uses to evaluate a map; ``IntPoly`` implements
-it with Horner kernels, ``checkers.RationalMap`` through modular inverses.
+it with Horner kernels, ``checkers.RationalMap`` with the same kernels and
+modular inverses.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ def mult_order(a: int, p: int) -> int:
 # Largest modulus for which (m-1)^2 still fits in int64 during Horner steps.
 _NUMPY_SAFE_MODULUS = 3_000_000_000
 
+# Residues per block of the generic table (bounds the array kernels' temporaries).
+_TABLE_BLOCK = 1 << 14
+
 
 class MapProtocol:
     """How every layer evaluates a map f on Z/p^nZ.
@@ -140,8 +144,10 @@ class MapProtocol:
     * ``describe()``: the JSON description of the map.
 
     Evaluating at a pole raises ``BadReductionError``.  Loops over many
-    points take their per-point function from ``_at`` (or ``_values``) once
-    per call, so a map can do its per-call work there once.
+    points take their per-point function from ``_at`` once per call, so a
+    map can do its per-call work there once.  ``table`` evaluates the residues
+    off the pole classes through ``_values``, which a map may replace with
+    an array kernel.
     """
 
     def value(self, x: int, modulus: int, p: int) -> int:
@@ -159,18 +165,23 @@ class MapProtocol:
 
     def table(self, modulus: int, p: int) -> np.ndarray:
         # Whether x is a pole depends only on x mod p, so the pole classes
-        # are found once and their residues never reach the map.
+        # are found once and their residues never reach the map.  Blocks of
+        # a power of p residues bound the memory the kernels take.
+        block = modulus
+        while block > _TABLE_BLOCK and block > p:
+            block //= p
         pole = np.zeros(p, dtype=bool)
         pole[self.poles(p)] = True
-        defined = np.flatnonzero(~np.tile(pole, modulus // p))
+        defined = np.flatnonzero(~np.tile(pole, block // p))
         succ = np.full(modulus, -1, dtype=np.int64)
-        succ[defined] = np.fromiter(self._values(defined.tolist(), modulus, p),
-                                    np.int64, len(defined))
+        for start in range(0, modulus, block):
+            x = defined + start
+            succ[x] = self._values(x, modulus, p)
         return succ
 
-    def _values(self, xs: list[int], modulus: int, p: int) -> Iterator[int]:
-        """f at each of ``xs`` (no poles among them): the table's inner loop."""
-        return (self.value(x, modulus, p) for x in xs)
+    def _values(self, x: np.ndarray, modulus: int, p: int) -> np.ndarray:
+        """f at each residue of ``x`` (no poles among them): the table's inner loop."""
+        return np.fromiter((self.value(y, modulus, p) for y in x.tolist()), np.int64, len(x))
 
     def limbs(self, x: np.ndarray, modulus: int, p: int):
         at = self._at(modulus * modulus, modulus, p)
@@ -241,8 +252,12 @@ class IntPoly(MapProtocol):
     def table(self, modulus: int, p: int) -> np.ndarray:
         if modulus > _NUMPY_SAFE_MODULUS:
             return super().table(modulus, p)
-        x = np.arange(modulus, dtype=np.int64)
-        acc = np.zeros(modulus, dtype=np.int64)
+        return self.eval_array(np.arange(modulus, dtype=np.int64), modulus)
+
+    def eval_array(self, x: np.ndarray, modulus: int) -> np.ndarray:
+        """f(x) mod modulus over an int64 array of residues, by Horner; the
+        modulus is at most the safe modulus, so no product overflows."""
+        acc = np.zeros(x.shape, dtype=np.int64)
         for c in reversed(self.coeffs):
             acc *= x
             acc %= modulus
@@ -301,36 +316,6 @@ class IntPoly(MapProtocol):
         while len(out) < order + 1:
             out.append(0)
         return out
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntPoly((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -7,8 +7,10 @@ p^n-cycle: stabilizes at level 2 for p > 3 and at level 3 for p = 3.
 Rational maps h = num/den with den a unit on the points under analysis agree
 mod p^{2n} with the integer polynomial num * den^(phi(p^{2n}) - 1), so the
 whole lift machinery applies.  The engine never expands that surrogate to
-coefficient form; it evaluates it pointwise by modular exponentiation.  The
-independent oracle route inverts den by extended Euclid instead.
+coefficient form: it evaluates num and den with the ``IntPoly`` kernels and
+raises den to phi - 1 by square-and-multiply, on whole int64 arrays for tables
+and limbs and per point elsewhere.  The independent oracle route inverts den
+by extended Euclid instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import IntPoly, MapProtocol
+import numpy as np
+
+from .arith import _NUMPY_SAFE_MODULUS, IntPoly, MapProtocol
 from .errors import BadReductionError
 
 __all__ = [
@@ -30,6 +34,46 @@ __all__ = [
 def _phi(modulus: int, p: int) -> int:
     """Euler totient of a prime power modulus."""
     return modulus - modulus // p
+
+
+def _power_inverse(d: np.ndarray, modulus: int, p: int) -> np.ndarray:
+    """1/d mod modulus over an int64 array of units, as d^(phi - 1) by
+    square-and-multiply; products stay below modulus^2 < 2^63."""
+    e = _phi(modulus, p) - 1
+    out = np.ones_like(d)
+    base = d.copy()
+    while e:
+        if e & 1:
+            out *= base
+            out %= modulus
+        e >>= 1
+        if e:
+            base *= base
+            base %= modulus
+    return out
+
+
+def _euclid_inverse(d: np.ndarray, modulus: int) -> np.ndarray:
+    """1/d mod modulus over an int64 array of units, by extended Euclid.
+
+    Each lane keeps r0 = s0*d and r1 = s1*d (mod modulus); the remainders of
+    a unit reach 1, where s1 is the inverse.  Finished lanes are dropped
+    every round, so later rounds run on the live lanes only.
+    """
+    out = np.empty_like(d)
+    lane = np.arange(len(d))
+    r0, r1 = np.full_like(d, modulus), d
+    s0, s1 = np.zeros_like(d), np.ones_like(d)
+    while True:
+        done = r1 == 1
+        out[lane[done]] = s1[done] % modulus
+        if done.all():
+            return out
+        live = ~done
+        lane, r0, r1, s0, s1 = lane[live], r0[live], r1[live], s0[live], s1[live]
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
 
 
 @dataclass(frozen=True)
@@ -60,6 +104,10 @@ class RationalMap(MapProtocol):
         """e with d^e = 1/d (mod modulus) for every unit d."""
         return _phi(modulus, p) - 1
 
+    def _invert(self, d: np.ndarray, modulus: int, p: int) -> np.ndarray:
+        """1/d mod modulus over an int64 array of units."""
+        return _power_inverse(d, modulus, p)
+
     def describe(self) -> dict:
         return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
 
@@ -88,10 +136,33 @@ class RationalMap(MapProtocol):
             x, der = at(x)
             yield x, der
 
-    def _values(self, xs: list[int], modulus: int, p: int):
-        e = self._inverse_exponent(modulus, p)
-        num, den = self.num.eval_mod, self.den.eval_mod
-        return (num(x, modulus) * pow(den(x, modulus), e, modulus) % modulus for x in xs)
+    def _values(self, x: np.ndarray, modulus: int, p: int) -> np.ndarray:
+        if modulus > _NUMPY_SAFE_MODULUS:
+            return super()._values(x, modulus, p)
+        inv = self._invert(self.den.eval_array(x, modulus), modulus, p)
+        return self.num.eval_array(x, modulus) * inv % modulus
+
+    def limbs(self, x: np.ndarray, modulus: int, p: int):
+        """On int64 arrays, num and den on two limbs (``IntPoly.limbs``), 1/den
+        mod P by the class's inverse and one Hensel step to P^2, every product
+        reduced mod P before it is summed; object arrays point by point."""
+        if x.dtype == object:
+            return super().limbs(x, modulus, p)
+        P = modulus
+        d_hi, d_lo, d_d = self.den.limbs(x, P, p)
+        pole = np.flatnonzero(d_lo % p == 0)
+        if len(pole):
+            raise BadReductionError(int(x[pole[0]]), p)
+        i = self._invert(d_lo, P, p)
+        # den * i = 1 + e*P (mod P^2), so 1/den = i - i*e*P = (-i*e, i) in limbs.
+        e = ((d_lo * i - 1) // P + d_hi * i % P) % P
+        i_hi = -i * e % P
+        n_hi, n_lo, n_d = self.num.limbs(x, P, p)
+        # h' = (den*num' - num*den') / den^2, needed mod P only
+        der = (d_lo * n_d % P - n_lo * d_d % P) % P * i % P * i % P
+        prod = n_lo * i
+        hi = (prod // P + n_hi * i % P + n_lo * i_hi % P) % P
+        return hi, prod % P, der
 
     def taylor_at(self, x0: int, order: int, modulus: int, p: int) -> list[int]:
         """Series coefficients of h(x0 + u) mod modulus up to u^order."""
@@ -121,6 +192,9 @@ class InverseEvalMap(RationalMap):
 
     def _inverse_exponent(self, modulus: int, p: int) -> int:
         return -1  # pow(d, -1, m) runs extended Euclid
+
+    def _invert(self, d: np.ndarray, modulus: int, p: int) -> np.ndarray:
+        return _euclid_inverse(d, modulus)
 
 
 def is_permutation(f: IntPoly, p: int, n: int) -> bool:

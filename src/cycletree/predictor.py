@@ -697,8 +697,12 @@ class SeparationAnalysis:
         }
 
 
-def separation_analysis(f: IntPoly, p: int, alpha: int, k: int,
-                        max_order: int = 64) -> SeparationAnalysis:
+# Highest iterate-series order separation_analysis expands to while it looks for
+# the first nonzero coefficient past the linear term.
+SEPARATION_MAX_ORDER = 64
+
+
+def separation_analysis(f: IntPoly, p: int, alpha: int, k: int) -> SeparationAnalysis:
     """Analyze the cycles separating from the exact periodic point alpha.
 
     Verifies that alpha has exact period k over the integers and that the
@@ -731,10 +735,10 @@ def separation_analysis(f: IntPoly, p: int, alpha: int, k: int,
         ell = next((i for i in range(2, len(taylor)) if taylor[i] != 0), None)
         if ell is not None:
             break
-        if order >= max_order:
+        if order >= SEPARATION_MAX_ORDER:
             raise SeparationError(
                 f"no nonzero iterate coefficient up to order {order}")
-        order = min(2 * order, max_order)
+        order = min(2 * order, SEPARATION_MAX_ORDER)
         taylor = iterate_series(f, alpha, k * d, order)
     if d > 1 and ell % d != 1:
         # commuting compositions force the first nonzero index = 1 mod d
@@ -814,8 +818,11 @@ def check_multiplier_divisibility(f: IntPoly, p: int, alpha: int, k: int) -> dic
             "failures": failures, "d": sep.d, "m": sep.m}
 
 
-def check_displacement_congruence(f: IntPoly, p: int, alpha: int, k: int,
-                                  max_n: int = 4) -> dict:
+# Displacement valuations n = 1..DISPLACEMENT_MAX_N that check_displacement_congruence tests.
+DISPLACEMENT_MAX_N = 4
+
+
+def check_displacement_congruence(f: IntPoly, p: int, alpha: int, k: int) -> dict:
     """Near-fixed-point displacement congruence at an exact periodic point:
 
         h(y) - y = (y - alpha)(h'(alpha) - 1)   mod p^min(n(d+1), 2n+m)
@@ -829,7 +836,7 @@ def check_displacement_congruence(f: IntPoly, p: int, alpha: int, k: int,
     kd = k * sep.d
     failures = []
     checked = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, DISPLACEMENT_MAX_N + 1):
         prec = (n * (sep.d + 1) if sep.multiplier == 1
                 else min(n * (sep.d + 1), 2 * n + sep.m))
         modulus = p**prec

@@ -115,14 +115,6 @@ def test_poly_parse_and_str():
         IntPoly.parse("2,a,3")
 
 
-def test_poly_arith():
-    f, g = IntPoly([1, 2]), IntPoly([0, 1, 1])
-    assert (f + g).coeffs == (1, 3, 1)
-    assert (f * g).coeffs == (0, 1, 3, 2)
-    assert (f**3).coeffs == (1, 6, 12, 8)
-    assert (f**0).coeffs == (1,)
-
-
 def test_taylor_at_matches_hasse():
     f = IntPoly([3, -1, 4, 0, 2])
     for x0 in (-3, 0, 7):

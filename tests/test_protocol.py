@@ -10,13 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycletree import arith
+from cycletree import arith, checkers
 from cycletree.arith import IntPoly
 from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BadReductionError
 
 PRIMES_AND_LEVELS = [(3, n) for n in range(1, 8)] + [(5, n) for n in range(1, 5)] \
     + [(7, n) for n in range(1, 4)]  # p^n <= 3^7
+LARGE_LEVELS = [(3, 19), (5, 13), (7, 11), (11, 9)]  # P^2 near 2^63
+POLES = (IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4]))  # den has roots mod 3, 5 and 7
 
 
 def reference(fmap, x: int, modulus: int, p: int) -> tuple[int, int] | None:
@@ -112,13 +114,98 @@ def test_protocol_matches_reference(case, walks):
         assert (hi.tolist(), lo.tolist(), d.tolist()) == want
 
 
+def _refuse(*args):
+    raise AssertionError("this inverse route must not be reached")
+
+
 @pytest.mark.parametrize("f", [IntPoly([]), IntPoly([4]), IntPoly([2, 1, 3, 1, 3, 2]),
-                               IntPoly([-7, 2**70, 0, 5])])
+                               IntPoly([-7, 2**70, 0, 5]), RationalMap(*POLES),
+                               InverseEvalMap(*POLES)])
 def test_point_by_point_table_above_numpy_cutoff(monkeypatch, f):
-    """IntPoly's table falls back to per-residue evaluation above the int64
-    cutoff; with the cutoff lowered it must equal the numpy table."""
+    """Tables fall back to per-residue evaluation above the int64 cutoff
+    (with no array inverse); with the cutoff lowered they must equal the
+    numpy tables, poles included."""
     for p, n in [(3, 6), (5, 4), (7, 3)]:
         want = f.table(p**n, p).tolist()
         monkeypatch.setattr(arith, "_NUMPY_SAFE_MODULUS", p)
+        monkeypatch.setattr(checkers, "_NUMPY_SAFE_MODULUS", p)
+        monkeypatch.setattr(checkers, "_power_inverse", _refuse)
+        monkeypatch.setattr(checkers, "_euclid_inverse", _refuse)
         assert f.table(p**n, p).tolist() == want
         monkeypatch.undo()
+    if not isinstance(f, IntPoly):
+        assert -1 in want
+
+
+@st.composite
+def large_cases(draw):
+    p, n = draw(st.sampled_from(LARGE_LEVELS))
+    big = st.integers(-2**70, 2**70)
+    fmap = IntPoly(draw(st.lists(big, max_size=6)))
+    kind = draw(st.sampled_from([None, RationalMap, InverseEvalMap]))
+    if kind is not None:
+        fmap = kind(fmap, IntPoly(draw(st.lists(big, min_size=1, max_size=4).filter(any))))
+    xs = draw(st.lists(st.integers(0, p**n - 1), min_size=1, max_size=40))
+    return fmap, p, n, xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_cases())
+@example((IntPoly([-1, -1, -1]), 3, 19, [0, 1, 3**19 - 2, 3**19 - 1]))
+@example((RationalMap(IntPoly([-1]), IntPoly([-1])), 11, 9, [0]))  # every limb is P - 1
+@example((RationalMap(IntPoly([-1, 0, -1]), IntPoly([-1, 1])), 5, 13, [1, 5**13 - 1]))
+@example((InverseEvalMap(IntPoly([2**70, -1]), IntPoly([7**11 - 1, 0, -1])), 7, 11,
+          [2, 7**11 - 1]))
+def test_limbs_at_large_modulus(case):
+    """int64 limbs at P near 2^31, where every limb product nears int64,
+    against exact integers mod P^2."""
+    fmap, p, n, xs = case
+    P = p**n
+    xs = [x for x in xs if reference(fmap, x, P, p) is not None]
+    square = [reference(fmap, x, P * P, p) for x in xs]
+    hi, lo, d = fmap.limbs(np.array(xs, dtype=np.int64), P, p)
+    assert (hi.tolist(), lo.tolist(), d.tolist()) == \
+        ([v // P for v, _ in square], [v % P for v, _ in square], [d % P for _, d in square])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRIMES_AND_LEVELS + LARGE_LEVELS), st.data())
+def test_vectorized_inverse_matches_pow(level, data):
+    """Each class's array inverse (power or Euclid) against pow(d, -1, m)."""
+    p, n = level
+    m = p**n
+    units = data.draw(st.lists(st.integers(1, m - 1).filter(lambda v: v % p), max_size=60))
+    want = [pow(v, -1, m) for v in units]
+    for kind in (RationalMap, InverseEvalMap):
+        got = kind(*POLES)._invert(np.array(units, dtype=np.int64), m, p)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("kind, own, other",
+                         [(RationalMap, "_power_inverse", "_euclid_inverse"),
+                          (InverseEvalMap, "_euclid_inverse", "_power_inverse")])
+def test_each_inverse_route_stays_with_its_class(monkeypatch, kind, own, other):
+    """The surrogate never inverts by Euclid and the oracle route never by the
+    power, so differential tests never compare a route against itself."""
+    h = kind(*POLES)
+    calls = []
+    route = getattr(checkers, own)
+    monkeypatch.setattr(checkers, own, lambda *args: calls.append(1) or route(*args))
+    monkeypatch.setattr(checkers, other, _refuse)
+    for p, n in [(3, 5), (5, 3), (7, 2)]:
+        m = p**n
+        table = h.table(m, p)
+        x = np.flatnonzero(table >= 0)
+        hi, lo, _ = h.limbs(x, m, p)
+        assert lo.tolist() == table[x].tolist()
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("kind", [RationalMap, InverseEvalMap])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_limbs_at_a_pole_raise(kind, dtype):
+    h = kind(*POLES)  # den vanishes at 1 and 2 mod 3
+    x = np.array([0, 3, 4, 6], dtype=dtype)
+    with pytest.raises(BadReductionError) as err:
+        h.limbs(x, 27, 3)
+    assert (err.value.x, err.value.p) == (4, 3)
