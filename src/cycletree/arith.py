@@ -5,14 +5,14 @@ evaluation sites only, and polynomial coefficients are never destructively
 reduced.  ``MapProtocol`` is the one interface every layer (oracle, analytic
 engine, predictor, verifier) uses to evaluate a map; ``IntPoly`` implements
 it with Horner kernels, ``checkers.RationalMap`` with the same kernels and
-modular inverses.
+modular inverses.  The array methods (``table``, ``limbs``) run on int64
+arrays, which the oracle's 2^31-point cap keeps safe from overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -117,20 +117,14 @@ def mult_order(a: int, p: int) -> int:
     return d
 
 
-# Largest modulus for which (m-1)^2 still fits in int64 during Horner steps.
-_NUMPY_SAFE_MODULUS = 3_000_000_000
-
-# Residues per block of the generic table (bounds the array kernels' temporaries).
-_TABLE_BLOCK = 1 << 14
-
-
 class MapProtocol:
     """How every layer evaluates a map f on Z/p^nZ.
 
     ``p`` is always passed last (maps without poles ignore it), every
     ``modulus`` is a power of p, and ``dwork`` divides ``work``.  A map type
-    implements ``walk``, ``taylor_at``, ``describe`` and ``__str__``, plus
-    ``poles`` if it has any; the rest default to point-by-point evaluation.
+    implements ``walk``, ``taylor_at``, ``table``, ``limbs``, ``describe`` and
+    ``__str__``, plus ``poles`` if it has any; ``value`` and ``value_deriv``
+    default to one step of ``walk``.
 
     * ``value(x, modulus, p)``: f(x) mod modulus.
     * ``value_deriv(x, modulus, p)``: (f(x), f'(x)) mod modulus.
@@ -145,9 +139,7 @@ class MapProtocol:
 
     Evaluating at a pole raises ``BadReductionError``.  Loops over many
     points take their per-point function from ``_at`` once per call, so a
-    map can do its per-call work there once.  ``table`` evaluates the residues
-    off the pole classes through ``_values``, which a map may replace with
-    an array kernel.
+    map can do its per-call work there once.
     """
 
     def value(self, x: int, modulus: int, p: int) -> int:
@@ -162,31 +154,6 @@ class MapProtocol:
 
     def poles(self, p: int) -> list[int]:
         return []
-
-    def table(self, modulus: int, p: int) -> np.ndarray:
-        # Whether x is a pole depends only on x mod p, so the pole classes
-        # are found once and their residues never reach the map.  Blocks of
-        # a power of p residues bound the memory the kernels take.
-        block = modulus
-        while block > _TABLE_BLOCK and block > p:
-            block //= p
-        pole = np.zeros(p, dtype=bool)
-        pole[self.poles(p)] = True
-        defined = np.flatnonzero(~np.tile(pole, block // p))
-        succ = np.full(modulus, -1, dtype=np.int64)
-        for start in range(0, modulus, block):
-            x = defined + start
-            succ[x] = self._values(x, modulus, p)
-        return succ
-
-    def _values(self, x: np.ndarray, modulus: int, p: int) -> np.ndarray:
-        """f at each residue of ``x`` (no poles among them): the table's inner loop."""
-        return np.fromiter((self.value(y, modulus, p) for y in x.tolist()), np.int64, len(x))
-
-    def limbs(self, x: np.ndarray, modulus: int, p: int):
-        at = self._at(modulus * modulus, modulus, p)
-        pairs = np.fromiter(chain.from_iterable(map(at, x.tolist())), x.dtype, 2 * len(x))
-        return pairs[0::2] // modulus, pairs[0::2] % modulus, pairs[1::2]
 
 
 def _as_coeff_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -250,13 +217,11 @@ class IntPoly(MapProtocol):
             yield val, der
 
     def table(self, modulus: int, p: int) -> np.ndarray:
-        if modulus > _NUMPY_SAFE_MODULUS:
-            return super().table(modulus, p)
         return self.eval_array(np.arange(modulus, dtype=np.int64), modulus)
 
     def eval_array(self, x: np.ndarray, modulus: int) -> np.ndarray:
         """f(x) mod modulus over an int64 array of residues, by Horner; the
-        modulus is at most the safe modulus, so no product overflows."""
+        oracle keeps the modulus below 2^31, so no product overflows."""
         acc = np.zeros(x.shape, dtype=np.int64)
         for c in reversed(self.coeffs):
             acc *= x
@@ -266,10 +231,8 @@ class IntPoly(MapProtocol):
         return acc
 
     def limbs(self, x: np.ndarray, modulus: int, p: int):
-        """On int64 arrays (P below the safe modulus), Horner on two limbs in
-        base P, so no product exceeds P^2 < 2^63; object arrays point by point."""
-        if x.dtype == object:
-            return super().limbs(x, modulus, p)
+        """Horner on two limbs in base P, so on int64 arrays no product
+        exceeds P^2 < 2^63."""
         hi, lo, der = (np.zeros_like(x) for _ in range(3))
         for c in reversed(self.coeffs):
             c_hi, c_lo = divmod(c % (modulus * modulus), modulus)

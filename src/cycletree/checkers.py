@@ -9,8 +9,9 @@ mod p^{2n} with the integer polynomial num * den^(phi(p^{2n}) - 1), so the
 whole lift machinery applies.  The engine never expands that surrogate to
 coefficient form: it evaluates num and den with the ``IntPoly`` kernels and
 raises den to phi - 1 by square-and-multiply, on whole int64 arrays for tables
-and limbs and per point elsewhere.  The independent oracle route inverts den
-by extended Euclid instead.
+and limbs (the oracle's 2^31-point cap keeps every product below 2^63) and per
+point elsewhere.  The independent oracle route inverts den by extended Euclid
+instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import _NUMPY_SAFE_MODULUS, IntPoly, MapProtocol
+from .arith import IntPoly, MapProtocol
 from .errors import BadReductionError
 
 __all__ = [
@@ -29,6 +30,10 @@ __all__ = [
     "is_permutation",
     "is_single_cycle",
 ]
+
+
+# Residues per block of a rational table (bounds the array kernels' temporaries).
+_TABLE_BLOCK = 1 << 14
 
 
 def _phi(modulus: int, p: int) -> int:
@@ -136,18 +141,27 @@ class RationalMap(MapProtocol):
             x, der = at(x)
             yield x, der
 
-    def _values(self, x: np.ndarray, modulus: int, p: int) -> np.ndarray:
-        if modulus > _NUMPY_SAFE_MODULUS:
-            return super()._values(x, modulus, p)
-        inv = self._invert(self.den.eval_array(x, modulus), modulus, p)
-        return self.num.eval_array(x, modulus) * inv % modulus
+    def table(self, modulus: int, p: int) -> np.ndarray:
+        # Whether x is a pole depends only on x mod p, so the pole classes
+        # are found once and their residues never reach the map.  Blocks of
+        # a power of p residues bound the memory the kernels take.
+        block = modulus
+        while block > _TABLE_BLOCK and block > p:
+            block //= p
+        pole = np.zeros(p, dtype=bool)
+        pole[self.poles(p)] = True
+        defined = np.flatnonzero(~np.tile(pole, block // p))
+        succ = np.full(modulus, -1, dtype=np.int64)
+        for start in range(0, modulus, block):
+            x = defined + start
+            inv = self._invert(self.den.eval_array(x, modulus), modulus, p)
+            succ[x] = self.num.eval_array(x, modulus) * inv % modulus
+        return succ
 
     def limbs(self, x: np.ndarray, modulus: int, p: int):
-        """On int64 arrays, num and den on two limbs (``IntPoly.limbs``), 1/den
-        mod P by the class's inverse and one Hensel step to P^2, every product
-        reduced mod P before it is summed; object arrays point by point."""
-        if x.dtype == object:
-            return super().limbs(x, modulus, p)
+        """num and den on two limbs (``IntPoly.limbs``), 1/den mod P by the
+        class's inverse and one Hensel step to P^2, every product reduced mod
+        P before it is summed."""
         P = modulus
         d_hi, d_lo, d_d = self.den.limbs(x, P, p)
         pole = np.flatnonzero(d_lo % p == 0)

@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
 
 def _brute_verdicts(args, title: str, criterion, brute) -> int:
     """Print the closed-form verdict at each level 1..levels beside the one
-    read off that level's oracle sweep, wherever the budget allows one."""
+    read off that level's oracle sweep, wherever the oracle allows one."""
     p = _parse_prime(args.prime)
     f = _parse_map(args)
     budget = args.budget or _default_budget()
@@ -229,13 +229,14 @@ def _brute_verdicts(args, title: str, criterion, brute) -> int:
     agree = True
     for n in range(1, args.levels + 1):
         verdict = criterion(f, p, n)
-        if p**n <= budget:
+        try:
             seen = brute(_sweep_level(f, p, n, budget))
-            mark = "agree" if seen == verdict else "DISAGREE"
-            agree &= seen == verdict
-            print(f"  n={n}: criterion={verdict} brute={seen} {mark}")
-        else:
+        except BudgetExceededError:
             print(f"  n={n}: criterion={verdict} brute=(over budget)")
+            continue
+        mark = "agree" if seen == verdict else "DISAGREE"
+        agree &= seen == verdict
+        print(f"  n={n}: criterion={verdict} brute={seen} {mark}")
     return EXIT_OK if agree else EXIT_MISMATCH
 
 

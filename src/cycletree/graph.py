@@ -6,7 +6,9 @@ successor table (``table`` of the map protocol in ``arith``, -1 at poles).
 Poles point to an absorbing sink, pointer doubling over the table finds the
 cyclic points, and an ascending walk over those alone lists the cycles in rep
 order, each in orbit order from its rep.  The doubled table also names the
-cycle each tail ends in.
+cycle each tail ends in.  Whatever the budget, the oracle refuses levels of
+more than ``ORACLE_MAX_POINTS`` = 2^31 residues, so orbit arrays and labels
+are int32 and no int64 product in the map kernels overflows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import BudgetExceededError, InvariantError
 __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_MEMBER_CAP",
+    "ORACLE_MAX_POINTS",
     "Cycle",
     "TailStats",
     "LevelDecomposition",
@@ -34,6 +37,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_MEMBER_CAP = 1 << 16
+ORACLE_MAX_POINTS = 2**31  # residues per level; not a budget, no option raises it
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +106,9 @@ class _Sweep:
 
 def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     """Classify every residue of Z/p^nZ as cycle member, tail point or pole."""
-    modulus = p**n
-    if modulus > budget:
-        raise BudgetExceededError(modulus, budget)
+    modulus, limit = p**n, min(budget, ORACLE_MAX_POINTS)
+    if modulus > limit:
+        raise BudgetExceededError(modulus, limit)
     if n == 0:  # the zero ring; a rational map would otherwise read as one pole
         return _Sweep(1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
                       np.zeros(1, np.int32), 0, np.arange(2))
@@ -151,7 +155,7 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     reps = orbit[np.cumsum(sizes) - sizes].tolist()
     labels = np.full(modulus, -1, dtype=np.int32)
     labels[orbit] = np.repeat(np.arange(len(reps), dtype=np.int32), lengths)
-    orbit = orbit.astype(np.int32 if modulus < 2**31 else np.int64)
+    orbit = orbit.astype(np.int32)
     return _Sweep(modulus, succ, labels, reps, lengths, orbit, excluded, jump)
 
 
@@ -213,7 +217,7 @@ class BruteTree:
     Nodes are addressed as (level, index); index orders cycles by rep.  The
     level-0 root is the single 1-cycle of the trivial ring.  ``orbits[n]``
     holds every cycle member of level n, cycles in index order, each in orbit
-    order from its rep (int32 while p^n < 2^31).  When built with
+    order from its rep (int32, as p^n is below 2^31).  When built with
     ``with_tail_lengths`` each level records (cycle length, longest tail)
     pairs for cycles that own tails.
     """
@@ -243,8 +247,9 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
     Every member of every cycle is checked to reduce into its parent's member
     set (via the parent level's labels).
     """
-    if p**max_level > budget:
-        raise BudgetExceededError(p**max_level, budget)
+    points, limit = p**max_level, min(budget, ORACLE_MAX_POINTS)
+    if points > limit:
+        raise BudgetExceededError(points, limit)
     reps = [[0]]
     lengths = [[1]]
     parents = [[-1]]

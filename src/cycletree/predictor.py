@@ -371,7 +371,7 @@ class _Analysis:
         if kind is ShapeKind.SPLITS_THEN_GROWS and shape.scope is Scope.ALL:
             return
         if kind is ShapeKind.SPLITS_THEN_GROWS:  # all-but-one: case 2
-            self._process_exceptional_split(node, parent, shape)
+            self._process_exceptional_split(node)
             return
         if kind is ShapeKind.GROWS_THEN_SPLITS:
             if not self.can_expand(node):
@@ -408,19 +408,14 @@ class _Analysis:
         for child in self.expand(node):
             self.process(child, node, rounds_left, round_until)
 
-    def _process_exceptional_split(self, node: CycleNode, parent: CycleNode,
-                                   shape: PredictedShape) -> None:
+    def _process_exceptional_split(self, node: CycleNode) -> None:
         """Case 2 of the splitting trichotomy: identify the exceptional lift,
         verify it against the closed-form offset, and close the chain.
 
         The exceptional lift provably repeats case 2 with the same valuation
         at every deeper level, so one expansion certifies the whole chain.
         """
-        chain_entry = (parent is not None and parent.shape is not None
-                       and parent.shape.kind is ShapeKind.SPLITS_THEN_GROWS
-                       and parent.shape.scope is Scope.ALL_BUT_ONE
-                       and parent.length == node.length)
-        if chain_entry:
+        if not _chain_head(node):
             return  # parent's expansion already certified this chain
         if not self.can_expand(node):
             return  # annotation alone still determines the subtree
@@ -525,6 +520,29 @@ class _Analysis:
             self.unresolved += 1
 
 
+def _chain_kind(node: CycleNode) -> str | None:
+    """The theorem-backed stationary chain a node lies on, if any: it
+    partially splits, grows tails, or is the exceptional case-2 lift."""
+    beh = node.classification.behavior if node.classification else None
+    if beh is Behavior.PARTIALLY_SPLITS:
+        return "partial-split"
+    if beh is Behavior.GROWS_TAILS:
+        return "grows-tails"
+    shape = node.shape
+    if (shape is not None and shape.kind is ShapeKind.SPLITS_THEN_GROWS
+            and shape.scope is Scope.ALL_BUT_ONE):
+        return "exceptional-split"
+    return None
+
+
+def _chain_head(node: CycleNode) -> bool:
+    """Whether node starts a stationary chain: it lies on one, and its parent
+    is not on a chain of the same kind and length."""
+    kind, parent = _chain_kind(node), node.parent
+    return kind is not None and not (parent is not None and parent.length == node.length
+                                     and _chain_kind(parent) == kind)
+
+
 def _expand_root(fmap, p: int, budget: int) -> CycleNode:
     """Level-0 root plus its level-1 children from direct enumeration."""
     root = CycleNode(Cycle(0, 1, 0, (0,)), None, None, expanded=True)
@@ -588,30 +606,9 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     # Orbit report: heads of theorem-backed stationary chains.
     confirmed: list[OrbitChain] = []
     cycle_nodes = [cn for cn, _ in order]
-    for nid, (cnode, parent_id) in enumerate(order):
-        if cnode.classification is None or cnode.shape is None:
-            continue
-        parent = cnode.parent
-        beh = cnode.classification.behavior
-        kind = cnode.shape.kind
-        if beh is Behavior.PARTIALLY_SPLITS:
-            if not (parent and parent.classification
-                    and parent.classification.behavior is Behavior.PARTIALLY_SPLITS
-                    and parent.length == cnode.length):
-                confirmed.append(OrbitChain(cnode.length, "partial-split", nid, cnode.level))
-        elif beh is Behavior.GROWS_TAILS:
-            if not (parent and parent.classification
-                    and parent.classification.behavior is Behavior.GROWS_TAILS
-                    and parent.length == cnode.length):
-                confirmed.append(OrbitChain(cnode.length, "grows-tails", nid, cnode.level))
-        elif (kind is ShapeKind.SPLITS_THEN_GROWS
-              and cnode.shape.scope is Scope.ALL_BUT_ONE):
-            parent_shape = parent.shape if parent else None
-            if not (parent_shape is not None
-                    and parent_shape.kind is ShapeKind.SPLITS_THEN_GROWS
-                    and parent_shape.scope is Scope.ALL_BUT_ONE
-                    and parent.length == cnode.length):
-                confirmed.append(OrbitChain(cnode.length, "exceptional-split", nid, cnode.level))
+    for nid, cnode in enumerate(cycle_nodes):
+        if cnode.shape is not None and _chain_head(cnode):
+            confirmed.append(OrbitChain(cnode.length, _chain_kind(cnode), nid, cnode.level))
 
     for chain in confirmed:
         if not orbit_length_allowed(chain.length, p):
@@ -685,16 +682,6 @@ class SeparationAnalysis:
         if self.pathological:
             return sep_n > self.m
         return sep_n * self.d > self.m
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "k": self.k,
-            "d": self.d,
-            "pathological": self.pathological,
-            "m": self.m,
-            "ell": self.ell,
-        }
 
 
 # Highest iterate-series order separation_analysis expands to while it looks for

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _NUMPY_SAFE_MODULUS, IntPoly
+from .arith import IntPoly
 from .errors import InvariantError
 from .graph import DEFAULT_BUDGET, BruteTree, build_tree_bruteforce
 from .lifting import Behavior, Classification, classify_lifts
@@ -339,14 +339,13 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
     chunks of whole cycles.  The chosen member is the rep, or with ``over``
     the first member from the rep that is over[cycle] mod p^(level-1)."""
     modulus = p**level
-    dtype = np.int64 if modulus < _NUMPY_SAFE_MODULUS else object
     lengths = np.array(tree.lengths[level], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths)))
-    chosen, a, b = (np.empty(len(lengths), dtype=dtype) for _ in range(3))
+    chosen, a, b = (np.empty(len(lengths), dtype=np.int64) for _ in range(3))
     i0 = 0
     while i0 < len(lengths):
         i1 = max(i0 + 1, int(np.searchsorted(starts, starts[i0] + _CHAIN_CHUNK, "right")) - 1)
-        x = tree.orbits[level][starts[i0]:starts[i1]].astype(dtype)
+        x = tree.orbits[level][starts[i0]:starts[i1]].astype(np.int64)
         seg = starts[i0:i1] - starts[i0]
         seg_len = lengths[i0:i1]
         last = seg + seg_len - 1

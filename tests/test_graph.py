@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycletree.arith import IntPoly
+from cycletree import cli
+from cycletree.arith import IntPoly, MapProtocol
 from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BudgetExceededError
-from cycletree.graph import build_tree_bruteforce, enumerate_level, tail_analysis
+from cycletree.graph import (ORACLE_MAX_POINTS, build_tree_bruteforce, enumerate_level,
+                             tail_analysis)
 
 
 def brute_decompose(f, p, n):
@@ -191,6 +193,38 @@ def test_budget_error_carries_requirement():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_level(IntPoly([0, 1]), 5, 9, budget=10**4)
     assert err.value.required == 5**9
+
+
+class TableReached(Exception):
+    """Raised by ``TableRaises.table``: the oracle got past its size check."""
+
+
+class TableRaises(MapProtocol):
+    def table(self, modulus, p):
+        raise TableReached(modulus)
+
+
+@pytest.mark.parametrize("p, n", [(11, 9), (3, 20)])
+def test_oracle_refuses_more_than_2_31_points(p, n):
+    """Above 2^31 residues the oracle refuses whatever the budget, before it
+    asks the map for a table; 11^9 lies between 2^31 and 3e9."""
+    assert p**n > ORACLE_MAX_POINTS == 2**31
+    for build in (enumerate_level, build_tree_bruteforce):
+        with pytest.raises(BudgetExceededError) as err:
+            build(TableRaises(), p, n, budget=10**10)
+        assert err.value.required == p**n
+    assert cli.main(["verify", "--prime", str(p), "--poly", "0,1", "--max-level", str(n),
+                     "--budget", str(10**10)]) == cli.EXIT_BUDGET
+
+
+def test_oracle_admits_7_11():
+    """7^11 is below 2^31, so the size check passes and the map's table is asked for."""
+    assert 7**11 < ORACLE_MAX_POINTS
+    with pytest.raises(TableReached) as err:
+        enumerate_level(TableRaises(), 7, 11, budget=10**10)
+    assert err.value.args == (7**11,)
+    with pytest.raises(TableReached):
+        build_tree_bruteforce(TableRaises(), 7, 11, budget=10**10)
 
 
 def test_tree_identity_map():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycletree import arith, checkers
+from cycletree import checkers
 from cycletree.arith import IntPoly
 from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BadReductionError
@@ -116,25 +116,6 @@ def test_protocol_matches_reference(case, walks):
 
 def _refuse(*args):
     raise AssertionError("this inverse route must not be reached")
-
-
-@pytest.mark.parametrize("f", [IntPoly([]), IntPoly([4]), IntPoly([2, 1, 3, 1, 3, 2]),
-                               IntPoly([-7, 2**70, 0, 5]), RationalMap(*POLES),
-                               InverseEvalMap(*POLES)])
-def test_point_by_point_table_above_numpy_cutoff(monkeypatch, f):
-    """Tables fall back to per-residue evaluation above the int64 cutoff
-    (with no array inverse); with the cutoff lowered they must equal the
-    numpy tables, poles included."""
-    for p, n in [(3, 6), (5, 4), (7, 3)]:
-        want = f.table(p**n, p).tolist()
-        monkeypatch.setattr(arith, "_NUMPY_SAFE_MODULUS", p)
-        monkeypatch.setattr(checkers, "_NUMPY_SAFE_MODULUS", p)
-        monkeypatch.setattr(checkers, "_power_inverse", _refuse)
-        monkeypatch.setattr(checkers, "_euclid_inverse", _refuse)
-        assert f.table(p**n, p).tolist() == want
-        monkeypatch.undo()
-    if not isinstance(f, IntPoly):
-        assert -1 in want
 
 
 @st.composite

@@ -105,22 +105,6 @@ def test_cycle_longer_than_chunk(monkeypatch):
     assert longest > 4
 
 
-@pytest.mark.parametrize("rational", [False, True])
-def test_generic_path(monkeypatch, rational):
-    rng = random.Random(11 + rational)
-    for p in (3, 5):
-        fmap, oracle_map = _random_case(rng, p, rational)
-        tree = build_tree_bruteforce(oracle_map, p, 5)
-        want = [tuple(map(list, lin)) for lin in _chain_lins(fmap, p, tree)[1:]]
-        stats = check_chain_congruences(fmap, p, tree)
-        monkeypatch.setattr(verify, "_NUMPY_SAFE_MODULUS", p * p)
-        got = _chain_lins(fmap, p, tree)[1:]
-        assert got[-1][1].dtype == object
-        assert [tuple(map(list, lin)) for lin in got] == want
-        assert check_chain_congruences(fmap, p, tree) == stats
-        monkeypatch.undo()
-
-
 def test_tampered_orbit_raises():
     f = IntPoly([2, 1, 3, 1, 3, 2])
     tree = build_tree_bruteforce(f, 3, 6)
