@@ -6,12 +6,12 @@ class CycletreeError(Exception):
 
 
 class BudgetExceededError(CycletreeError):
-    """An operation would exceed the configured point or work budget."""
+    """An oracle level has more points than the budget or the oracle's size cap."""
 
-    def __init__(self, required: int, budget: int, what: str = "points"):
+    def __init__(self, required: int, budget: int, limit: str = "budget"):
         self.required = required
         self.budget = budget
-        super().__init__(f"budget exceeded: {required} {what} required, budget is {budget}")
+        super().__init__(f"budget exceeded: {required} points required, {limit} is {budget}")
 
 
 class InvariantError(CycletreeError, AssertionError):

@@ -5,10 +5,11 @@ Every map and every level takes one path.  The map supplies its own int64
 successor table (``table`` of the map protocol in ``arith``, -1 at poles).
 Poles point to an absorbing sink, pointer doubling over the table finds the
 cyclic points, and an ascending walk over those alone lists the cycles in rep
-order, each in orbit order from its rep.  The doubled table also names the
-cycle each tail ends in.  Whatever the budget, the oracle refuses levels of
-more than ``ORACLE_MAX_POINTS`` = 2^31 residues, so orbit arrays and labels
-are int32 and no int64 product in the map kernels overflows.
+order, each in orbit order from its rep.  Tail facts come from one pass
+outward from the cycles (``distance_to_cycle``), which gives every point its
+distance to a cycle and the cycle it enters.  Whatever the budget, the oracle
+refuses levels of more than ``ORACLE_MAX_POINTS`` = 2^31 residues, so orbit
+arrays and labels are int32 and no int64 product in the map kernels overflows.
 """
 
 from __future__ import annotations
@@ -76,42 +77,44 @@ class LevelDecomposition:
     excluded_points: int = 0  # rational maps only: classes where the map is undefined
 
 
+@dataclass(slots=True)
 class _Sweep:
     """Raw per-level data.
 
-    ``succ`` is the int64 successor table, -1 at poles.  ``jump`` is
-    f^(2^k) for the first 2^k >= modulus, extended by an absorbing sink at
-    index ``modulus`` that every pole maps to, so ``jump[x]`` lies on the cycle
-    that x's orbit ends in, or is the sink.  ``labels`` maps each residue to
-    its cycle id (-1 off cycles); cycles are in rep order, and ``orbit`` holds
-    their members, each cycle in orbit order from its rep.
+    ``succ`` is the int64 successor table, -1 at poles.  ``labels`` maps each
+    residue to its cycle id (-1 off cycles); cycles are in rep order, and
+    ``orbit`` holds their members, each cycle in orbit order from its rep.
     """
 
-    __slots__ = ("modulus", "succ", "labels", "reps", "lengths", "orbit", "excluded", "jump")
-
-    def __init__(self, modulus, succ, labels, reps, lengths, orbit, excluded, jump):
-        self.modulus = modulus
-        self.succ = succ
-        self.labels = labels
-        self.reps = reps
-        self.lengths = lengths
-        self.orbit = orbit
-        self.excluded = excluded
-        self.jump = jump
+    modulus: int
+    succ: np.ndarray
+    labels: np.ndarray
+    reps: list[int]
+    lengths: list[int]
+    orbit: np.ndarray
+    excluded: int
 
     @property
     def tail_point_count(self) -> int:
         return self.modulus - sum(self.lengths) - self.excluded
 
 
+def _check_size(points: int, budget: int) -> None:
+    """Refuse more than ``budget`` residues, or more than ``ORACLE_MAX_POINTS``
+    whatever the budget; the message names the limit that refused."""
+    if points > min(budget, ORACLE_MAX_POINTS):
+        capped = budget > ORACLE_MAX_POINTS
+        raise BudgetExceededError(points, min(budget, ORACLE_MAX_POINTS), limit=(
+            "the oracle's 2^31-point cap (no budget raises it)" if capped else "budget"))
+
+
 def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     """Classify every residue of Z/p^nZ as cycle member, tail point or pole."""
-    modulus, limit = p**n, min(budget, ORACLE_MAX_POINTS)
-    if modulus > limit:
-        raise BudgetExceededError(modulus, limit)
+    modulus = p**n
+    _check_size(modulus, budget)
     if n == 0:  # the zero ring; a rational map would otherwise read as one pole
         return _Sweep(1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
-                      np.zeros(1, np.int32), 0, np.arange(2))
+                      np.zeros(1, np.int32), 0)
     succ = fmap.table(modulus, p)
     # Pointer doubling: after 2^k >= modulus steps every point sits on its
     # cycle or in the sink, so the images of jump are exactly the cyclic points.
@@ -126,6 +129,7 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
         steps *= 2
     cyclic = np.zeros(modulus + 1, dtype=bool)
     cyclic[jump] = True
+    del jump
     starts = np.flatnonzero(cyclic[:modulus])
     del cyclic
     rank = np.empty(modulus, dtype=np.int64)
@@ -156,7 +160,7 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     labels = np.full(modulus, -1, dtype=np.int32)
     labels[orbit] = np.repeat(np.arange(len(reps), dtype=np.int32), lengths)
     orbit = orbit.astype(np.int32)
-    return _Sweep(modulus, succ, labels, reps, lengths, orbit, excluded, jump)
+    return _Sweep(modulus, succ, labels, reps, lengths, orbit, excluded)
 
 
 def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> LevelDecomposition:
@@ -172,39 +176,36 @@ def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Level
     return LevelDecomposition(n, cycles, sw.tail_point_count, sw.excluded)
 
 
-def distance_to_cycle(sweep: _Sweep) -> np.ndarray:
-    """Per-residue distance to the nearest cycle point along the orbit.
+def distance_to_cycle(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Per-residue (distance to a cycle along the orbit, id of that cycle).
 
-    Returns an int32 array, 0 on cycles.  Points whose forward orbit meets a
-    pole keep a sentinel distance of -1.
+    Both are int32 arrays, dist 0 on cycles; both read -1 at poles and at points
+    whose orbit meets a pole.  One pass outward from the cycles: round d settles
+    the unsettled points whose successor is settled (at distance d-1) and drops
+    them from the work list, so a round touches only points still unsettled.
+    What a round leaves unsettled, for good, feeds into poles.
     """
-    dead = sweep.succ < 0
-    succ = np.where(dead, 0, sweep.succ)
-    inf = np.iinfo(np.int32).max
-    dist = np.where(sweep.labels >= 0, 0, inf).astype(np.int64)
-    dist[dead] = -1
-    while True:
-        pending = dist == inf
-        if not pending.any():
+    dist = np.where(sweep.labels >= 0, 0, -1).astype(np.int32)
+    owner = sweep.labels.copy()
+    todo = np.flatnonzero((sweep.labels < 0) & (sweep.succ >= 0))
+    nxt = sweep.succ[todo]
+    for d in itertools.count(1):
+        ready = owner[nxt] >= 0
+        if not ready.any():
             break
-        nxt = dist[succ] + 1
-        better = pending & (nxt < inf) & (nxt > 0)
-        if not better.any():
-            # remaining points feed into poles and never reach a cycle
-            dist[pending] = -1
-            break
-        dist[better] = nxt[better]
-    return dist.astype(np.int32)
+        owner[todo[ready]] = owner[nxt[ready]]
+        dist[todo[ready]] = d
+        todo, nxt = todo[~ready], nxt[~ready]
+    return dist, owner
 
 
 def tail_length_by_cycle(sweep: _Sweep) -> list[tuple[int, int]]:
     """(cycle length, longest attached tail) for cycles with tails."""
-    dist = distance_to_cycle(sweep)
-    owner = np.append(sweep.labels, -1)[sweep.jump[:-1]]  # the sink reads -1
-    valid = (dist > 0) & (owner >= 0)
+    dist, owner = distance_to_cycle(sweep)
+    valid = dist > 0
     if not valid.any():
         return []
-    longest = np.zeros(len(sweep.reps), dtype=np.int64)
+    longest = np.zeros(len(sweep.reps), dtype=np.int32)  # dist's dtype: maximum.at's fast path
     np.maximum.at(longest, owner[valid], dist[valid])
     return [(sweep.lengths[i], int(longest[i]))
             for i in range(len(sweep.reps)) if longest[i] > 0]
@@ -247,9 +248,7 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
     Every member of every cycle is checked to reduce into its parent's member
     set (via the parent level's labels).
     """
-    points, limit = p**max_level, min(budget, ORACLE_MAX_POINTS)
-    if points > limit:
-        raise BudgetExceededError(points, limit)
+    _check_size(p**max_level, budget)
     reps = [[0]]
     lengths = [[1]]
     parents = [[-1]]
@@ -264,8 +263,7 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
         reps.append(sw.reps)
         lengths.append(sw.lengths)
         tail_points.append(sw.tail_point_count + sw.excluded)
-        with_tails = with_tail_lengths and (sw.tail_point_count or sw.excluded)
-        tail_pairs.append(tail_length_by_cycle(sw) if with_tails else [])
+        tail_pairs.append(tail_length_by_cycle(sw) if with_tail_lengths else [])
         orbits.append(sw.orbit)
         # The level-(n-1) cycle under each orbit member; a cycle starts at its rep.
         owner = prev_labels[sw.orbit % prev_modulus]
@@ -332,7 +330,7 @@ def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
     # of the reshaped distances holds the residues = r (mod p).
     end = sum(level1.lengths[:cid + 1])
     members1 = level1.orbit[end - level1.lengths[cid]:end]
-    max_tail = int(distance_to_cycle(sw).reshape(-1, p)[:, members1].max())
+    max_tail = int(distance_to_cycle(sw)[0].reshape(-1, p)[:, members1].max())
 
     f2_unit = taylor[2] % p != 0
     expected = _expected_tail_histogram(p, n) if f2_unit else None

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import Valuation, mult_order, ord_p
-from .errors import BudgetExceededError, InvariantError, NotACycleError
-from .graph import DEFAULT_BUDGET, DEFAULT_MEMBER_CAP, Cycle
+from .errors import InvariantError, NotACycleError
+from .graph import DEFAULT_MEMBER_CAP, Cycle
 
 __all__ = [
     "Behavior",
@@ -202,8 +202,7 @@ def make_node(fmap, p: int, cycle: Cycle, offset: int | None = None,
     return CycleNode(cycle, lin, classify(lin, p), offset=offset, start=start)
 
 
-def expand_children(fmap, p: int, node: CycleNode,
-                    budget: int = DEFAULT_BUDGET) -> list[CycleNode]:
+def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     """Children of a node, computed without global enumeration.
 
     The offsets t of the lifts x1 + p^n t move under f^k by t -> b + a*t
@@ -211,9 +210,9 @@ def expand_children(fmap, p: int, node: CycleNode,
     listed from its smallest offset t0, is one child; it is walked once from
     x1 + p^n t0 at p^{2(n+1)}, which checks the closed form against the real
     map and yields the child's members, its a, and its b at the walk start.
-    Cost: the child lengths sum to k*p, so k*p evaluations, charged against
-    ``budget``.  The child lengths must match the node's classification under
-    the lift-length law (``classify_lifts``).
+    Cost: the child lengths sum to k*p, so k*p evaluations; the caller charges
+    them (``predictor._Analysis.can_expand``).  The child lengths must match the
+    node's classification under the lift-length law (``classify_lifts``).
 
     b at the canonical rep needs no second walk.  With m = n+1, L the child
     length, F = f^L, y_j = f^j(start) and D_j = (f^j)'(start), Taylor mod p^{2m}
@@ -223,8 +222,6 @@ def expand_children(fmap, p: int, node: CycleNode,
     if node.expanded:
         return node.children
     n, k = node.cycle.level, node.cycle.length
-    if k * p > budget:
-        raise BudgetExceededError(k * p, budget, what="expansion work units")
     x1 = node.cycle.rep
     base = p**n
     modulus = base * p

@@ -344,7 +344,7 @@ class _Analysis:
         every True answer is followed by ``expand``."""
         if node.level >= self.max_level:
             return False
-        cost = 3 * node.length * self.p  # flat; charging actual evaluations is left for later
+        cost = node.length * self.p  # the k*p map evaluations of expand_children
         if self.work + cost > self.budget:
             self.budget_exceeded = True
             return False
@@ -353,7 +353,7 @@ class _Analysis:
 
     def expand(self, node: CycleNode) -> list[CycleNode]:
         try:
-            return expand_children(self.fmap, self.p, node, budget=self.budget)
+            return expand_children(self.fmap, self.p, node)
         except BadReductionError:
             node.bad_reduction = True
             return []

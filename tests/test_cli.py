@@ -7,7 +7,9 @@ import re
 import shlex
 from pathlib import Path
 
+from cycletree.arith import IntPoly
 from cycletree.cli import main
+from cycletree.predictor import analyze
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,24 @@ def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "verify", "--prime", "5", "--poly", "1,1",
                            "--budget", "3")
     assert code == 3
+
+
+def test_analyze_budget_counts_map_evaluations(capsys):
+    """Each expansion costs k*p work units, the k*p map evaluations it makes:
+    a budget of exactly their sum W is enough, W - 1 is not."""
+    f = IntPoly([2, 1, 3, 1, 3, 2])
+    full = analyze(f, 3, max_level=8)
+    parents = {node.parent for node in full.nodes}
+    work = sum(node.length * 3 for node in full.nodes if node.level >= 1 and node.id in parents)
+    assert work == 90 and not full.budget_exceeded
+    exact = analyze(f, 3, max_level=8, budget=work)
+    assert not exact.budget_exceeded
+    assert [n.to_dict() for n in exact.nodes] == [n.to_dict() for n in full.nodes]
+    assert analyze(f, 3, max_level=8, budget=work - 1).budget_exceeded
+    code, out, _ = run_cli(capsys, "analyze", "--prime", "3", "--poly", "2,1,3,1,3,2",
+                           "--max-level", "8", "--budget", str(work - 1), "--format", "json")
+    assert code == 3
+    assert json.loads(out)["budgetExceeded"] is True
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -10,7 +10,8 @@ from cycletree import cli
 from cycletree.arith import IntPoly, MapProtocol
 from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BudgetExceededError
-from cycletree.graph import (ORACLE_MAX_POINTS, build_tree_bruteforce, enumerate_level,
+from cycletree.graph import (DEFAULT_BUDGET, ORACLE_MAX_POINTS, _sweep_level,
+                             build_tree_bruteforce, distance_to_cycle, enumerate_level,
                              tail_analysis)
 
 
@@ -47,7 +48,9 @@ def reference_level(fmap, p, n):
 
     Returns (the cycles in rep order, each in orbit order from its rep as
     the smallest member; tail points; poles; [(cycle length, longest tail)]
-    in rep order for cycles that own tails).
+    in rep order for cycles that own tails; per-residue distance to a cycle;
+    per-residue rep of the cycle entered).  Poles and the points whose orbit
+    meets a pole have distance -1 and rep None.
     """
     m = p**n
     if isinstance(fmap, IntPoly):
@@ -87,7 +90,7 @@ def reference_level(fmap, p, n):
             longest[rep] = max(longest[rep], dist[y])
     poles = sum(1 for y in succ.values() if y is None)
     pairs = [(len(c), longest[c[0]]) for c in cycles if longest[c[0]] > 0]
-    return cycles, m - len(rep_of) - poles, poles, pairs
+    return cycles, m - len(rep_of) - poles, poles, pairs, dist, owner
 
 
 def _coeffs(p):
@@ -111,13 +114,14 @@ def maps(draw):
 @example((3, IntPoly([2**70 + 2, 1, 3, 1, 3, 2])))  # coefficient beyond int64
 @example((3, InverseEvalMap(IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4]))))  # poles at 1, 2 mod 3
 @example((3, RationalMap(IntPoly([0, 1, 1]), IntPoly([1, 0, 1]))))  # 1 + x^2 has no root mod 3
+@example((3, RationalMap(IntPoly([1]), IntPoly([0, 1]))))  # 1/x: a pole at 0, -1 fixed
 def test_sweep_matches_reference_with_poles(case):
     # every level up to p^n <= 20000, from a few points to the largest
     p, fmap = case
     top = {3: 9, 5: 6, 7: 5}[p]
     tree = build_tree_bruteforce(fmap, p, top, with_tail_lengths=True)
     for n in range(1, top + 1):
-        cycles, tails, poles, pairs = reference_level(fmap, p, n)
+        cycles, tails, poles, pairs, dist, owner = reference_level(fmap, p, n)
         orbit = tree.orbits[n].tolist()
         ends = [sum(tree.lengths[n][:i + 1]) for i in range(len(tree.lengths[n]))]
         assert [orbit[e - k:e] for e, k in zip(ends, tree.lengths[n])] == cycles
@@ -127,6 +131,10 @@ def test_sweep_matches_reference_with_poles(case):
         dec = enumerate_level(fmap, p, n)
         assert [(c.rep, c.members) for c in dec.cycles] == [(c[0], tuple(sorted(c))) for c in cycles]
         assert (dec.tail_point_count, dec.excluded_points) == (tails, poles)
+        got_dist, got_owner = distance_to_cycle(_sweep_level(fmap, p, n, DEFAULT_BUDGET))
+        assert got_dist.tolist() == [dist[x] for x in range(p**n)]
+        assert [tree.reps[n][i] if i >= 0 else None for i in got_owner.tolist()] == \
+            [owner[x] for x in range(p**n)]
 
 
 def test_enumerate_square_mod_3():
@@ -193,6 +201,7 @@ def test_budget_error_carries_requirement():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_level(IntPoly([0, 1]), 5, 9, budget=10**4)
     assert err.value.required == 5**9
+    assert str(err.value).endswith("budget is 10000")
 
 
 class TableReached(Exception):
@@ -205,16 +214,20 @@ class TableRaises(MapProtocol):
 
 
 @pytest.mark.parametrize("p, n", [(11, 9), (3, 20)])
-def test_oracle_refuses_more_than_2_31_points(p, n):
+def test_oracle_refuses_more_than_2_31_points(p, n, capsys):
     """Above 2^31 residues the oracle refuses whatever the budget, before it
-    asks the map for a table; 11^9 lies between 2^31 and 3e9."""
+    asks the map for a table, and says the cap refused, not the budget;
+    11^9 lies between 2^31 and 3e9."""
     assert p**n > ORACLE_MAX_POINTS == 2**31
+    cap = f"the oracle's 2^31-point cap (no budget raises it) is {ORACLE_MAX_POINTS}"
     for build in (enumerate_level, build_tree_bruteforce):
         with pytest.raises(BudgetExceededError) as err:
             build(TableRaises(), p, n, budget=10**10)
         assert err.value.required == p**n
+        assert str(err.value).endswith(cap)
     assert cli.main(["verify", "--prime", str(p), "--poly", "0,1", "--max-level", str(n),
                      "--budget", str(10**10)]) == cli.EXIT_BUDGET
+    assert cap in capsys.readouterr().err
 
 
 def test_oracle_admits_7_11():
