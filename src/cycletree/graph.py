@@ -3,9 +3,11 @@
 This is the ground truth that every analytic prediction is checked against.
 Every map and every level takes one path.  The map supplies its own int64
 successor table (``table`` of the map protocol in ``arith``, -1 at poles).
-Poles point to an absorbing sink, pointer doubling over the table finds the
-cyclic points, and an ascending walk over those alone lists the cycles in rep
-order, each in orbit order from its rep.  Tail facts come from one pass
+Poles point to an absorbing sink.  In-degree peeling strips the tails and
+leaves the cyclic points; doubling over windows of their orbits then gives
+each the position of its cycle's smallest member (the rep) and the steps to
+it, from which array passes, not a walk, list the cycles in rep order, each
+in orbit order from its rep.  Tail facts come from one pass
 outward from the cycles (``distance_to_cycle``), which gives every point its
 distance to a cycle and the cycle it enters.  Whatever the budget, the oracle
 refuses levels of more than ``ORACLE_MAX_POINTS`` = 2^31 residues, so orbit
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,50 +117,63 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
         return _Sweep(1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
                       np.zeros(1, np.int32), 0)
     succ = fmap.table(modulus, p)
-    # Pointer doubling: after 2^k >= modulus steps every point sits on its
-    # cycle or in the sink, so the images of jump are exactly the cyclic points.
-    jump = np.append(succ, modulus)
-    poles = jump < 0
+    # Peeling (Kahn): poles point to a sink whose self-loop keeps it unpeeled,
+    # and a point with no unpeeled preimage is on no cycle.  A round touches
+    # only the points peeled in the round before; after as many rounds as the
+    # longest tail, what is left is the sink and the cyclic points.
+    nxt = np.append(succ, modulus)
+    poles = nxt < 0
     excluded = int(np.count_nonzero(poles))
-    jump[poles] = modulus
+    nxt[poles] = modulus
     del poles
-    steps = 1
-    while steps < modulus:
-        jump = jump[jump]
-        steps *= 2
-    cyclic = np.zeros(modulus + 1, dtype=bool)
-    cyclic[jump] = True
-    del jump
-    starts = np.flatnonzero(cyclic[:modulus])
+    indeg = np.bincount(nxt)
+    front = np.flatnonzero(indeg == 0)
+    while front.size:
+        hit, k = np.unique(nxt[front], return_counts=True)
+        indeg[hit] -= k
+        front = hit[indeg[hit] == 0]
+    cyclic = indeg[:modulus] > 0
+    del nxt, indeg
+    jw = np.cumsum(cyclic)[succ[cyclic]] - 1  # successor, as a position among the cyclic points
+    c = len(jw)
+    # Doubling over the windows [i, i+w) of each orbit, key = m*2^32 + d: m is
+    # the smallest position in the window and d the steps from i to it, so the
+    # smaller key of two halves keeps the nearer copy of one position.  A round
+    # that changes nothing leaves every window a whole cycle: m is the rep's
+    # position and d < length.  c < 2^31 by the oracle cap, and d + w < 2w < 2^32
+    # never carries into m.  jw jumps w steps.
+    key = new = np.arange(c, dtype=np.int64) << 32
+    w = 1
+    while w < c:
+        new = np.take(key, jw)
+        new += w
+        np.minimum(new, key, out=new)
+        if np.array_equal(new, key):
+            break
+        key = new
+        jw = np.take(jw, jw)
+        w *= 2
+    del jw, new
+    starts = np.flatnonzero(cyclic)
     del cyclic
-    rank = np.empty(modulus, dtype=np.int64)
-    rank[starts] = np.arange(len(starts))
-    # Walk the cyclic points in ascending order, as positions in ``starts``:
-    # the first point met on each cycle is its smallest member, its rep.
-    nxt = rank[succ[starts]].tolist()
-    del rank
-    seen = bytearray(len(starts))
-    order = array("q")
-    append = order.append
-    lengths: list[int] = []
-    for s in range(len(starts)):
-        if seen[s]:
-            continue
-        size = len(order)
-        i = s
-        while not seen[i]:
-            seen[i] = 1
-            append(i)
-            i = nxt[i]
-        lengths.append(len(order) - size)
-    del nxt, seen
-    orbit = starts[np.frombuffer(order, dtype=np.int64)]
-    del order
-    sizes = np.array(lengths, dtype=np.int64)
-    reps = orbit[np.cumsum(sizes) - sizes].tolist()
+    d = (key & 0xFFFFFFFF).astype(np.int32)
+    key >>= 32  # key is now m
+    root = d == 0  # the reps, ascending
+    reps = starts[root].tolist()
+    cid = np.cumsum(root, dtype=np.int32)[key] - 1
+    del key, root
+    sizes = np.bincount(cid).astype(np.int32)
+    lengths = sizes.tolist()
+    # Orbit order from the rep: the point d steps before it sits (len - d) mod len on.
+    size = sizes[cid]
+    d = (size - d) % size
+    del size
+    d += (np.cumsum(sizes, dtype=np.int32) - sizes)[cid]
+    orbit = np.empty(c, dtype=np.int32)
+    orbit[d] = starts
+    del d
     labels = np.full(modulus, -1, dtype=np.int32)
-    labels[orbit] = np.repeat(np.arange(len(reps), dtype=np.int32), lengths)
-    orbit = orbit.astype(np.int32)
+    labels[starts] = cid
     return _Sweep(modulus, succ, labels, reps, lengths, orbit, excluded)
 
 

@@ -115,6 +115,10 @@ def maps(draw):
 @example((3, InverseEvalMap(IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4]))))  # poles at 1, 2 mod 3
 @example((3, RationalMap(IntPoly([0, 1, 1]), IntPoly([1, 0, 1]))))  # 1 + x^2 has no root mod 3
 @example((3, RationalMap(IntPoly([1]), IntPoly([0, 1]))))  # 1/x: a pole at 0, -1 fixed
+@example((3, IntPoly([0, 1])))  # identity: every point its own cycle
+@example((3, IntPoly([1, 1])))  # x + 1: one 3^9-point cycle, the most doubling rounds
+@example((3, IntPoly([0, 3])))  # 3x: tails up to n long into 0, the most peeling rounds
+@example((3, RationalMap(IntPoly([3]), IntPoly([0, 1]))))  # 3/x: no cycle at any level >= 1
 def test_sweep_matches_reference_with_poles(case):
     # every level up to p^n <= 20000, from a few points to the largest
     p, fmap = case
