@@ -13,12 +13,13 @@ import json
 import os
 import random
 import sys
+from operator import itemgetter
 
 from .arith import IntPoly, OddPrime
 from .checkers import RationalMap, is_permutation, is_single_cycle
 from .errors import BudgetExceededError, CycletreeError, InvariantError
 from .graph import DEFAULT_BUDGET, _sweep_level, tail_analysis
-from .predictor import AnalyzedTree, analyze
+from .predictor import AnalyzedTree, PredictedShape, ShapeKind, analyze
 from .verify import random_poly, verify_all
 
 EXIT_OK = 0
@@ -142,7 +143,7 @@ def render_text(tree: AnalyzedTree) -> str:
     if tree.bad_reduction_classes:
         lines.append(f"bad reduction at classes (mod p): {tree.bad_reduction_classes}")
     orb = tree.orbits
-    confirmed = sorted({c.length for c in orb.confirmed})
+    confirmed = sorted(orb.confirmed_lengths())
     stable = [f"{s['length']}@{s['level']}" for s in orb.stable_so_far]
     lines.append(f"orbits: confirmed {confirmed}; stable-so-far {stable}; "
                  f"undetermined chains {orb.undetermined_chains}")
@@ -153,8 +154,32 @@ def render_text(tree: AnalyzedTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_object(pad: str, keys: list[str], prediction: str = "%s") -> str:
+    """Indent-2 object at indent ``pad``: %s per value, ``prediction`` as that key's."""
+    fields = (f'{pad}  {json.dumps(k)}: ' + (prediction if k == "prediction" else "%s")
+              for k in keys)
+    return "{\n" + ",\n".join(fields) + f"\n{pad}}}"
+
+
 def render_json(tree: AnalyzedTree) -> str:
-    return json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    Any ``indent`` sends json to its slow pure-Python encoder, so only the small frame goes
+    through it; each node fills a template of the sorted ``to_dict`` keys with values
+    the C encoder writes in one call, split on NUL, which it writes only escaped."""
+    out = tree.to_dict()
+    rows, out["nodes"] = out["nodes"], None
+    keys, pkeys = sorted(rows[0]), sorted(PredictedShape(ShapeKind.UNDETERMINED).to_dict())
+    cut, get, pget = keys.index("prediction"), itemgetter(*keys), itemgetter(*pkeys)
+    bare = "    " + _json_object("    ", keys)
+    full = "    " + _json_object("    ", keys, _json_object("      ", pkeys))
+    flat, shapes = [], []
+    for vals in map(get, rows):
+        pred = vals[cut]
+        flat += vals if pred is None else vals[:cut] + pget(pred) + vals[cut + 1:]
+        shapes.append(bare if pred is None else full)
+    flat = tuple(json.JSONEncoder(separators=("\x00", ":")).encode(flat)[1:-1].split("\x00"))
+    nodes = '\n  "nodes": [\n' + ",\n".join(shapes) % flat + "\n  ]"
+    return json.dumps(out, indent=2, sort_keys=True).replace('\n  "nodes": null', nodes, 1) + "\n"
 
 
 def render_dot(tree: AnalyzedTree) -> str:
@@ -277,7 +302,7 @@ def cmd_orbits(args) -> int:
     tree = analyze(fmap, p, max_level=args.max_level, budget=budget,
                    max_deepen=args.max_deepen)
     orb = tree.orbits
-    confirmed = sorted({c.length for c in orb.confirmed})
+    confirmed = sorted(orb.confirmed_lengths())
     print(f"confirmed orbit lengths: {confirmed}")
     for chain in orb.confirmed:
         print(f"  length {chain.length}: {chain.kind} chain from level {chain.level}")

@@ -7,9 +7,15 @@ import re
 import shlex
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cycletree.arith import IntPoly
-from cycletree.cli import main
-from cycletree.predictor import analyze
+from cycletree.checkers import RationalMap
+from cycletree.cli import main, render_json
+from cycletree.predictor import (AnalyzedTree, OrbitChain, OrbitReport, PredictedShape,
+                                 Scope, ShapeKind, TreeNode, UndeterminedReason, analyze,
+                                 orbit_bound_statement)
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +50,81 @@ def test_analyze_json_schema_and_roundtrip(capsys):
     for key in ("confirmed", "stableSoFar", "bound"):
         assert key in data["orbits"]
     assert 9 in [c["length"] for c in data["orbits"]["confirmed"]]
+
+
+def assert_renders_as_stock_encoder(tree) -> str:
+    """render_json(tree) must equal the stock indented encoder's output; a
+    mismatch names the first differing line, not a diff of the whole tree."""
+    got = render_json(tree)
+    want = json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
+    same = got == want
+    if not same:
+        pairs = zip(got.splitlines() + [None], want.splitlines() + [None])
+        line, (g, w) = next((i, gw) for i, gw in enumerate(pairs, 1) if gw[0] != gw[1])
+    assert same, f"line {line}: render_json wrote {g!r}, the stock encoder {w!r}"
+    return got
+
+
+def test_render_json_readme_quintic():
+    tree = analyze(IntPoly([2, 1, 3, 1, 3, 2]), 3, max_level=8)
+    assert_renders_as_stock_encoder(tree)
+
+
+def test_render_json_identity_reps_beyond_64_bits():
+    tree = analyze(IntPoly([0, 1]), 5, max_level=28, max_deepen=5)
+    assert max(node.rep for node in tree.nodes) >= 2**64
+    assert_renders_as_stock_encoder(tree)
+
+
+def test_render_json_rational_map_with_poles():
+    """The "poly" field nests {num, den}; the poles are listed in
+    badReductionClasses.  (badReduction: true is in the hand-built tree below.)"""
+    for num, den, p, poles in (([1, 0, 1], [0, 1], 3, [0]), ([1, 2, 0, 1], [3, 0, 1], 7, [2, 5])):
+        tree = analyze(RationalMap(IntPoly(num), IntPoly(den)), p, max_level=6)
+        assert tree.bad_reduction_classes == poles
+        data = json.loads(assert_renders_as_stock_encoder(tree))
+        assert data["poly"] == {"num": num, "den": den}
+
+
+def test_render_json_budget_exceeded():
+    tree = analyze(IntPoly([2, 1, 3, 1, 3, 2]), 3, max_level=8, budget=50)
+    assert tree.budget_exceeded
+    assert_renders_as_stock_encoder(tree)
+
+
+def test_render_json_every_shape_kind():
+    """One node per ShapeKind, every prediction field set somewhere, bad
+    reduction, and strings that need escaping (a NUL, a quote, non-ASCII)."""
+    shapes = [PredictedShape(ShapeKind.GROWS_FOREVER),
+              PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=2, scope=Scope.ALL),
+              PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=1, scope=Scope.ALL_BUT_ONE),
+              PredictedShape(ShapeKind.STATIONARY_PARTIAL_SPLIT, d=2, m=3),
+              PredictedShape(ShapeKind.TAILS_FOREVER, tail_bound=7),
+              PredictedShape(ShapeKind.GROWS_THEN_SPLITS),
+              *(PredictedShape(ShapeKind.UNDETERMINED, beyond_level=8, reason=reason,
+                               split_known_until=8) for reason in UndeterminedReason)]
+    assert {s.kind for s in shapes} == set(ShapeKind)
+    root = TreeNode(0, None, 0, 1, 0, None, None, None, None, None, None, None)
+    nodes = [root] + [
+        TreeNode(i, 0, i, 3**i, 5**40 + i, cls, i % 3 or None, i, 40 - i, i % 2 == 0,
+                 i % 2 == 1, shape, bad_reduction=i == 3)
+        for i, (shape, cls) in enumerate(
+            zip(shapes, ["grows", "splits", 'q"uote', "nul\x00here", "caf\u00e9",
+                         "tails", "partial", "grows", "splits"]), start=1)]
+    orbits = OrbitReport([OrbitChain(9, "partial-split", 4, 12)],
+                         [{"length": 3, "level": 30}], 2, orbit_bound_statement(3))
+    tree = AnalyzedTree(3, {"num": [1, 0, 1], "den": [0, 1]}, 30, 10**7, False, True,
+                        nodes, orbits, [0, 2])
+    out = assert_renders_as_stock_encoder(tree)
+    assert "\x00" not in out and json.loads(out)["nodes"][4]["class"] == "nul\x00here"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.lists(st.integers(-50, 50), min_size=2, max_size=5),
+       st.integers(1, 6))
+def test_render_json_matches_stock_encoder(p, coeffs, max_level):
+    tree = analyze(IntPoly(coeffs), p, max_level=max_level)
+    assert_renders_as_stock_encoder(tree)
 
 
 def test_analyze_dot_structure(capsys):
