@@ -15,8 +15,10 @@ f(x_i) = c_i P + x_{i+1} (mod P^2); the low limb must be the next member, so
 the oracle's orbit is never trusted.  Lifting the walk from x_0 to Z/P^2 as
 x_i + u_i P (u_0 = 0), Taylor's f(x + uP) = f(x) + uP f'(x) (mod P^2) gives
 the exact carry recurrence u_{i+1} = c_i + u_i f'(x_i) (mod P): b at the rep
-is u_L and a is the product of the f'(x_i), one segmented scan of the affine
+is u_L and a is the product of the f'(x_i), a segmented scan of the affine
 steps.  At x_j, with D_j = f'(x_0)...f'(x_{j-1}), b_j = b D_j - u_j (a - 1).
+The scan is blocked (Blelloch 1990): B sequential steps across the n/B blocks of
+a chunk (about n multiplications), then a doubling over the n/B block totals only.
 """
 
 from __future__ import annotations
@@ -331,7 +333,43 @@ def check_lift_length_law(tree: BruteTree, p: int,
     return stats
 
 
-_CHAIN_CHUNK = 1 << 15  # orbit members per chunk of whole cycles (bounds peak memory)
+# Orbit members per chunk of whole cycles (bounds peak memory).  On the README quintic's 5^9
+# top level the tracemalloc peak of _level_lin is 39 B/member (52 with the doubling scan).
+_CHAIN_CHUNK = 1 << 15
+
+
+def _scan_at(der, hi, seg, at, modulus: int) -> tuple:
+    """(slope, carry) after member at[..., i] of the scan of the steps u -> hi + u * der
+    along each cycle (cycle i starts at seg[i]): B sequential steps on the (B, nb) layout,
+    a doubling over the nb block totals, and their carry-in at the ``at`` members only."""
+    n = len(der)
+    longest = max(n - int(seg[-1]), int((seg[1:] - seg[:-1]).max(initial=0)))
+    B = min(64, int(n**0.5), longest)
+    nb = -(-n // B)
+    lanes = np.zeros((3, nb * B), dtype=np.int64)
+    lanes[0, :n], lanes[2, :n] = der, hi
+    lanes = lanes.reshape(3, nb, B).transpose(2, 0, 1)  # a view: member b*B + j at [j, :, b]
+    keep, sc = lanes[:, 0], lanes[:, 1:]  # step multiplier der * keep; (slope, carry)
+    row, col = np.divmod(seg, B)[::-1]
+    sc[0, 0], sc[row, 0, col] = keep[0], keep[row, col]  # reset at j = 0 and at starts
+    keep[0], keep[row, col] = 0, 0
+    for j in range(1, B):
+        sc[j] += sc[j - 1] * keep[j]
+        sc[j] %= modulus
+    tot, idx = sc[B - 1].copy(), np.arange(nb)
+    bpos = idx - np.maximum.accumulate(idx * (np.bincount(col, minlength=nb) > 0))
+    for r in range(int(bpos.max()).bit_length()):
+        live = np.flatnonzero(bpos >= 1 << r)
+        step = tot[:, live - (1 << r)] * tot[0, live]
+        step[1] += tot[1, live]
+        tot[:, live] = step % modulus
+    blk, j = np.divmod(at, B)
+    slope, carry = sc[j, 0, blk], sc[j, 1, blk]
+    cin = col < blk
+    prev = tot[:, blk[cin] - 1]
+    carry[cin] = (prev[1] * slope[cin] + carry[cin]) % modulus
+    slope[cin] = prev[0] * slope[cin] % modulus
+    return slope, carry
 
 
 def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
@@ -350,7 +388,6 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
         seg_len = lengths[i0:i1]
         last = seg + seg_len - 1
         cyc = np.repeat(np.arange(i1 - i0), seg_len)
-        pos = np.arange(len(x)) - seg[cyc]
         hi, lo, der = fmap.limbs(x, modulus, p)
         follow = np.arange(1, len(x) + 1)
         follow[last] = seg
@@ -358,17 +395,6 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
         if len(bad):
             raise InvariantError("orbit array disagrees with the map", p, fmap, level,
                                  tree.reps[level][i0 + cyc[bad[0]]])
-        # Inclusive scan of the carry steps u -> hi + u * f' along each cycle:
-        # afterwards (slope, carry)[i] = (D, u) after the members up to i.
-        slope, carry = der, hi
-        shift = 1
-        while shift < seg_len.max():
-            live = pos[shift:] >= shift
-            s_prev, c_prev = slope[:-shift][live], carry[:-shift][live]
-            s_here = slope[shift:][live]
-            slope[shift:][live] = s_prev * s_here % modulus
-            carry[shift:][live] = (s_here * c_prev + carry[shift:][live]) % modulus
-            shift *= 2
         if over is None:
             first = seg
         else:
@@ -378,11 +404,14 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
             if len(stray):
                 raise InvariantError("child has no member over the parent rep", p, fmap,
                                      level, tree.reps[level][i0 + stray[0]])
+        # (slope, carry) = (D, u) after the last member and before ``first``, by the blocked
+        # scan: about n multiplications, then a doubling over the n/B block totals.
         at_rep = first == seg
-        d_j = np.where(at_rep, 1, slope[first - 1])
-        u_j = np.where(at_rep, 0, carry[first - 1])
-        a[i0:i1] = slope[last]
-        b[i0:i1] = (carry[last] * d_j - u_j * (slope[last] - 1)) % modulus
+        (a_l, d_j), (u_l, u_j) = _scan_at(der, hi, seg, np.stack((last, first - 1 + at_rep)),
+                                          modulus)
+        d_j[at_rep], u_j[at_rep] = 1, 0
+        a[i0:i1] = a_l
+        b[i0:i1] = (u_l * d_j - u_j * (a_l - 1)) % modulus
         chosen[i0:i1] = x[first]
         i0 = i1
     return chosen, a, b

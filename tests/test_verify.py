@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycletree import cli, verify
 from cycletree.arith import IntPoly
@@ -105,6 +107,102 @@ def test_cycle_longer_than_chunk(monkeypatch):
     assert longest > 4
 
 
+def _doubling_scan(der, hi, seg, modulus):
+    """Reference: the log-doubling segmented scan the chain check used before
+    the blocked one, (slope, carry) after every member."""
+    lens = np.diff(seg, append=len(der))
+    pos = np.arange(len(der)) - np.repeat(seg, lens)
+    slope, carry = der.copy(), hi.copy()
+    shift = 1
+    while shift < lens.max():
+        live = pos[shift:] >= shift
+        s_prev, c_prev = slope[:-shift][live], carry[:-shift][live]
+        s_here = slope[shift:][live]
+        slope[shift:][live] = s_prev * s_here % modulus
+        carry[shift:][live] = (s_here * c_prev + carry[shift:][live]) % modulus
+        shift *= 2
+    return slope, carry
+
+
+def _naive_scan(der, hi, lengths, modulus):
+    """Reference: the carry steps u -> hi + u * der walked cycle by cycle."""
+    slope, carry, i = [], [], 0
+    for k in lengths:
+        s, c = 1, 0
+        for _ in range(k):
+            s, c = s * int(der[i]) % modulus, (c * int(der[i]) + int(hi[i])) % modulus
+            slope.append(s)
+            carry.append(c)
+            i += 1
+    return slope, carry
+
+
+def _check_scan(lengths, at, modulus, seed):
+    """``_scan_at`` at positions ``at`` (row-wise offsets into each cycle)
+    equals both references."""
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    seg = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.int64)
+    der, hi = rng.integers(0, modulus, (2, n), dtype=np.int64)
+    if seed % 4 == 0:
+        der[:] = hi[:] = modulus - 1
+    pos = seg + np.asarray(at, dtype=np.int64)
+    slope, carry = verify._scan_at(der, hi, seg, pos, modulus)
+    d_slope, d_carry = _doubling_scan(der, hi, seg, modulus)
+    n_slope, n_carry = _naive_scan(der, hi, lengths, modulus)
+    assert slope.tolist() == d_slope[pos].tolist() == np.array(n_slope)[pos].tolist()
+    assert carry.tolist() == d_carry[pos].tolist() == np.array(n_carry)[pos].tolist()
+
+
+def _block(lengths):
+    """The block size ``verify._scan_at`` picks for a chunk of these cycles."""
+    return min(64, int(sum(lengths) ** 0.5), max(lengths))
+
+
+@pytest.mark.parametrize("lengths", [
+    [1], [3], [1, 1, 1], [2, 1],
+    [8, 1, 7, 9, 31, 8],  # B = 8: cycles of B-1, B, B+1; 31 spans four blocks
+    [64, 1, 63, 65, 3000, 64, 839],  # B = 64
+])
+def test_blocked_scan_every_member(lengths):
+    B = _block(lengths)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    if B > 1:
+        assert {B - 1, B, B + 1} <= set(lengths) and max(lengths) > 3 * B
+        assert np.count_nonzero(starts % B == 0) >= 3
+    at = np.minimum(np.arange(max(lengths))[:, None], np.array(lengths) - 1)
+    for modulus in (3**5, 5**9, 2**31):
+        _check_scan(lengths, at, modulus, seed=len(lengths) + modulus)
+
+
+@st.composite
+def _scan_cases(draw):
+    """Cycle lengths for a chunk whose block size is B: n in [B^2, (B+1)^2)
+    and one cycle at least B long; lengths cluster at 1, B-1, B, B+1, many
+    blocks, and pads that put the next start on a block boundary."""
+    B = draw(st.sampled_from([1, 2, 3, 7, 8, 16, 63, 64]) | st.integers(1, 64))
+    n = draw(st.integers(B * B, B * B + 2 * B) if B < 64 else st.integers(4096, 6000))
+    lengths = [min(n, B * draw(st.integers(1, 4)) + draw(st.integers(0, 1)))]
+    while sum(lengths) < n:
+        kind = draw(st.sampled_from(["1", "B-1", "B", "B+1", "span", "align", "any"]))
+        k = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1,
+             "span": B * draw(st.integers(2, 9)) + draw(st.integers(0, B)),
+             "align": B - sum(lengths) % B, "any": draw(st.integers(1, 3 * B))}[kind]
+        lengths.append(max(1, min(k, n - sum(lengths))))
+    assert _block(lengths) == B
+    offsets = [draw(st.sampled_from([0, k // 2, k - 1]) | st.integers(0, k - 1))
+               for k in lengths]
+    modulus = draw(st.sampled_from([3, 3**13, 5**9, 7**11, 2**31 - 1, 2**31])
+                   | st.integers(2, 2**31))
+    return lengths, [offsets, [k - 1 for k in lengths]], modulus, draw(st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases())
+def test_blocked_scan_matches_references(case):
+    _check_scan(*case)
+
+
 def test_tampered_orbit_raises():
     f = IntPoly([2, 1, 3, 1, 3, 2])
     tree = build_tree_bruteforce(f, 3, 6)
@@ -118,6 +216,20 @@ def test_tampered_orbit_raises():
     err = info.value
     assert (err.p, err.level, err.rep) == (3, level, tree.reps[level][i])
     assert isinstance(err, AssertionError)
+
+
+def test_child_off_its_parent_raises():
+    f = IntPoly([2, 1, 3, 1, 3, 2])
+    tree = build_tree_bruteforce(f, 3, 5)
+    level = 4
+    parents = tree.parents[level]
+    i = next(i for i, q in enumerate(parents) if any(q != other for other in parents))
+    parents[i] = next(q for q in parents if q != parents[i])
+    with pytest.raises(InvariantError) as info:
+        check_chain_congruences(f, 3, tree)
+    err = info.value
+    assert "no member over the parent rep" in str(err)
+    assert (err.p, err.level, err.rep) == (3, level, tree.reps[level][i])
 
 
 def test_orbit_arrays_follow_the_map():
