@@ -105,16 +105,14 @@ def ord_p(v: int, p: int, cap: int) -> Valuation:
 
 
 def mult_order(a: int, p: int) -> int:
-    """Order of a in (Z/pZ)*.  Rejects a divisible by p."""
+    """Order of a in (Z/pZ)*: the smallest divisor e of p - 1 with a^e = 1.
+    Rejects a divisible by p."""
     a %= p
     if a == 0:
         raise ValueError("a must be a unit mod p")
-    d = 1
-    x = a
-    while x != 1:
-        x = x * a % p
-        d += 1
-    return d
+    small = [e for e in range(1, math.isqrt(p - 1) + 1) if (p - 1) % e == 0]
+    return next(e for e in small + [(p - 1) // e for e in reversed(small)]
+                if pow(a, e, p) == 1)
 
 
 class MapProtocol:

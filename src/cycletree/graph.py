@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import BudgetExceededError, InvariantError
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "DEFAULT_MEMBER_CAP",
     "ORACLE_MAX_POINTS",
     "Cycle",
     "TailStats",
@@ -38,22 +37,16 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
-DEFAULT_MEMBER_CAP = 1 << 16
 ORACLE_MAX_POINTS = 2**31  # residues per level; not a budget, no option raises it
 
 
 @dataclass(frozen=True, slots=True)
 class Cycle:
-    """One cycle of f_n, identified by (level, smallest member).
-
-    ``members`` is the ascending member tuple when the cycle is short enough
-    to store, else None.
-    """
+    """One cycle of f_n, identified by (level, smallest member)."""
 
     level: int
     length: int
     rep: int
-    members: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -178,15 +171,9 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
 
 
 def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> LevelDecomposition:
-    """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep,
-    members read off the orbit array (None above ``DEFAULT_MEMBER_CAP``)."""
+    """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep."""
     sw = _sweep_level(fmap, p, n, budget)
-    orbit = sw.orbit.tolist()
-    ends = itertools.accumulate(sw.lengths)
-    cycles = [Cycle(n, length, rep,
-                    tuple(sorted(orbit[end - length:end])) if length <= DEFAULT_MEMBER_CAP
-                    else None)
-              for rep, length, end in zip(sw.reps, sw.lengths, ends)]
+    cycles = [Cycle(n, length, rep) for rep, length in zip(sw.reps, sw.lengths)]
     return LevelDecomposition(n, cycles, sw.tail_point_count, sw.excluded)
 
 

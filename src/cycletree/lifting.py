@@ -11,7 +11,9 @@ p^{2n}, which is enough for every congruence used downstream.  The offset
 map is affine because, for n >= 1, Taylor's formula gives
 f^k(x1 + t p^n) = f^k(x1) + t p^n (f^k)'(x1) (mod p^{2n}), and p^{2n} is
 divisible by p^{n+1}.  So ``expand_children`` reads the map off (a, b) mod p
-and walks each child once at p^{2(n+1)}, k*p evaluations in all.
+and walks the k*p lifts once.  For p >= ``LANE_MIN_P``, while p^{n+1} < 2^31
+keeps every product in int64, it walks them as p numpy lanes, one per offset,
+k steps each; otherwise it walks each child with big ints at p^{2(n+1)}.
 
 The lift-length law (a k-cycle lifts to one pk-cycle, to p k-cycles, to one
 k-cycle carrying tails, or to one k-cycle plus (p-1)/d kd-cycles) is stated
@@ -26,7 +28,7 @@ from enum import Enum
 
 from .arith import Valuation, mult_order, ord_p
 from .errors import InvariantError, NotACycleError
-from .graph import DEFAULT_MEMBER_CAP, Cycle
+from .graph import ORACLE_MAX_POINTS, Cycle
 
 __all__ = [
     "Behavior",
@@ -40,6 +42,12 @@ __all__ = [
     "expand_children",
     "multiplier_valuation",
 ]
+
+# Child expansion walks the lifts as numpy lanes from this p on (``_route``).
+# Level-1 expansions of random quintics, 40 nodes per p, big-int walk time
+# over lane time: p = 61: 0.67, 71: 0.86, 79: 0.93, 89: 0.96, 97: 1.13,
+# 131: 1.28, 211: 2.55, 1009: 5.92.
+LANE_MIN_P = 97
 
 
 class Behavior(str, Enum):
@@ -207,12 +215,17 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
 
     The offsets t of the lifts x1 + p^n t move under f^k by t -> b + a*t
     (mod p), read off the node's (a, b) with no walk.  Each cycle of that map,
-    listed from its smallest offset t0, is one child; it is walked once from
-    x1 + p^n t0 at p^{2(n+1)}, which checks the closed form against the real
-    map and yields the child's members, its a, and its b at the walk start.
-    Cost: the child lengths sum to k*p, so k*p evaluations; the caller charges
-    them (``predictor._Analysis.can_expand``).  The child lengths must match the
+    listed from its smallest offset t0, is one child.  The real map is then
+    walked over every lift, which checks the closed form and yields each
+    child's rep, its a, and its b at the walk start.  Cost: the child lengths
+    sum to k*p, so k*p evaluations; the caller charges them
+    (``predictor._Analysis.can_expand``).  The child lengths must match the
     node's classification under the lift-length law (``classify_lifts``).
+
+    Two routes walk the lifts, with the same checks and the same results
+    (``_route``).  For p >= ``LANE_MIN_P`` and p^{n+1} < 2^31 (int64 limbs)
+    ``_lane_walk`` advances all p lifts together as numpy lanes, k steps;
+    otherwise ``_point_walk`` walks each child once at p^{2(n+1)} with big ints.
 
     b at the canonical rep needs no second walk.  With m = n+1, L the child
     length, F = f^L, y_j = f^j(start) and D_j = (f^j)'(start), Taylor mod p^{2m}
@@ -222,10 +235,23 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     if node.expanded:
         return node.children
     n, k = node.cycle.level, node.cycle.length
-    x1 = node.cycle.rep
+    children = _children(fmap, p, node, _route(p, n))
+    got = [c.cycle.length for c in children]
+    if classify_lifts(got, k, p) != node.classification:
+        raise InvariantError(f"lift-length law violated: lengths {sorted(got)} under "
+                             f"k={k} do not read {node.classification}", p, fmap, n,
+                             node.cycle.rep)
+    node.children = children
+    node.expanded = True
+    return children
+
+
+def _children(fmap, p: int, node: CycleNode, walk) -> list[CycleNode]:
+    """The children of ``node`` in rep order, walked by ``walk``, which
+    returns (rep, a, b at the start, D_j and hi limb at the rep) per child."""
+    n, k, x1 = node.cycle.level, node.cycle.length, node.cycle.rep
     base = p**n
     modulus = base * p
-    work = modulus * modulus
     a, b = node.lin.a_mod_p, node.lin.b_mod_p
 
     # Offset cycles as (smallest offset, cycle length); a = 0 has one, [b].
@@ -245,36 +271,97 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
             offset_cycles.append((t0, r))
 
     children = []
+    rows = walk(fmap, p, node, offset_cycles)
+    for (t0, r), (rep, deriv, b_start, rep_deriv, rep_hi) in zip(offset_cycles, rows):
+        child_b = (b_start * rep_deriv - rep_hi * (deriv - 1)) % modulus
+        lin = _lin(p, n + 1, deriv, child_b)
+        children.append(CycleNode(Cycle(n + 1, r * k, rep), lin, classify(lin, p),
+                                  offset=t0, start=x1 + t0 * base, parent=node))
+    children.sort(key=lambda c: c.cycle.rep)
+    return children
+
+
+def _route(p: int, level: int):
+    """The child walk for a node at ``level``: p numpy lanes when p is wide
+    enough to pay for them and P = p^{level+1} < ``ORACLE_MAX_POINTS``, which
+    keeps every ``limbs`` product below P^2 < 2^63; else the big-int walk."""
+    if p >= LANE_MIN_P and p ** (level + 1) < ORACLE_MAX_POINTS:
+        return _lane_walk
+    return _point_walk
+
+
+def _point_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
+    """Walk each child once from x1 + p^n t0 at p^{2(n+1)}, one point at a
+    time; it must first return to its start after exactly r*k steps."""
+    n, k, x1 = node.cycle.level, node.cycle.length, node.cycle.rep
+    base = p**n
+    modulus = base * p
+    work = modulus * modulus
+    rows = []
     for t0, r in offset_cycles:
         length = r * k
         start = x1 + t0 * base
-        members = [start]
-        deriv, rep, rep_lift, rep_deriv = 1, start, start, 1
+        count, deriv, rep, rep_lift, rep_deriv = 1, 1, start, start, 1
         for y, der in fmap.walk(start, length, work, modulus, p):
             deriv = deriv * der % modulus
             low = y % modulus
             if low == start:
                 break
-            members.append(low)
+            count += 1
             if low < rep:
                 rep, rep_lift, rep_deriv = low, y, deriv
-        # Early return leaves fewer than length members, none leaves one more.
-        if len(members) != length:
+        # Early return counts fewer than length members, none counts one more.
+        if count != length:
             raise InvariantError("offset cycle length disagrees with lift length",
                                  p, fmap, n, x1)
-        b_start = (y - start) % work // modulus
-        child_b = (b_start * rep_deriv - rep_lift // modulus * (deriv - 1)) % modulus
-        lin = _lin(p, n + 1, deriv, child_b)
-        cycle = Cycle(n + 1, length, rep,
-                      tuple(sorted(members)) if length <= DEFAULT_MEMBER_CAP else None)
-        children.append(CycleNode(cycle, lin, classify(lin, p), offset=t0, start=start,
-                                  parent=node))
+        rows.append((rep, deriv, (y - start) % work // modulus, rep_deriv,
+                     rep_lift // modulus))
+    return rows
 
-    children.sort(key=lambda c: c.cycle.rep)
-    got = [c.cycle.length for c in children]
-    if classify_lifts(got, k, p) != node.classification:
-        raise InvariantError(f"lift-length law violated: lengths {sorted(got)} under "
-                             f"k={k} do not read {node.classification}", p, fmap, n, x1)
-    node.children = children
-    node.expanded = True
-    return children
+
+def _lane_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
+    """All p lifts x1 + p^n t at once, as int64 lanes advanced k steps by
+    ``limbs`` mod P = p^{n+1}; the high limb follows by Taylor,
+    f(z + u P) = f(z) + u P f'(z) (mod P^2), so hi <- h + hi*d.  Each lane
+    keeps the smallest low limb of its steps below k, with hi and (f^j)' there.
+    A child chains the k-step results of the lanes on its offset cycle the same
+    way: u <- H_t + u*D_t, a <- a*D_t."""
+    import numpy as np  # loaded already by arith
+
+    n, k, x1 = node.cycle.level, node.cycle.length, node.cycle.rep
+    base = p**n
+    P = base * p
+    a, b = node.lin.a_mod_p, node.lin.b_mod_p
+    t = np.arange(p, dtype=np.int64) if a else np.array([b], dtype=np.int64)
+    lo = x1 + t * base
+    hi, der = np.zeros_like(lo), np.ones_like(lo)
+    min_lo, min_hi, min_der = lo, hi, der
+    for step in range(1, k + 1):
+        h, lo, d = fmap.limbs(lo, P, p)
+        hi = (h + hi * d) % P
+        der = der * d % P
+        if step == k:
+            break
+        if (lo % base == x1).any():
+            raise InvariantError(f"a lift returns to its fiber after {step} < k steps",
+                                 p, fmap, n, x1)
+        less = lo < min_lo
+        min_lo = np.where(less, lo, min_lo)
+        min_hi = np.where(less, hi, min_hi)
+        min_der = np.where(less, der, min_der)
+    # Checks the closed form t -> b + a*t against the real map.
+    if not np.array_equal(lo, x1 + (b + a * t) % p * base):
+        raise InvariantError("f^k does not move offsets by t -> b + a*t", p, fmap, n, x1)
+    H, D, mlo, mhi, mder = (v.tolist() for v in (hi, der, min_lo, min_hi, min_der))
+    rows = []
+    for t0, r in offset_cycles:
+        i, u, deriv, rep = t0, 0, 1, P  # every low limb is below P
+        for _ in range(r):
+            j = i if a else 0
+            if mlo[j] < rep:
+                rep, rep_deriv, rep_hi = mlo[j], deriv * mder[j] % P, (mhi[j] + u * mder[j]) % P
+            u = (H[j] + u * D[j]) % P
+            deriv = deriv * D[j] % P
+            i = (b + a * i) % p
+        rows.append((rep, deriv, u, rep_deriv, rep_hi))
+    return rows

@@ -545,7 +545,7 @@ def _chain_head(node: CycleNode) -> bool:
 
 def _expand_root(fmap, p: int, budget: int) -> CycleNode:
     """Level-0 root plus its level-1 children from direct enumeration."""
-    root = CycleNode(Cycle(0, 1, 0, (0,)), None, None, expanded=True)
+    root = CycleNode(Cycle(0, 1, 0), None, None, expanded=True)
     level1 = enumerate_level(fmap, p, 1, budget=budget)
     for cyc in level1.cycles:
         child = make_node(fmap, p, cyc, offset=cyc.rep, start=cyc.rep)
@@ -567,7 +567,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     try:
         root = _expand_root(fmap, p, budget)
     except BadReductionError:
-        root = CycleNode(Cycle(0, 1, 0, (0,)), None, None, expanded=True)
+        root = CycleNode(Cycle(0, 1, 0), None, None, expanded=True)
         root.bad_reduction = True
         analysis.unresolved += 1
     for child in root.children:

@@ -5,6 +5,7 @@ seeded polynomials with the oracle built to the deepest level with
 p^n <= 10^6.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ import pytest
 
 from cycletree.arith import IntPoly, Valuation
 from cycletree.checkers import InverseEvalMap, RationalMap, is_permutation, is_single_cycle
-from cycletree.graph import build_tree_bruteforce, enumerate_level, tail_analysis
+from cycletree.graph import _sweep_level, build_tree_bruteforce, enumerate_level, tail_analysis
 from cycletree.lifting import compute_lin
 from cycletree.predictor import Scope, ShapeKind, analyze, separation_analysis
 from cycletree.verify import (RuleStats, oracle_depth, random_poly, verify_all,
@@ -88,7 +89,10 @@ def corpus():
 def test_criterion_01_paper_nine_cycle():
     f = IntPoly([2, 1, 3, 1, 3, 2])
     dec = enumerate_level(f, 3, 4, budget=BUDGET)
-    nine = [c for c in dec.cycles if 0 in c.members]
+    sweep = _sweep_level(f, 3, 4, BUDGET)  # members from the oracle's orbit array
+    ends = itertools.accumulate(sweep.lengths)
+    nine = [c for c, end in zip(dec.cycles, ends, strict=True)
+            if 0 in sweep.orbit[end - c.length:end]]
     ok = len(nine) == 1 and nine[0].length == 9
     lin = compute_lin(f, 3, nine[0])
     ok &= lin.A == Valuation(3, False)  # ord_3(a_4 - 1) = 3 exactly

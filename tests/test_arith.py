@@ -106,6 +106,17 @@ def test_mult_order_divides_group_order(p):
         assert (p - 1) % mult_order(a, p) == 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 1009])
+def test_mult_order_matches_naive_loop(p):
+    for a in range(1, p):
+        order, x = 1, a
+        while x != 1:
+            x = x * a % p
+            order += 1
+        assert mult_order(a, p) == order
+        assert mult_order(a + 5 * p, p) == order
+
+
 def test_poly_parse_and_str():
     f = IntPoly.parse("2,1,3,1,3,2")
     assert f.coeffs == (2, 1, 3, 1, 3, 2)

@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,14 @@ from cycletree.errors import BudgetExceededError
 from cycletree.graph import (DEFAULT_BUDGET, ORACLE_MAX_POINTS, _sweep_level,
                              build_tree_bruteforce, distance_to_cycle, enumerate_level,
                              tail_analysis)
+
+
+def orbit_members(fmap, p, n):
+    """The members of each cycle of f_n, cycles in rep order, as ascending
+    tuples sliced from the oracle's orbit array."""
+    sw = _sweep_level(fmap, p, n, DEFAULT_BUDGET)
+    orbit, ends = sw.orbit.tolist(), itertools.accumulate(sw.lengths)
+    return [tuple(sorted(orbit[end - k:end])) for k, end in zip(sw.lengths, ends)]
 
 
 def brute_decompose(f, p, n):
@@ -133,7 +142,9 @@ def test_sweep_matches_reference_with_poles(case):
         assert tree.tail_points[n] == tails + poles
         assert tree.tail_pairs[n] == pairs
         dec = enumerate_level(fmap, p, n)
-        assert [(c.rep, c.members) for c in dec.cycles] == [(c[0], tuple(sorted(c))) for c in cycles]
+        members = [tuple(sorted(orbit[e - k:e])) for e, k in zip(ends, tree.lengths[n])]
+        assert [(c.rep, c.length, m) for c, m in zip(dec.cycles, members, strict=True)] == \
+            [(c[0], len(c), tuple(sorted(c))) for c in cycles]
         assert (dec.tail_point_count, dec.excluded_points) == (tails, poles)
         got_dist, got_owner = distance_to_cycle(_sweep_level(fmap, p, n, DEFAULT_BUDGET))
         assert got_dist.tolist() == [dist[x] for x in range(p**n)]
@@ -155,11 +166,13 @@ def test_enumerate_translation():
 
 
 def test_enumerate_quintic_level_4():
-    dec = enumerate_level(IntPoly([2, 1, 3, 1, 3, 2]), 3, 4)
-    with_zero = [c for c in dec.cycles if 0 in c.members]
+    f = IntPoly([2, 1, 3, 1, 3, 2])
+    dec = enumerate_level(f, 3, 4)
+    with_zero = [(c, m) for c, m in zip(dec.cycles, orbit_members(f, 3, 4), strict=True)
+                 if 0 in m]
     assert len(with_zero) == 1
-    assert with_zero[0].length == 9
-    assert with_zero[0].members == (0, 2, 14, 22, 33, 35, 39, 55, 61)
+    assert with_zero[0][0].length == 9
+    assert with_zero[0][1] == (0, 2, 14, 22, 33, 35, 39, 55, 61)
 
 
 def test_level_zero():
@@ -176,7 +189,9 @@ def test_sweep_matches_reference(seed):
     n = rng.randint(1, 4)
     f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(1, 6)))
     dec = enumerate_level(f, p, n)
-    got = sorted(list(c.members) for c in dec.cycles)
+    members = orbit_members(f, p, n)
+    assert [(c.rep, c.length) for c in dec.cycles] == [(m[0], len(m)) for m in members]
+    got = sorted(list(m) for m in members)
     want, tails = brute_decompose(f, p, n)
     assert got == want
     assert dec.tail_point_count == tails
@@ -187,7 +202,9 @@ def test_numpy_and_python_paths_agree():
     f = IntPoly([2, 1, 3, 1, 3, 2])
     dec = enumerate_level(f, 3, 8)
     want, tails = brute_decompose(f, 3, 8)
-    got = sorted(list(c.members) for c in dec.cycles)
+    members = orbit_members(f, 3, 8)
+    assert [(c.rep, c.length) for c in dec.cycles] == [(m[0], len(m)) for m in members]
+    got = sorted(list(m) for m in members)
     assert got == want and dec.tail_point_count == tails
 
 
@@ -301,8 +318,7 @@ def test_no_tails_over_noncritical_cycles():
     while found < 5:
         p = rng.choice([3, 5])
         f = IntPoly(rng.randrange(p * p) for _ in range(5))
-        dec1 = enumerate_level(f, p, 1)
-        members = [m for c in dec1.cycles for m in c.members]
+        members = [m for c in orbit_members(f, p, 1) for m in c]
         deriv = f.derivative()
         if any(deriv.eval_mod(m, p) == 0 for m in members):
             continue
@@ -350,8 +366,8 @@ def test_tail_bound_over_corpus_sample():
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
         dec1 = enumerate_level(f, p, 1)
         deriv = f.derivative()
-        for c in dec1.cycles:
-            critical = [m for m in c.members if deriv.eval_mod(m, p) == 0]
+        for c, members in zip(dec1.cycles, orbit_members(f, p, 1), strict=True):
+            critical = [m for m in members if deriv.eval_mod(m, p) == 0]
             if not critical:
                 continue
             for n in (2, 3, 4):

@@ -1,16 +1,27 @@
 """Tests for linearization data, classification, and child expansion."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from cycletree.arith import IntPoly, Valuation, mult_order
 from cycletree.checkers import RationalMap
-from cycletree.errors import NotACycleError
-from cycletree.graph import Cycle, build_tree_bruteforce, enumerate_level
-from cycletree.lifting import (Behavior, classify, compute_lin, compute_lin_at,
+from cycletree.errors import BadReductionError, InvariantError, NotACycleError
+from cycletree.graph import (DEFAULT_BUDGET, Cycle, _sweep_level, build_tree_bruteforce,
+                             enumerate_level)
+from cycletree.lifting import (LANE_MIN_P, Behavior, CycleNode, _children, _lane_walk,
+                               _point_walk, _route, classify, compute_lin, compute_lin_at,
                                expand_children, make_node)
+
+
+def orbit_members(fmap, p, n):
+    """The members of each cycle of f_n, cycles in rep order, as ascending
+    tuples sliced from the oracle's orbit array."""
+    sw = _sweep_level(fmap, p, n, DEFAULT_BUDGET)
+    orbit, ends = sw.orbit.tolist(), itertools.accumulate(sw.lengths)
+    return [tuple(sorted(orbit[end - k:end])) for k, end in zip(sw.lengths, ends)]
 
 
 def test_translation_cycle_grows():
@@ -38,7 +49,8 @@ def test_identity_fixed_point_splits():
 def test_quintic_level4_values():
     f = IntPoly([2, 1, 3, 1, 3, 2])
     dec = enumerate_level(f, 3, 4)
-    cycle = next(c for c in dec.cycles if 0 in c.members)
+    cycle = next(c for c, members in zip(dec.cycles, orbit_members(f, 3, 4), strict=True)
+                 if 0 in members)
     lin = compute_lin(f, 3, cycle)
     assert lin.A == Valuation(3, False)
     assert lin.B == Valuation(4, True)
@@ -82,7 +94,8 @@ def test_representative_independence():
         n = rng.randint(1, 3)
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
         deriv = f.derivative()
-        for cycle in enumerate_level(f, p, n).cycles:
+        for cycle, members in zip(enumerate_level(f, p, n).cycles, orbit_members(f, p, n),
+                                  strict=True):
             base = compute_lin(f, p, cycle)
             # different integer lifts of the same congruence class
             for z in (1, 2, p):
@@ -91,13 +104,13 @@ def test_representative_independence():
                 assert other.a == base.a
                 assert other.b % p**base.A.value == base.b % p**base.A.value
             # arbitrary member choice: the capped pair stays put
-            for member in cycle.members:
+            for member in members:
                 other = compute_lin_at(f, p, n, cycle.length, member)
                 assert other.a == base.a
                 assert other.A == base.A
                 assert (min(other.B.value, base.A.value)
                         == min(base.B.value, base.A.value))
-            if any(deriv.eval_mod(m, p) == 0 for m in cycle.members):
+            if any(deriv.eval_mod(m, p) == 0 for m in members):
                 continue  # ord(b) rotation invariance needs unit derivatives
             y = cycle.rep
             work = p ** (2 * n)
@@ -236,11 +249,11 @@ def test_expected_child_multisets():
     assert [c.cycle.length for c in expand_children(f, 3, node)] == [9]
 
     f = IntPoly([0, 1])
-    node = make_node(f, 3, Cycle(1, 1, 0, (0,)))
+    node = make_node(f, 3, Cycle(1, 1, 0))
     assert [c.cycle.length for c in expand_children(f, 3, node)] == [1, 1, 1]
 
     f = IntPoly([0, 0, 1])  # f'(0) = 0: the fixed point 0 grows tails
-    node = make_node(f, 3, Cycle(1, 1, 0, (0,)))
+    node = make_node(f, 3, Cycle(1, 1, 0))
     assert node.classification.behavior is Behavior.GROWS_TAILS
     kids = expand_children(f, 3, node)
     assert [c.cycle.length for c in kids] == [1]
@@ -257,10 +270,12 @@ def _random_map(rng, p, rational):
             return RationalMap(f, den)
 
 
-def _check_children_against_reference(f, p, n, node, next_level):
+def _check_children_against_reference(f, p, n, node, members, next_level, next_members):
     """Every child of ``node`` equals the oracle's cycle over it, with the lin
     and classification computed afresh at the child's rep, and its offset is
-    the smallest offset of its cycle under the walked f^k offset map."""
+    the smallest offset of its cycle under the walked f^k offset map.
+    ``members`` and ``next_members`` are the oracle's orbit slices: those of
+    ``node`` and those of every cycle of ``next_level``."""
     x1, k = node.cycle.rep, node.cycle.length
     base, modulus = p**n, p ** (n + 1)
     phi = []
@@ -269,12 +284,17 @@ def _check_children_against_reference(f, p, n, node, next_level):
         for _ in range(k):
             y = f.value(y, modulus, p)
         phi.append((y - x1) // base % p)
-    over = [c for c in next_level.cycles if c.rep % base in node.cycle.members]
+    over = [(c, m) for c, m in zip(next_level.cycles, next_members, strict=True)
+            if c.rep % base in members]
     kids = expand_children(f, p, node)
-    assert [c.cycle.rep for c in kids] == [c.rep for c in over]
-    for child, ref in zip(kids, over):
+    assert [c.cycle.rep for c in kids] == [c.rep for c, _ in over]
+    for child, (ref, ref_members) in zip(kids, over):
         assert (child.cycle.level, child.cycle.length) == (ref.level, ref.length)
-        assert child.cycle.members == ref.members
+        walked, y = [], child.start
+        for _ in range(child.cycle.length):
+            walked.append(y)
+            y = f.value(y, modulus, p)
+        assert tuple(sorted(walked)) == ref_members
         lin = compute_lin(f, p, ref)
         assert child.lin == lin
         assert child.classification == classify(lin, p)
@@ -285,7 +305,7 @@ def _check_children_against_reference(f, p, n, node, next_level):
             t = phi[t]
         assert child.offset == min(orbit)
         assert child.start == x1 + child.offset * base
-        assert child.start in child.cycle.members
+        assert child.start in ref_members
     return node.classification.behavior
 
 
@@ -298,11 +318,14 @@ def test_expand_matches_reference(rational):
     for _ in range(40):
         p = rng.choice([3, 5, 7, 11])
         f = _random_map(rng, p, rational)
-        levels = [enumerate_level(f, p, n) for n in range(1, 5 if p < 11 else 4)]
-        for n, (level, next_level) in enumerate(zip(levels, levels[1:]), 1):
-            for cycle in level.cycles:
+        top = 5 if p < 11 else 4
+        levels = [enumerate_level(f, p, n) for n in range(1, top)]
+        members = [orbit_members(f, p, n) for n in range(1, top)]
+        for n in range(1, top - 1):
+            for cycle, cycle_members in zip(levels[n - 1].cycles, members[n - 1], strict=True):
                 node = make_node(f, p, cycle)
-                seen.add(_check_children_against_reference(f, p, n, node, next_level))
+                seen.add(_check_children_against_reference(
+                    f, p, n, node, cycle_members, levels[n], members[n]))
     assert seen == set(Behavior)
 
 
@@ -310,10 +333,11 @@ def test_expand_matches_reference_large_prime():
     rng = random.Random(101)
     f = IntPoly(rng.randrange(101) for _ in range(4))
     levels = [enumerate_level(f, 101, n) for n in (1, 2, 3)]
-    for n, (level, next_level) in enumerate(zip(levels, levels[1:]), 1):
-        for cycle in level.cycles:
+    members = [orbit_members(f, 101, n) for n in (1, 2, 3)]
+    for n in (1, 2):
+        for cycle, cycle_members in zip(levels[n - 1].cycles, members[n - 1], strict=True):
             _check_children_against_reference(f, 101, n, make_node(f, 101, cycle),
-                                              next_level)
+                                              cycle_members, levels[n], members[n])
 
 
 def test_tampered_lin_is_caught():
@@ -341,3 +365,126 @@ def test_tampered_lin_is_caught():
                 assert not bad.expanded and bad.children == []
                 tampered += 1
     assert tampered >= 20
+
+
+def _child_data(children):
+    return [(c.cycle.rep, c.cycle.length, c.lin, c.classification, c.offset, c.start)
+            for c in children]
+
+
+def _fixed_zero_maps(rng, p, rational):
+    """Maps that fix 0 mod p, with f'(0) = 1 and b = 0 (splits) or b a unit
+    (grows), or with f'(0) = 0 (grows tails, a single lane); random maps at
+    large p seldom have a = 1 or a = 0."""
+    u, v, w = rng.randrange(1, p), rng.randrange(p), rng.randrange(1, p)
+    maps = [IntPoly([0, 1, u, v]), IntPoly([p * w, 1, u, v]), IntPoly([0, 0, 1, v])]
+    if rational:  # 1 + v x^2 is a unit at 0 and leaves f(0) and f'(0) as they are
+        maps = [RationalMap(f, IntPoly([1, 0, v])) for f in maps]
+    return [(f, [make_node(f, p, Cycle(1, 1, 0))]) for f in maps]
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_lane_walk_matches_point_walk(rational):
+    """Both child walks on the same nodes: p in {101, 211, 1009} at levels 1
+    and 2, and p = 101 at level 3 as well, in all four behaviours."""
+    rng = random.Random(7 + rational)
+    seen = set()
+    for p, top in ((101, 3), (211, 2), (1009, 2)):
+        assert _route(p, top) is _lane_walk
+        frontier = []
+        while not frontier:  # a rational map can send every point to a pole
+            f = _random_map(rng, p, rational)
+            frontier = [make_node(f, p, c) for c in enumerate_level(f, p, 1).cycles]
+        for f, frontier in [(f, frontier)] + _fixed_zero_maps(rng, p, rational):
+            for _ in range(top):
+                nxt = []
+                # the three shortest cycles, as the big-int walk takes k*p steps
+                for node in sorted(frontier, key=lambda c: c.cycle.length)[:3]:
+                    if node.cycle.length * p > 200_000:
+                        continue
+                    kids = _children(f, p, node, _point_walk)
+                    assert _child_data(_children(f, p, node, _lane_walk)) == _child_data(kids)
+                    seen.add(node.classification.behavior)
+                    nxt.extend(kids)
+                frontier = nxt
+    assert seen == set(Behavior)
+
+
+def test_lane_route_int64_boundary():
+    """p = 46337 has p^2 < 2^31 < p^3: level 1 walks lanes, level 2 big ints."""
+    p = 46337
+    assert p**2 < 2**31 < p**3
+    assert _route(p, 1) is _lane_walk and _route(p, 2) is _point_walk
+    assert _route(89, 1) is _point_walk and _route(LANE_MIN_P, 1) is _lane_walk
+    f = IntPoly([0, 1, 1])  # x + x^2: 0 is a fixed point that splits into p
+    node = make_node(f, p, Cycle(1, 1, 0))
+    kids = _children(f, p, node, _lane_walk)
+    assert _child_data(kids) == _child_data(_children(f, p, node, _point_walk))
+    assert _child_data(expand_children(f, p, node)) == _child_data(kids)
+    child = min(kids, key=lambda c: c.cycle.length)
+    assert _child_data(expand_children(f, p, child)) == \
+        _child_data(_children(f, p, child, _point_walk))
+
+
+def test_tampered_lin_is_caught_by_lanes():
+    """As ``test_tampered_lin_is_caught``, at primes where the lanes walk:
+    their end-offset check must raise and leave the node unexpanded.  Random
+    maps rarely have a = 1 at large p, so f = x + u x^2 + v x^3 + p w fixes 0
+    mod p with f'(0) = 1: it grows (w a unit) or splits (w = 0), and so do its
+    lifts."""
+    rng = random.Random(6)
+    tampered = 0
+    for p in (LANE_MIN_P, 211, 1009):
+        for w in (0, rng.randrange(1, p)):
+            f = IntPoly([p * w, 1, rng.randrange(1, p), rng.randrange(p)])
+            node = make_node(f, p, Cycle(1, 1, 0))
+            for node in (node, expand_children(f, p, node)[0]):
+                beh = node.classification.behavior
+                assert beh in (Behavior.GROWS, Behavior.SPLITS)
+                assert _route(p, node.level) is _lane_walk
+                wrong_b = 0 if beh is Behavior.GROWS else 1
+                for lin in (dataclasses.replace(node.lin,
+                                                b=node.lin.b + wrong_b - node.lin.b % p),
+                            dataclasses.replace(node.lin, a=node.lin.a + 1)):
+                    bad = CycleNode(node.cycle, lin, classify(lin, p))
+                    with pytest.raises(InvariantError, match="t -> b"):
+                        expand_children(f, p, bad)
+                    assert not bad.expanded and bad.children == []
+                    tampered += 1
+    assert tampered == 24
+
+
+@pytest.mark.parametrize("p", [7, LANE_MIN_P])
+def test_pole_raises_bad_reduction(p):
+    """A walk that meets a pole raises BadReductionError on either route: here
+    a split fixed point of the identity, handed to 1/x, whose lifts are all
+    poles."""
+    node = make_node(IntPoly([0, 1]), p, Cycle(1, 1, 0))
+    bad = CycleNode(node.cycle, node.lin, node.classification)
+    with pytest.raises(BadReductionError):
+        expand_children(RationalMap(IntPoly([1]), IntPoly([0, 1])), p, bad)
+    assert not bad.expanded and bad.children == []
+
+
+@pytest.mark.parametrize("p, message", [(7, "offset cycle length"),
+                                        (LANE_MIN_P, "returns to its fiber")])
+def test_early_return_is_caught(p, message):
+    """A node claiming twice its cycle length: its lifts return to their fiber
+    after k steps, which both walks must reject.  Where the offset map is the
+    identity (splits) or constant (grows tails), f^{2k} moves offsets as f^k
+    does, so only this check can object."""
+    rng = random.Random(p)
+    maps = _fixed_zero_maps(rng, p, False)
+    for _ in range(3):
+        f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
+        maps.append((f, [make_node(f, p, c) for c in enumerate_level(f, p, 1).cycles[:3]]))
+    seen = set()
+    for f, nodes in maps:
+        for node in nodes:
+            bad = CycleNode(Cycle(1, 2 * node.cycle.length, node.cycle.rep), node.lin,
+                            node.classification)
+            with pytest.raises(InvariantError, match=message):
+                expand_children(f, p, bad)
+            assert not bad.expanded and bad.children == []
+            seen.add(node.classification.behavior)
+    assert {Behavior.SPLITS, Behavior.GROWS_TAILS} <= seen
