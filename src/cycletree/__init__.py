@@ -15,8 +15,8 @@ from .graph import (Cycle, LevelDecomposition, TailStats, build_tree_bruteforce,
 from .lifting import (Behavior, Classification, CycleNode, LinearData, classify,
                       classify_lifts, compute_lin, expand_children, make_node)
 from .predictor import (AnalyzedTree, OrbitReport, PredictedShape,
-                        SeparationAnalysis, ShapeKind, analyze, check_corollaries,
-                        predict, separation_analysis)
+                        SeparationAnalysis, ShapeKind, analyze, predict,
+                        separation_analysis)
 from .verify import verify_all, verify_map
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "Behavior", "Classification", "CycleNode", "LinearData", "classify",
     "classify_lifts", "compute_lin", "expand_children", "make_node",
     "AnalyzedTree", "OrbitReport", "PredictedShape", "SeparationAnalysis",
-    "ShapeKind", "analyze", "check_corollaries", "predict", "separation_analysis",
+    "ShapeKind", "analyze", "predict", "separation_analysis",
     "InverseEvalMap", "RationalMap", "is_permutation", "is_single_cycle",
     "verify_all", "verify_map",
     "CycletreeError", "BudgetExceededError", "BadReductionError", "InvariantError",

@@ -18,7 +18,7 @@ from operator import itemgetter
 from .arith import IntPoly, OddPrime
 from .checkers import RationalMap, is_permutation, is_single_cycle
 from .errors import BudgetExceededError, CycletreeError, InvariantError
-from .graph import DEFAULT_BUDGET, _sweep_level, tail_analysis
+from .graph import DEFAULT_BUDGET, enumerate_level, tail_analysis
 from .predictor import AnalyzedTree, PredictedShape, ShapeKind, analyze
 from .verify import random_poly, verify_all
 
@@ -130,9 +130,8 @@ def render_text(tree: AnalyzedTree) -> str:
                    f"B={'>=' if node.Bsat else ''}{node.B}")
             cls = node.classification + (f"(d={node.d})" if node.d else "")
             pred = f" -> {node.prediction.describe()}" if node.prediction else ""
-            bad = " [bad reduction]" if node.bad_reduction else ""
             lines.append(f"{pad}level {node.level}: len {node.length} @ {node.rep} "
-                         f"[{cls} {val}]{pred}{bad}")
+                         f"[{cls} {val}]{pred}")
         for child in sorted(kids.get(node.id, []), key=lambda c: c.rep):
             walk(child, depth + 1)
 
@@ -255,7 +254,7 @@ def _brute_verdicts(args, title: str, criterion, brute) -> int:
     for n in range(1, args.levels + 1):
         verdict = criterion(f, p, n)
         try:
-            seen = brute(_sweep_level(f, p, n, budget))
+            seen = brute(enumerate_level(f, p, n, budget=budget))
         except BudgetExceededError:
             print(f"  n={n}: criterion={verdict} brute=(over budget)")
             continue
@@ -267,12 +266,12 @@ def _brute_verdicts(args, title: str, criterion, brute) -> int:
 
 def cmd_permcheck(args) -> int:
     return _brute_verdicts(args, "permutation criterion", is_permutation,
-                           lambda sweep: sweep.tail_point_count == 0)
+                           lambda dec: dec.tail_point_count == 0)
 
 
 def cmd_cyclecheck(args) -> int:
     return _brute_verdicts(args, "single-cycle criterion", is_single_cycle,
-                           lambda sweep: sweep.lengths == [sweep.modulus])
+                           lambda dec: len(dec.cycles) == 1 and dec.tail_point_count == 0)
 
 
 def cmd_tails(args) -> int:

@@ -187,7 +187,6 @@ class CycleNode:
     expanded: bool = False
     offset: int | None = None
     start: int | None = None  # the member the expansion walk started from
-    bad_reduction: bool = False
     parent: "CycleNode | None" = field(default=None, repr=False)
     shape: object | None = None  # PredictedShape, attached by the predictor
 

@@ -26,12 +26,11 @@ orbit-length report from the theorem-backed stationary chains.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import IntPoly, iterate_series, mult_order, ord_p, exact_orbit
-from .errors import BadReductionError, InvariantError, SeparationError
+from .errors import InvariantError, SeparationError
 from .graph import DEFAULT_BUDGET, Cycle, enumerate_level
 from .lifting import (Behavior, CycleNode, expand_children, make_node,
                       multiplier_valuation)
@@ -49,7 +48,6 @@ __all__ = [
     "predict",
     "analyze",
     "separation_analysis",
-    "check_corollaries",
     "orbit_length_allowed",
     "KdLiftSample",
 ]
@@ -222,7 +220,6 @@ class TreeNode:
     Asat: bool | None
     Bsat: bool | None
     prediction: PredictedShape | None
-    bad_reduction: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -238,7 +235,9 @@ class TreeNode:
             "Asat": self.Asat,
             "Bsat": self.Bsat,
             "prediction": self.prediction.to_dict() if self.prediction else None,
-            "badReduction": self.bad_reduction,
+            # analyze never evaluates at a pole (see its docstring); the key
+            # stays so that the JSON schema does not change.
+            "badReduction": False,
         }
 
 
@@ -335,13 +334,12 @@ class _Analysis:
         self.work = 0
         self.budget_exceeded = False
         self.unresolved = 0
-        self.bad_reduction_classes: list[int] = []
 
     # -- expansion with work accounting -------------------------------------
 
     def can_expand(self, node: CycleNode) -> bool:
         """Charge one expansion of ``node`` to the work budget if it fits;
-        every True answer is followed by ``expand``."""
+        every True answer is followed by ``expand_children``."""
         if node.level >= self.max_level:
             return False
         cost = node.length * self.p  # the k*p map evaluations of expand_children
@@ -350,13 +348,6 @@ class _Analysis:
             return False
         self.work += cost
         return True
-
-    def expand(self, node: CycleNode) -> list[CycleNode]:
-        try:
-            return expand_children(self.fmap, self.p, node)
-        except BadReductionError:
-            node.bad_reduction = True
-            return []
 
     # -- main recursion ------------------------------------------------------
 
@@ -377,7 +368,7 @@ class _Analysis:
             if not self.can_expand(node):
                 self.unresolved += 1
                 return
-            for child in self.expand(node):
+            for child in expand_children(self.fmap, self.p, node):
                 self.process(child, node, rounds_left, round_until)
             return
         if kind is ShapeKind.STATIONARY_PARTIAL_SPLIT:
@@ -405,7 +396,7 @@ class _Analysis:
             self.unresolved += 1
             return
         self.deepen_nodes += 1
-        for child in self.expand(node):
+        for child in expand_children(self.fmap, self.p, node):
             self.process(child, node, rounds_left, round_until)
 
     def _process_exceptional_split(self, node: CycleNode) -> None:
@@ -419,9 +410,7 @@ class _Analysis:
             return  # parent's expansion already certified this chain
         if not self.can_expand(node):
             return  # annotation alone still determines the subtree
-        children = self.expand(node)
-        if node.bad_reduction:
-            return
+        children = expand_children(self.fmap, self.p, node)
         lin = node.lin
         a_val = lin.A.value
         exceptional = [c for c in children
@@ -470,9 +459,7 @@ class _Analysis:
                     break
             if not self.can_expand(node):
                 break
-            children = self.expand(node)
-            if node.bad_reduction:
-                break
+            children = expand_children(self.fmap, self.p, node)
             k_child = None
             for child in children:
                 if child.length == node.length:
@@ -559,21 +546,16 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     """Explore the lift tree with expand_children, annotate every node with
     its predicted shape, and report possible p-adic orbit lengths.
 
-    Classes where a rational map's denominator vanishes mod p are reported in
-    ``bad_reduction_classes``; branches that would evaluate there are flagged,
-    not explored.
+    Classes where a rational map's denominator vanishes mod p (its poles) are
+    listed in ``bad_reduction_classes`` but never reached: every point analyze
+    evaluates lies in the class mod p of a level-1 cycle member (lifts keep
+    their class, walks stay on orbits), and the level-1 sweep sends poles to a
+    sink that lies on no cycle.
     """
     analysis = _Analysis(fmap, p, max_level, budget, max_deepen)
-    try:
-        root = _expand_root(fmap, p, budget)
-    except BadReductionError:
-        root = CycleNode(Cycle(0, 1, 0), None, None, expanded=True)
-        root.bad_reduction = True
-        analysis.unresolved += 1
+    root = _expand_root(fmap, p, budget)
     for child in root.children:
         analysis.process(child, None, max_deepen, 0)
-
-    analysis.bad_reduction_classes = fmap.poles(p)
 
     # Flatten breadth-first with children in rep order.
     nodes: list[TreeNode] = []
@@ -597,7 +579,6 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
             Asat=lin.A.saturated if lin else None,
             Bsat=lin.B.saturated if lin else None,
             prediction=cnode.shape,
-            bad_reduction=cnode.bad_reduction,
         ))
         for child in cnode.children:
             order.append((child, nid))
@@ -642,7 +623,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
         budget_exceeded=analysis.budget_exceeded,
         nodes=nodes,
         orbits=orbits,
-        bad_reduction_classes=analysis.bad_reduction_classes,
+        bad_reduction_classes=fmap.poles(p),
     )
 
 
@@ -677,11 +658,6 @@ class SeparationAnalysis:
         if self.pathological:
             return sep_n * (self.ell - 1) + self.m - 1
         return self.m - 1
-
-    def valid_at(self, sep_n: int) -> bool:
-        if self.pathological:
-            return sep_n > self.m
-        return sep_n * self.d > self.m
 
 
 # Highest iterate-series order separation_analysis expands to while it looks for
@@ -779,92 +755,3 @@ def check_identity_sample(fmap, p: int, sample: KdLiftSample) -> dict:
     rhs = min(rhs_ord.value, cap)
 
     return {"sample": sample, "lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
-
-
-def check_multiplier_divisibility(f: IntPoly, p: int, alpha: int, k: int) -> dict:
-    """Divisibility of the early iterate coefficients by (h'(alpha) - 1).
-
-    Applies only when d > 1; with exact arithmetic this checks
-    ord_p(h^(i)(alpha)) >= ord_p(h'(alpha) - 1) for i = 2..d, and exact
-    vanishing when h'(alpha) = 1.
-    """
-    sep = separation_analysis(f, p, alpha, k)
-    if sep.d <= 1:
-        return {"alpha": alpha, "applicable": False, "holds": None}
-    failures = []
-    for i in range(2, sep.d + 1):
-        deriv_i = sep.taylor[i] * math.factorial(i)
-        if sep.multiplier == 1:
-            ok = deriv_i == 0
-        else:
-            target = sep.m
-            ok = deriv_i % p**target == 0
-        if not ok:
-            failures.append(i)
-    return {"alpha": alpha, "applicable": True, "holds": not failures,
-            "failures": failures, "d": sep.d, "m": sep.m}
-
-
-# Displacement valuations n = 1..DISPLACEMENT_MAX_N that check_displacement_congruence tests.
-DISPLACEMENT_MAX_N = 4
-
-
-def check_displacement_congruence(f: IntPoly, p: int, alpha: int, k: int) -> dict:
-    """Near-fixed-point displacement congruence at an exact periodic point:
-
-        h(y) - y = (y - alpha)(h'(alpha) - 1)   mod p^min(n(d+1), 2n+m)
-
-    for ord_p(y - alpha) = n, with h the (k*d)-th iterate.  Applies for d > 1;
-    when h'(alpha) = 1 the modulus is p^{n(d+1)}.
-    """
-    sep = separation_analysis(f, p, alpha, k)
-    if sep.d <= 1:
-        return {"alpha": alpha, "applicable": False, "holds": None}
-    kd = k * sep.d
-    failures = []
-    checked = 0
-    for n in range(1, DISPLACEMENT_MAX_N + 1):
-        prec = (n * (sep.d + 1) if sep.multiplier == 1
-                else min(n * (sep.d + 1), 2 * n + sep.m))
-        modulus = p**prec
-        for unit in (1, p - 1):
-            y = (alpha + unit * p**n) % modulus
-            x = y
-            for _ in range(kd):
-                x = f.eval_mod(x, modulus)
-            lhs = (x - y) % modulus
-            rhs = unit * p**n * (sep.multiplier - 1) % modulus
-            checked += 1
-            if lhs != rhs:
-                failures.append((n, unit))
-    return {"alpha": alpha, "applicable": True, "holds": not failures,
-            "checked": checked, "failures": failures}
-
-
-def check_corollaries(fmap, p: int, samples: list[KdLiftSample],
-                      periodic_points: list[tuple[int, int]] | None = None) -> dict:
-    """Check the capped-valuation identity on every sample and, when exact
-    periodic points (alpha, k) are supplied, the multiplier divisibility law
-    and the displacement congruence.
-    """
-    results = [check_identity_sample(fmap, p, s) for s in samples]
-    failures = [r for r in results if not r["holds"]]
-    prop = []
-    displacement = []
-    if periodic_points:
-        for alpha, k in periodic_points:
-            prop.append(check_multiplier_divisibility(fmap, p, alpha, k))
-            displacement.append(check_displacement_congruence(fmap, p, alpha, k))
-    prop_failures = [r for r in prop if r["applicable"] and not r["holds"]]
-    disp_failures = [r for r in displacement
-                     if r["applicable"] and not r["holds"]]
-    return {
-        "identity": {"checked": len(results), "failures": len(failures),
-                     "details": failures},
-        "divisibility": {"checked": len(prop), "failures": len(prop_failures),
-                        "details": prop_failures},
-        "displacement": {"checked": len(displacement),
-                         "failures": len(disp_failures),
-                         "details": disp_failures},
-        "all_hold": not failures and not prop_failures and not disp_failures,
-    }

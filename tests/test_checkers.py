@@ -125,17 +125,28 @@ def test_analyze_rational_flags_pole():
 
 
 def test_rational_tree_matches_inverse_oracle():
+    """Maps with and without poles agree with the Euclid-inverse oracle, and
+    analyze never reaches a pole: every node's rep lies in a class where the
+    map is defined (lifts keep their class mod p, walks stay on orbits)."""
     rng = random.Random(12)
-    done = 0
-    while done < 8:
+    done = with_poles = pole_map_nodes = 0
+    while done < 24:
         p = rng.choice([3, 5, 7])
         num = IntPoly(rng.randrange(p * p) for _ in range(4))
         den = IntPoly(rng.randrange(p * p) for _ in range(3))
-        if den.degree < 0 or any(den.eval_mod(x, p) == 0 for x in range(p)):
-            continue
+        if all(c % p == 0 for c in den.coeffs):
+            continue  # zero mod p (or zero): undefined on every class
         h = RationalMap(num, den)
         oracle = build_tree_bruteforce(InverseEvalMap.of(h), p, 5)
         analyzed = analyze(h, p)
         report = verify_map(h, p, max_level=5, oracle=oracle, analyzed=analyzed)
         assert report.ok, report.details
+        poles = set(analyzed.bad_reduction_classes)
+        assert poles == set(h.poles(p))
+        cycle_nodes = [n for n in analyzed.nodes if n.level]
+        assert not [n.rep for n in cycle_nodes if n.rep % p in poles]
         done += 1
+        with_poles += bool(poles)
+        pole_map_nodes += len(cycle_nodes) if poles else 0
+    assert 2 * with_poles >= done, f"only {with_poles} of {done} maps have poles"
+    assert pole_map_nodes, "no map with poles has a cycle to analyze"

@@ -1,5 +1,6 @@
 """CLI tests: output contracts, determinism, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -78,7 +79,7 @@ def test_render_json_identity_reps_beyond_64_bits():
 
 def test_render_json_rational_map_with_poles():
     """The "poly" field nests {num, den}; the poles are listed in
-    badReductionClasses.  (badReduction: true is in the hand-built tree below.)"""
+    badReductionClasses."""
     for num, den, p, poles in (([1, 0, 1], [0, 1], 3, [0]), ([1, 2, 0, 1], [3, 0, 1], 7, [2, 5])):
         tree = analyze(RationalMap(IntPoly(num), IntPoly(den)), p, max_level=6)
         assert tree.bad_reduction_classes == poles
@@ -93,8 +94,8 @@ def test_render_json_budget_exceeded():
 
 
 def test_render_json_every_shape_kind():
-    """One node per ShapeKind, every prediction field set somewhere, bad
-    reduction, and strings that need escaping (a NUL, a quote, non-ASCII)."""
+    """One node per ShapeKind, every prediction field set somewhere, and
+    strings that need escaping (a NUL, a quote, non-ASCII)."""
     shapes = [PredictedShape(ShapeKind.GROWS_FOREVER),
               PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=2, scope=Scope.ALL),
               PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=1, scope=Scope.ALL_BUT_ONE),
@@ -107,7 +108,7 @@ def test_render_json_every_shape_kind():
     root = TreeNode(0, None, 0, 1, 0, None, None, None, None, None, None, None)
     nodes = [root] + [
         TreeNode(i, 0, i, 3**i, 5**40 + i, cls, i % 3 or None, i, 40 - i, i % 2 == 0,
-                 i % 2 == 1, shape, bad_reduction=i == 3)
+                 i % 2 == 1, shape)
         for i, (shape, cls) in enumerate(
             zip(shapes, ["grows", "splits", 'q"uote', "nul\x00here", "caf\u00e9",
                          "tails", "partial", "grows", "splits"]), start=1)]
@@ -304,3 +305,19 @@ def test_readme_examples_golden():
     readme_cli_golden.json (regenerate it only for an intended change)."""
     golden = json.loads(README_GOLDEN.read_text())
     assert [run_readme_command(c) for c in readme_commands()] == golden
+
+
+def test_readme_library_sketch():
+    """The README's "Library sketch" block runs, and its bare expressions
+    evaluate to what their comments say: {9}, then True."""
+    text = README.read_text().split("## Library sketch", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            values.append(eval(compile(ast.Expression(statement.value), "README", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
+    assert values == [{9}, True]

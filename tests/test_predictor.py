@@ -7,9 +7,8 @@ from cycletree.errors import NotPeriodicError, SeparationError
 from cycletree.graph import build_tree_bruteforce, enumerate_level
 from cycletree.lifting import expand_children, make_node
 from cycletree.predictor import (Scope, ShapeKind, UndeterminedReason, analyze,
-                                 check_corollaries, check_multiplier_divisibility,
                                  predict, separation_analysis)
-from cycletree.verify import collect_kd_samples, verify_map
+from cycletree.verify import check_kd_identity, collect_kd_samples, verify_map
 
 
 def level1_node(f, p, rep=None):
@@ -138,7 +137,6 @@ def test_separation_pathological_example():
     assert sep.ell == 2
     assert sep.m == 1
     assert [sep.formula_splits(n) for n in range(1, 7)] == [1, 2, 3, 4, 5, 6]
-    assert sep.valid_at(2) and not sep.valid_at(1)
 
 
 def test_separation_generic_example():
@@ -148,7 +146,6 @@ def test_separation_generic_example():
     assert sep.multiplier == 16
     assert sep.m == 1
     assert sep.formula_splits(3) == 0  # separating 4-cycles grow immediately
-    assert sep.valid_at(1)  # n > m/d = 1/4
 
 
 def test_separation_generic_against_oracle():
@@ -184,6 +181,9 @@ def test_separation_errors():
         separation_analysis(IntPoly([0, 0, 1]), 5, 0, 1)  # f'(0) = 0: tails
     with pytest.raises(SeparationError):
         separation_analysis(IntPoly([0, -1]), 5, 0, 1)  # linear with h' = 1
+    with pytest.raises(SeparationError):
+        # x -> 4 - x swaps 1 and 3: a 2-cycle of a linear map, multiplier (-1)^2 = 1
+        separation_analysis(IntPoly([4, -1]), 5, 1, 2)
 
 
 def test_separation_matches_pathological_oracle():
@@ -211,7 +211,7 @@ def test_separation_matches_pathological_oracle():
 
 
 # ---------------------------------------------------------------------------
-# corollary checks
+# capped-valuation identity
 # ---------------------------------------------------------------------------
 
 
@@ -220,26 +220,9 @@ def test_identity_check_on_partial_chain():
     tree = build_tree_bruteforce(f, 5, 6)
     samples = collect_kd_samples(tree)
     assert samples, "x^2 mod 5 must expose kd-lifts over the fixed point 1"
-    result = check_corollaries(f, 5, samples, periodic_points=[(1, 1)])
-    assert result["all_hold"]
-    assert result["identity"]["checked"] == len(samples)
-    assert result["divisibility"]["checked"] == 1
-    assert result["displacement"]["checked"] == 1
-    assert result["displacement"]["details"] == []
-
-
-def test_proposition_inapplicable_for_d1():
-    report = check_multiplier_divisibility(IntPoly([0, 1, 3]), 3, 0, 1)
-    assert report["applicable"] is False
-
-
-def test_proposition_on_quintic_orbit():
-    # the quintic's 3-adic orbit is not an integer orbit; use a constructed map
-    # with an integer 2-cycle and d > 1 instead: x -> -x + 4 swaps 1 and 3
-    f = IntPoly([4, -1])
-    with pytest.raises(SeparationError):
-        # linear map with multiplier (-1)^2 = 1: the proposition path refuses
-        check_multiplier_divisibility(f, 5, 1, 2)
+    stats = check_kd_identity(f, 5, tree)
+    assert stats.checked == len(samples)
+    assert stats.mismatches == 0
 
 
 def test_verify_harness_catches_corruption(monkeypatch):
