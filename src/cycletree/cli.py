@@ -19,7 +19,7 @@ from .arith import IntPoly, OddPrime
 from .checkers import RationalMap, is_permutation, is_single_cycle
 from .errors import BudgetExceededError, CycletreeError, InvariantError
 from .graph import DEFAULT_BUDGET, enumerate_level, tail_analysis
-from .predictor import AnalyzedTree, PredictedShape, ShapeKind, analyze
+from .predictor import AnalyzedTree, PredictedShape, ShapeKind, analyze, tail_bound
 from .verify import random_poly, verify_all
 
 EXIT_OK = 0
@@ -271,7 +271,7 @@ def cmd_permcheck(args) -> int:
 
 def cmd_cyclecheck(args) -> int:
     return _brute_verdicts(args, "single-cycle criterion", is_single_cycle,
-                           lambda dec: len(dec.cycles) == 1 and dec.tail_point_count == 0)
+                           lambda dec: len(dec.reps) == 1 and dec.tail_point_count == 0)
 
 
 def cmd_tails(args) -> int:
@@ -289,7 +289,7 @@ def cmd_tails(args) -> int:
         print(f"closed-form histogram {verdict} observation")
     else:
         print("second derivative vanishes mod p: closed-form shape check skipped")
-    bound = p + (args.level - 2) * stats.cycle_length
+    bound = tail_bound(p, args.level, stats.cycle_length)
     print(f"max tail length: {stats.max_tail_length} (bound {bound})")
     return EXIT_OK
 

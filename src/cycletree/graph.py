@@ -7,11 +7,13 @@ Poles point to an absorbing sink.  In-degree peeling strips the tails and
 leaves the cyclic points; doubling over windows of their orbits then gives
 each the position of its cycle's smallest member (the rep) and the steps to
 it, from which array passes, not a walk, list the cycles in rep order, each
-in orbit order from its rep.  Tail facts come from one pass
-outward from the cycles (``distance_to_cycle``), which gives every point its
-distance to a cycle and the cycle it enters.  Whatever the budget, the oracle
-refuses levels of more than ``ORACLE_MAX_POINTS`` = 2^31 residues, so orbit
-arrays and labels are int32 and no int64 product in the map kernels overflows.
+in orbit order from its rep.  ``enumerate_level`` returns a level as one
+``LevelDecomposition`` of arrays, and builds ``Cycle`` objects only on request.
+Tail facts come from one pass outward from the cycles (``distance_to_cycle``),
+which gives every point its distance to a cycle and the cycle it enters.
+Whatever the budget, the oracle refuses levels of more than
+``ORACLE_MAX_POINTS`` = 2^31 residues, so orbit arrays and labels are int32 and
+no int64 product in the map kernels overflows.
 """
 
 from __future__ import annotations
@@ -63,34 +65,34 @@ class TailStats:
     shape_matches: bool | None
 
 
-@dataclass
-class LevelDecomposition:
-    level: int
-    cycles: list[Cycle]
-    tail_point_count: int
-    excluded_points: int = 0  # rational maps only: classes where the map is undefined
-
-
 @dataclass(slots=True)
-class _Sweep:
-    """Raw per-level data.
+class LevelDecomposition:
+    """Level n of the oracle: every residue of Z/p^nZ as cycle member, tail point or pole.
 
-    ``succ`` is the int64 successor table, -1 at poles.  ``labels`` maps each
-    residue to its cycle id (-1 off cycles); cycles are in rep order, and
-    ``orbit`` holds their members, each cycle in orbit order from its rep.
+    ``succ`` is the int64 successor table, -1 at poles; ``excluded_points`` counts
+    the poles.  ``labels`` maps each residue to its cycle id (-1 off cycles).  Cycles
+    are in rep order: ``reps`` and ``lengths`` are int arrays, and ``orbit`` holds
+    the members, each cycle in orbit order from its rep.
     """
 
+    level: int
     modulus: int
     succ: np.ndarray
     labels: np.ndarray
-    reps: list[int]
-    lengths: list[int]
+    reps: np.ndarray
+    lengths: np.ndarray
     orbit: np.ndarray
-    excluded: int
+    excluded_points: int
 
     @property
     def tail_point_count(self) -> int:
-        return self.modulus - sum(self.lengths) - self.excluded
+        return self.modulus - len(self.orbit) - self.excluded_points
+
+    @property
+    def cycles(self) -> list[Cycle]:
+        """One ``Cycle`` per cycle, built on each call."""
+        return [Cycle(self.level, k, rep)
+                for rep, k in zip(self.reps.tolist(), self.lengths.tolist())]
 
 
 def _check_size(points: int, budget: int) -> None:
@@ -102,14 +104,12 @@ def _check_size(points: int, budget: int) -> None:
             "the oracle's 2^31-point cap (no budget raises it)" if capped else "budget"))
 
 
-def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
-    """Classify every residue of Z/p^nZ as cycle member, tail point or pole."""
+def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> LevelDecomposition:
+    """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep."""
     modulus = p**n
     _check_size(modulus, budget)
-    if n == 0:  # the zero ring; a rational map would otherwise read as one pole
-        return _Sweep(1, np.zeros(1, np.int64), np.zeros(1, np.int32), [0], [1],
-                      np.zeros(1, np.int32), 0)
-    succ = fmap.table(modulus, p)
+    # The zero ring's one point is fixed; a rational map would read it as a pole.
+    succ = fmap.table(modulus, p) if n else np.zeros(1, np.int64)
     # Peeling (Kahn): poles point to a sink whose self-loop keeps it unpeeled,
     # and a point with no unpeeled preimage is on no cycle.  A round touches
     # only the points peeled in the round before; after as many rounds as the
@@ -152,11 +152,10 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     d = (key & 0xFFFFFFFF).astype(np.int32)
     key >>= 32  # key is now m
     root = d == 0  # the reps, ascending
-    reps = starts[root].tolist()
+    reps = starts[root]
     cid = np.cumsum(root, dtype=np.int32)[key] - 1
     del key, root
     sizes = np.bincount(cid).astype(np.int32)
-    lengths = sizes.tolist()
     # Orbit order from the rep: the point d steps before it sits (len - d) mod len on.
     size = sizes[cid]
     d = (size - d) % size
@@ -167,17 +166,13 @@ def _sweep_level(fmap, p: int, n: int, budget: int) -> _Sweep:
     del d
     labels = np.full(modulus, -1, dtype=np.int32)
     labels[starts] = cid
-    return _Sweep(modulus, succ, labels, reps, lengths, orbit, excluded)
+    return LevelDecomposition(n, modulus, succ, labels, reps, sizes, orbit, excluded)
 
 
-def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> LevelDecomposition:
-    """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep."""
-    sw = _sweep_level(fmap, p, n, budget)
-    cycles = [Cycle(n, length, rep) for rep, length in zip(sw.reps, sw.lengths)]
-    return LevelDecomposition(n, cycles, sw.tail_point_count, sw.excluded)
+_sweep_level = enumerate_level  # the name perfbench's span tracer wraps
 
 
-def distance_to_cycle(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
+def distance_to_cycle(sweep: LevelDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Per-residue (distance to a cycle along the orbit, id of that cycle).
 
     Both are int32 arrays, dist 0 on cycles; both read -1 at poles and at points
@@ -200,16 +195,14 @@ def distance_to_cycle(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
     return dist, owner
 
 
-def tail_length_by_cycle(sweep: _Sweep) -> list[tuple[int, int]]:
+def tail_length_by_cycle(sweep: LevelDecomposition) -> list[tuple[int, int]]:
     """(cycle length, longest attached tail) for cycles with tails."""
     dist, owner = distance_to_cycle(sweep)
     valid = dist > 0
-    if not valid.any():
-        return []
     longest = np.zeros(len(sweep.reps), dtype=np.int32)  # dist's dtype: maximum.at's fast path
     np.maximum.at(longest, owner[valid], dist[valid])
-    return [(sweep.lengths[i], int(longest[i]))
-            for i in range(len(sweep.reps)) if longest[i] > 0]
+    has = np.flatnonzero(longest)
+    return list(zip(sweep.lengths[has].tolist(), longest[has].tolist()))
 
 
 @dataclass
@@ -260,27 +253,28 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
     prev_labels = np.zeros(1, dtype=np.int32)
     prev_modulus = 1
     for n in range(1, max_level + 1):
-        sw = _sweep_level(fmap, p, n, budget)
-        reps.append(sw.reps)
-        lengths.append(sw.lengths)
-        tail_points.append(sw.tail_point_count + sw.excluded)
+        sw = enumerate_level(fmap, p, n, budget)
+        reps.append(sw.reps.tolist())
+        lengths.append(sw.lengths.tolist())
+        tail_points.append(sw.tail_point_count + sw.excluded_points)
         tail_pairs.append(tail_length_by_cycle(sw) if with_tail_lengths else [])
         orbits.append(sw.orbit)
         # The level-(n-1) cycle under each orbit member; a cycle starts at its rep.
         owner = prev_labels[sw.orbit % prev_modulus]
-        par = owner[np.cumsum([0] + sw.lengths)[:-1]]
+        ends = np.cumsum(sw.lengths)
+        par = owner[ends - sw.lengths]
         lead = np.repeat(par, sw.lengths)
         stray = (lead < 0) | (owner != lead)
         if stray.any():
-            cid = np.searchsorted(np.cumsum(sw.lengths), np.argmax(stray), "right")
+            cid = np.searchsorted(ends, np.argmax(stray), "right")
             raise InvariantError("cycle does not project into one parent cycle", p, fmap,
-                                 n, sw.reps[int(cid)])
+                                 n, reps[n][cid])
         par = par.tolist()
         kids = [[] for _ in reps[n - 1]]
         for idx, pid in enumerate(par):
             kids[pid].append(idx)
         parents.append(par)
-        children.append([[] for _ in sw.reps])
+        children.append([[] for _ in reps[n]])
         children[n - 1] = kids
         prev_labels = sw.labels
         prev_modulus = sw.modulus
@@ -313,14 +307,14 @@ def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     x0 = mod_p_class % p
-    level1 = _sweep_level(fmap, p, 1, budget)
+    level1 = enumerate_level(fmap, p, 1, budget)
     cid = int(level1.labels[x0])
     if cid < 0:
         raise ValueError(f"class {x0} is not on a cycle of f_1")
     taylor = fmap.taylor_at(x0, 2, p, p)
     if taylor[1] % p != 0:
         raise ValueError(f"f' is a unit mod {p} at {x0}; no tails over this class")
-    sw = _sweep_level(fmap, p, n, budget)
+    sw = enumerate_level(fmap, p, n, budget)
 
     # Fiber histogram over the class {x = x0 (mod p)}.
     _, fibers = np.unique(sw.succ[x0::p], return_counts=True)
@@ -329,12 +323,11 @@ def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
 
     # Longest tail over all classes of the containing mod-p cycle; column r
     # of the reshaped distances holds the residues = r (mod p).
-    end = sum(level1.lengths[:cid + 1])
-    members1 = level1.orbit[end - level1.lengths[cid]:end]
+    members1 = np.flatnonzero(level1.labels == cid)
     max_tail = int(distance_to_cycle(sw)[0].reshape(-1, p)[:, members1].max())
 
     f2_unit = taylor[2] % p != 0
     expected = _expected_tail_histogram(p, n) if f2_unit else None
     matches = (hist == expected) if f2_unit else None
-    return TailStats(n, level1.reps[cid], level1.lengths[cid], max_tail, hist,
+    return TailStats(n, int(level1.reps[cid]), int(level1.lengths[cid]), max_tail, hist,
                      f2_unit, expected, matches)

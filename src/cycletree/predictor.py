@@ -49,6 +49,7 @@ __all__ = [
     "analyze",
     "separation_analysis",
     "orbit_length_allowed",
+    "tail_bound",
     "KdLiftSample",
 ]
 
@@ -132,10 +133,14 @@ def _stationary_partial(d: int, m: int | None = None) -> PredictedShape:
     return PredictedShape(ShapeKind.STATIONARY_PARTIAL_SPLIT, d=d, m=m)
 
 
+def tail_bound(p: int, n: int, k: int) -> int:
+    """Longest tail over a k-cycle with tails at level n: at most p + (n-2)k."""
+    return max(p + (n - 2) * k, 0)
+
+
 @functools.lru_cache(maxsize=4096)
 def _tails_forever(k: int, p: int, level: int) -> PredictedShape:
-    return PredictedShape(ShapeKind.TAILS_FOREVER,
-                          tail_bound=max(p + (level - 2) * k, 0))
+    return PredictedShape(ShapeKind.TAILS_FOREVER, tail_bound=tail_bound(p, level, k))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -23,6 +23,7 @@ a chunk (about n multiplications), then a doubling over the n/B block totals onl
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ from .errors import InvariantError
 from .graph import DEFAULT_BUDGET, BruteTree, build_tree_bruteforce
 from .lifting import Behavior, Classification, classify_lifts
 from .predictor import (AnalyzedTree, KdLiftSample, Scope, ShapeKind, analyze,
-                        check_identity_sample, orbit_length_allowed)
+                        check_identity_sample, orbit_length_allowed, tail_bound)
 
 __all__ = [
     "RuleStats",
@@ -87,8 +88,12 @@ class VerifyReport:
 
     def record(self, name: str, ok: bool, detail: str = ""):
         self.stat(name).record(ok)
-        if not ok and len(self.details) < 50:
-            self.details.append(f"{name}: {detail}")
+        if not ok:
+            self.note([f"{name}: {detail}"])
+
+    def note(self, details) -> None:
+        """Keep mismatch details, the first 50 of the report only."""
+        self.details += itertools.islice(details, max(50 - len(self.details), 0))
 
     @property
     def mismatches(self) -> int:
@@ -327,9 +332,8 @@ def check_lift_length_law(tree: BruteTree, p: int,
             lens = sorted(tree.lengths[level + 1][c] for c in tree.children[level][idx])
             ok = classify_lifts(lens, k, p) is not None
             stats.record(ok)
-            if not ok and report and len(report.details) < 50:
-                report.details.append(
-                    f"lift-length-law: {lens} under k={k}@{level}")
+            if not ok and report:
+                report.note([f"lift-length-law: {lens} under k={k}@{level}"])
     return stats
 
 
@@ -451,9 +455,8 @@ def check_chain_congruences(fmap, p: int, tree: BruteTree,
         stats.mismatches += int(len(ok) - ok.sum())
         if report:
             bad = np.flatnonzero(~ok)
-            bad = bad[np.argsort(par[bad], kind="stable")][:50 - len(report.details)]
-            report.details += [f"chain-congruence: rep={tree.reps[level + 1][c]}@{level + 1}"
-                               for c in bad]
+            report.note(f"chain-congruence: rep={tree.reps[level + 1][c]}@{level + 1}"
+                        for c in bad[np.argsort(par[bad], kind="stable")])
         chosen, a, b = c_chosen, c_a, c_b
     return stats
 
@@ -479,8 +482,8 @@ def check_kd_identity(fmap, p: int, tree: BruteTree,
     for sample in collect_kd_samples(tree):
         result = check_identity_sample(fmap, p, sample)
         stats.record(result["holds"])
-        if not result["holds"] and report and len(report.details) < 50:
-            report.details.append(f"kd-identity: {sample}")
+        if not result["holds"] and report:
+            report.note([f"kd-identity: {sample}"])
     return stats
 
 
@@ -505,8 +508,8 @@ def check_orbit_lengths(tree: BruteTree, p: int,
             continue
         ok = orbit_length_allowed(c, p)
         stats.record(ok)
-        if not ok and report and len(report.details) < 50:
-            report.details.append(f"orbit-bound: stationary length {c}")
+        if not ok and report:
+            report.note([f"orbit-bound: stationary length {c}"])
     return stats
 
 
@@ -514,7 +517,7 @@ def check_tail_bounds(fmap, p: int, max_level: int,
                       report: VerifyReport | None = None,
                       tree: BruteTree | None = None) -> RuleStats:
     """Observed longest tail over each cycle with tails is at most
-    p + (n-2)k at level n.
+    ``tail_bound(p, n, k)`` = p + (n-2)k at level n.
 
     Reads the per-cycle pairs of a tree built with ``with_tail_lengths=True``
     (levels 1..``max_level``); ``fmap`` is not evaluated.
@@ -524,11 +527,10 @@ def check_tail_bounds(fmap, p: int, max_level: int,
     stats = report.stat("tail-bound") if report else RuleStats()
     for n in range(1, max_level + 1):
         for k, longest in tree.tail_pairs[n]:
-            ok = longest <= p + (n - 2) * k
+            ok = longest <= tail_bound(p, n, k)
             stats.record(ok)
-            if not ok and report and len(report.details) < 50:
-                report.details.append(
-                    f"tail-bound: tail of {longest} at level {n} over k={k}")
+            if not ok and report:
+                report.note([f"tail-bound: tail of {longest} at level {n} over k={k}"])
     return stats
 
 

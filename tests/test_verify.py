@@ -1,5 +1,6 @@
 """Tests for the verification pipeline and the array chain congruences."""
 
+import itertools
 import random
 
 import numpy as np
@@ -309,3 +310,17 @@ def test_check_tail_bounds_needs_tail_lengths():
     tree = build_tree_bruteforce(IntPoly([0, 0, 1]), 3, 3)
     with pytest.raises(ValueError):
         check_tail_bounds(IntPoly([0, 0, 1]), 3, 3, tree=tree)
+
+
+def test_report_keeps_first_50_details():
+    """``record`` and ``note`` share one cap; ``note`` reads no more of its
+    iterable than the cap leaves room for, so an endless one is fine."""
+    report = verify.VerifyReport(3, {}, 2)
+    for i in range(30):
+        report.record("prefix", False, str(i))
+    report.note(f"chain-congruence: {i}" for i in itertools.count())
+    report.record("prefix", False, "late")
+    report.note(["orbit-bound: late"])
+    assert report.details == ([f"prefix: {i}" for i in range(30)]
+                              + [f"chain-congruence: {i}" for i in range(20)])
+    assert report.rules["prefix"].mismatches == 31
