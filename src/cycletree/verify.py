@@ -1,11 +1,14 @@
 """Differential harness: every analytic claim is checked against the oracle.
 
 ``verify_all`` is the pipeline: it builds one oracle (a ``BruteTree`` with
-tail lengths and orbit arrays) and runs on it ``verify_map`` (the analyzed
-prefix matches the oracle node for node, and every annotation's subtree claim
-holds up to the oracle's horizon) and the structural laws that need no
-predictor: the lift-length law, the multiplier/offset chain congruences, the
-capped-valuation identity on kd-lifts, orbit-length and tail-length bounds.
+tail lengths and orbit arrays) and runs on it ``verify_map`` and the structural
+laws that need no predictor: the lift-length law, the multiplier/offset chain
+congruences, the capped-valuation identity on kd-lifts, orbit-length and
+tail-length bounds.  ``verify_map`` checks that the analyzed prefix matches the
+oracle node for node, and that each annotation holds up to the oracle's
+horizon: ``_claim`` turns a shape into one claim on its node's subtree (the
+node's own lift pattern and the claim each child keeps), and one memoized
+walker, ``_holds``, checks every claim.
 Every reading of a cycle's lift lengths goes through ``lifting.classify_lifts``,
 the one statement of the lift-length law, which the analytic engine checks too.
 
@@ -33,8 +36,8 @@ from .arith import IntPoly
 from .errors import InvariantError
 from .graph import DEFAULT_BUDGET, BruteTree, build_tree_bruteforce
 from .lifting import Behavior, Classification, classify_lifts
-from .predictor import (AnalyzedTree, KdLiftSample, Scope, ShapeKind, analyze,
-                        check_identity_sample, orbit_length_allowed, tail_bound)
+from .predictor import (AnalyzedTree, KdLiftSample, PredictedShape, Scope, ShapeKind,
+                        analyze, check_identity_sample, orbit_length_allowed, tail_bound)
 
 __all__ = [
     "RuleStats",
@@ -119,107 +122,74 @@ def _lifts(tree: BruteTree, level: int, idx: int) -> Classification | None:
     return classify_lifts(lens, tree.lengths[level][idx], tree.p)
 
 
-class _OracleChecker:
-    """Structural subtree checks over a BruteTree, memoized."""
+def _claim(shape: PredictedShape, level: int) -> tuple[str, tuple]:
+    """The rule name and the subtree claim of a level-``level`` node's shape."""
+    kind = shape.kind
+    if kind is ShapeKind.GROWS_FOREVER:
+        return "grows-forever", ("S", 0)
+    if kind is ShapeKind.SPLITS_THEN_GROWS and shape.scope is Scope.ALL:
+        return "splits-then-grows", ("S", shape.splits + 1)
+    if kind is ShapeKind.SPLITS_THEN_GROWS:
+        return "exceptional-split", ("E", shape.splits)
+    if kind is ShapeKind.STATIONARY_PARTIAL_SPLIT:
+        return "partial-split", ("P", shape.d, shape.m)
+    if kind is ShapeKind.TAILS_FOREVER:
+        return "tails-forever", ("T",)
+    if kind is ShapeKind.GROWS_THEN_SPLITS:
+        return "grows-then-splits", ("GS", level + 2)
+    return "undetermined-prefix", ("U", shape.split_known_until)
 
-    def __init__(self, tree: BruteTree):
-        self.tree = tree
-        self.top = tree.max_level
-        self._memo: dict[tuple, bool] = {}
 
-    def kids(self, level: int, idx: int) -> list[int]:
-        return self.tree.children[level][idx]
+def _holds(tree: BruteTree, level: int, idx: int, claim: tuple, memo: dict) -> bool:
+    """Whether cycle (level, idx) of the oracle keeps ``claim`` down to the
+    horizon; true at or past it.  A claim names the lift pattern its node
+    must read (``_lifts``) and the claim each child must keep:
 
-    def grows_chain(self, level: int, idx: int) -> bool:
-        """Single lift of length p*k at every level below."""
-        key = ("grow", level, idx)
-        if key in self._memo:
-            return self._memo[key]
-        ok = True
-        while level < self.top:
-            if _lifts(self.tree, level, idx) != _GROWS:
-                ok = False
-                break
-            level, idx = level + 1, self.kids(level, idx)[0]
-        self._memo[key] = ok
-        return ok
-
-    def own_splits_then_grows(self, level: int, idx: int, s: int) -> bool:
-        """This cycle splits s more times itself, then all descendants grow."""
-        key = ("own", level, idx, s)
-        if key in self._memo:
-            return self._memo[key]
-        if s == 0:
-            ok = self.grows_chain(level, idx)
-        elif level >= self.top:
-            ok = True  # beyond the oracle horizon; vacuous
-        else:
-            ok = (_lifts(self.tree, level, idx) == _SPLITS
-                  and all(self.own_splits_then_grows(level + 1, c, s - 1)
-                          for c in self.kids(level, idx)))
-        self._memo[key] = ok
-        return ok
-
-    def full_split_until(self, level: int, idx: int, until: int) -> bool:
-        """Every node in the subtree splits, down through level ``until - 1``."""
-        key = ("full", level, idx, until)
-        if key in self._memo:
-            return self._memo[key]
-        if level >= min(until, self.top):
-            ok = True
-        else:
-            ok = (_lifts(self.tree, level, idx) == _SPLITS
-                  and all(self.full_split_until(level + 1, c, until)
-                          for c in self.kids(level, idx)))
-        self._memo[key] = ok
-        return ok
-
-    def exceptional_chain(self, level: int, idx: int, s: int) -> bool:
-        """p same-length lifts; all but one split s times then grow; the
-        remaining lift repeats the pattern."""
-        if level >= self.top:
-            return True
-        if _lifts(self.tree, level, idx) != _SPLITS:
-            return False
-        stray = [c for c in self.kids(level, idx)
-                 if not self.own_splits_then_grows(level + 1, c, s)]
-        if len(stray) == 0:
-            return True  # horizon too shallow to tell the chain apart
-        if len(stray) > 1:
-            return False
-        return self.exceptional_chain(level + 1, stray[0], s)
-
-    def tails_chain(self, level: int, idx: int) -> bool:
-        while level < self.top:
-            if _lifts(self.tree, level, idx) != _TAILS:
-                return False
-            level, idx = level + 1, self.kids(level, idx)[0]
+    * ("S", s): splits, every child keeps ("S", s-1); at s = 0 it grows and
+      its child keeps ("S", 0).  grows-forever is ("S", 0), and
+      splits-then-grows(s, all lifts) is ("S", s+1).
+    * ("E", s): splits, at most one child fails ("S", s), and that child
+      keeps ("E", s): exceptional-split, splits-then-grows(s, all but one).
+    * ("T",): grows tails, its child keeps ("T",).
+    * ("P", d, m): partially splits with d, its k-lift keeps ("P", d, m);
+      with m certified and level*d > m its kd-lifts keep ("S", m-1).
+    * ("GS", n+2): grows, its lift keeps ("U", n+2): grows-then-splits.
+    * ("U", until): splits at each level below ``until``: undetermined-prefix.
+    """
+    if level >= tree.max_level:
         return True
+    key = (level, idx, claim)
+    if key in memo:
+        return memo[key]
+    kind = claim[0]
+    lifts = _lifts(tree, level, idx)
+    kids = tree.children[level][idx]
 
-    def partial_chain(self, level: int, idx: int, d: int, m: int | None) -> bool:
-        """Stationary partial-split chain: one k-lift plus (p-1)/d kd-lifts at
-        every level; certified kd-lifts split m-1 times then grow."""
-        partial = Classification(Behavior.PARTIALLY_SPLITS, d)
-        k = self.tree.lengths[level][idx]
-        while level < self.top:
-            if _lifts(self.tree, level, idx) != partial:
-                return False
-            kids = self.kids(level, idx)
-            if m is not None and level * d > m and not all(
-                    self.own_splits_then_grows(level + 1, c, m - 1)
-                    for c in kids if self.tree.lengths[level + 1][c] != k):
-                return False
-            same = next(c for c in kids if self.tree.lengths[level + 1][c] == k)
-            level, idx = level + 1, same
-        return True
+    def keeps(child: int, sub: tuple) -> bool:
+        return _holds(tree, level + 1, child, sub, memo)
 
-    def grows_then_splits(self, level: int, idx: int) -> bool:
-        if level >= self.top:
-            return True
-        if _lifts(self.tree, level, idx) != _GROWS:
-            return False
-        level, idx = level + 1, self.kids(level, idx)[0]
-        return level >= self.top or _lifts(self.tree, level, idx) == _SPLITS
+    if kind == "S" and claim[1] == 0:
+        ok = lifts == _GROWS and keeps(kids[0], claim)
+    elif kind == "S":
+        ok = lifts == _SPLITS and all(keeps(c, ("S", claim[1] - 1)) for c in kids)
+    elif kind == "E":
+        stray = [c for c in kids if not keeps(c, ("S", claim[1]))]
+        ok = lifts == _SPLITS and len(stray) <= 1 and all(keeps(c, claim) for c in stray)
+    elif kind == "T":
+        ok = lifts == _TAILS and keeps(kids[0], claim)
+    elif kind == "P":
+        _, d, m = claim
+        k = tree.lengths[level][idx]
+        kd = ("S", m - 1) if m is not None and level * d > m else None
+        ok = lifts == Classification(Behavior.PARTIALLY_SPLITS, d) and all(
+            keeps(c, claim if tree.lengths[level + 1][c] == k else kd)
+            for c in kids if kd or tree.lengths[level + 1][c] == k)
+    elif kind == "GS":
+        ok = lifts == _GROWS and keeps(kids[0], ("U", claim[1]))
+    else:
+        ok = level >= claim[1] or (lifts == _SPLITS and all(keeps(c, claim) for c in kids))
+    memo[key] = ok
+    return ok
 
 
 def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
@@ -237,7 +207,6 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
     if analyzed is None:
         analyzed = analyze(fmap, p, budget=budget)
     report = VerifyReport(int(p), fmap.describe(), top)
-    checker = _OracleChecker(oracle)
 
     # Locate every analyzed node in the oracle.
     index: dict[int, tuple[int, int] | None] = {}
@@ -280,40 +249,14 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
         report.record("prefix", got == want,
                       f"children of rep={node.rep}@{level} differ")
 
-    # Annotation conformance.
+    # Annotation conformance: one claim per shape, checked by ``_holds``.
+    memo: dict = {}
     for node in analyzed.nodes:
-        shape = node.prediction
         pos = index.get(node.id)
-        if shape is None or pos is None:
+        if node.prediction is None or pos is None:
             continue
-        level, idx = pos
-        kind = shape.kind
-        if kind is ShapeKind.GROWS_FOREVER:
-            report.record("grows-forever", checker.grows_chain(level, idx),
-                          f"rep={node.rep}@{level}")
-        elif kind is ShapeKind.SPLITS_THEN_GROWS and shape.scope is Scope.ALL:
-            ok = (level >= top or all(
-                checker.own_splits_then_grows(level + 1, c, shape.splits)
-                for c in checker.kids(level, idx)))
-            report.record("splits-then-grows", ok, f"rep={node.rep}@{level}")
-        elif kind is ShapeKind.SPLITS_THEN_GROWS:
-            report.record("exceptional-split",
-                          checker.exceptional_chain(level, idx, shape.splits),
-                          f"rep={node.rep}@{level}")
-        elif kind is ShapeKind.STATIONARY_PARTIAL_SPLIT:
-            report.record("partial-split",
-                          checker.partial_chain(level, idx, shape.d, shape.m),
-                          f"rep={node.rep}@{level}")
-        elif kind is ShapeKind.TAILS_FOREVER:
-            report.record("tails-forever", checker.tails_chain(level, idx),
-                          f"rep={node.rep}@{level}")
-        elif kind is ShapeKind.GROWS_THEN_SPLITS:
-            report.record("grows-then-splits",
-                          checker.grows_then_splits(level, idx),
-                          f"rep={node.rep}@{level}")
-        elif kind is ShapeKind.UNDETERMINED:
-            ok = checker.full_split_until(level, idx, shape.split_known_until)
-            report.record("undetermined-prefix", ok, f"rep={node.rep}@{level}")
+        rule, claim = _claim(node.prediction, pos[0])
+        report.record(rule, _holds(oracle, *pos, claim, memo), f"rep={node.rep}@{pos[0]}")
     return report
 
 

@@ -104,9 +104,13 @@ def test_splits_then_grows_verdicts():
     assert not _verdict(tree, 1, 0, _splits_then_grows(0, Scope.ALL), rule)
     early = _tree(3, (1, [lift, lift, (1, [(3, [leaf(9)])])]))
     assert not _verdict(early, 1, 0, _splits_then_grows(1, Scope.ALL), rule)
-    # the lifts of a level-3 node sit at the horizon: any split count holds
-    assert _verdict(tree, 3, 0, _splits_then_grows(1, Scope.ALL), rule)
+    # a level-3 node has one 3-lift: it grows, so it does not split
+    assert not _verdict(tree, 3, 0, _splits_then_grows(1, Scope.ALL), rule)
+    # at the horizon nothing is left to contradict the claim
     assert _verdict(tree, 4, 0, _splits_then_grows(2, Scope.ALL), rule)
+    # the node splits and its lifts sit at the horizon: any split count holds
+    assert _verdict(_tree(3, split(1, 3)), 1, 0, _splits_then_grows(7, Scope.ALL), rule)
+    assert not _verdict(_tree(3, (1, [leaf(3)])), 1, 0, _splits_then_grows(7, Scope.ALL), rule)
     # p = 5: five lifts that grow at once
     tree5 = _tree(5, split(2, 5, [leaf(10)]))
     assert _verdict(tree5, 1, 0, _splits_then_grows(0, Scope.ALL), rule)

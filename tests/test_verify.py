@@ -1,5 +1,6 @@
 """Tests for the verification pipeline and the array chain congruences."""
 
+import dataclasses
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import InvariantError
 from cycletree.graph import build_tree_bruteforce
 from cycletree.lifting import compute_lin_at
+from cycletree.predictor import PredictedShape, Scope, ShapeKind, analyze
 from cycletree.verify import (check_chain_congruences, check_kd_identity,
                               check_lift_length_law, check_orbit_lengths,
                               check_tail_bounds, oracle_depth, random_poly,
@@ -324,3 +326,33 @@ def test_report_keeps_first_50_details():
     assert report.details == ([f"prefix: {i}" for i in range(30)]
                               + [f"chain-congruence: {i}" for i in range(20)])
     assert report.rules["prefix"].mismatches == 31
+
+
+def test_relabelled_node_is_flagged():
+    """Relabelling one node with a shape its own lift pattern contradicts is
+    one mismatch: splits-then-grows(0, all lifts) where the node does not
+    split, grows-forever where it does not grow."""
+    stg = PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=0, scope=Scope.ALL)
+    grows = PredictedShape(ShapeKind.GROWS_FOREVER)
+    quintic, rng = IntPoly([2, 1, 3, 1, 3, 2]), random.Random(1)
+    cases = [(quintic, 3, 8), (quintic, 5, 6)] + [
+        (random_poly(rng, p), p, level) for p, level in ((3, 7), (5, 5), (7, 4))]
+    swaps = 0
+    for f, p, level in cases:
+        oracle = build_tree_bruteforce(f, p, level)
+        analyzed = analyze(f, p, max_level=level)
+        assert verify_map(f, p, max_level=level, analyzed=analyzed, oracle=oracle).ok
+        for i, node in enumerate(analyzed.nodes):
+            if node.prediction is None or not 0 < node.level < level:
+                continue
+            lifts = verify._lifts(oracle, node.level, oracle.cycle_index(node.level, node.rep))
+            for shape, unless in ((stg, verify._SPLITS), (grows, verify._GROWS)):
+                if lifts == unless:
+                    continue
+                nodes = list(analyzed.nodes)
+                nodes[i] = dataclasses.replace(node, prediction=shape)
+                report = verify_map(f, p, max_level=level, oracle=oracle,
+                                    analyzed=dataclasses.replace(analyzed, nodes=nodes))
+                assert report.mismatches == 1, (p, node, shape)
+                swaps += 1
+    assert swaps > 40
