@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import IntPoly, MapProtocol
+from .arith import IntPoly, MapProtocol, rem
 from .errors import BadReductionError
 
 __all__ = [
@@ -50,11 +50,11 @@ def _power_inverse(d: np.ndarray, modulus: int, p: int) -> np.ndarray:
     while e:
         if e & 1:
             out *= base
-            out %= modulus
+            rem(out, modulus, inplace=True)
         e >>= 1
         if e:
             base *= base
-            base %= modulus
+            rem(base, modulus, inplace=True)
     return out
 
 
@@ -71,7 +71,7 @@ def _euclid_inverse(d: np.ndarray, modulus: int) -> np.ndarray:
     s0, s1 = np.zeros_like(d), np.ones_like(d)
     while True:
         done = r1 == 1
-        out[lane[done]] = s1[done] % modulus
+        out[lane[done]] = rem(s1[done], modulus)
         if done.all():
             return out
         live = ~done
@@ -155,28 +155,31 @@ class RationalMap(MapProtocol):
         for start in range(0, modulus, block):
             x = defined + start
             inv = self._invert(self.den.eval_array(x, modulus), modulus, p)
-            succ[x] = self.num.eval_array(x, modulus) * inv % modulus
+            succ[x] = rem(self.num.eval_array(x, modulus) * inv, modulus)
         return succ
 
     def limbs(self, x: np.ndarray, modulus: int, p: int):
         """num and den on two limbs (``IntPoly.limbs``), 1/den mod P by the
-        class's inverse and one Hensel step to P^2, every product reduced mod
-        P before it is summed."""
+        class's inverse and one Hensel step to P^2.  Every product of two limbs
+        is below P^2 < 2^63 and is reduced mod P before it is summed; only a
+        difference of two such products is reduced once."""
         P = modulus
         d_hi, d_lo, d_d = self.den.limbs(x, P, p)
-        pole = np.flatnonzero(d_lo % p == 0)
+        pole = np.flatnonzero(rem(d_lo, p) == 0)
         if len(pole):
             raise BadReductionError(int(x[pole[0]]), p)
         i = self._invert(d_lo, P, p)
         # den * i = 1 + e*P (mod P^2), so 1/den = i - i*e*P = (-i*e, i) in limbs.
-        e = ((d_lo * i - 1) // P + d_hi * i % P) % P
-        i_hi = -i * e % P
+        e = rem((d_lo * i - 1) // P + rem(d_hi * i, P), P)
+        i_hi = rem(-i * e, P)
         n_hi, n_lo, n_d = self.num.limbs(x, P, p)
         # h' = (den*num' - num*den') / den^2, needed mod P only
-        der = (d_lo * n_d % P - n_lo * d_d % P) % P * i % P * i % P
+        der = rem(rem(rem(d_lo * n_d - n_lo * d_d, P) * i, P) * i, P)
         prod = n_lo * i
-        hi = (prod // P + n_hi * i % P + n_lo * i_hi % P) % P
-        return hi, prod % P, der
+        q = prod // P
+        hi = rem(q + rem(n_hi * i, P) + rem(n_lo * i_hi, P), P)
+        prod -= q * P
+        return hi, prod, der
 
     def taylor_at(self, x0: int, order: int, modulus: int, p: int) -> list[int]:
         """Series coefficients of h(x0 + u) mod modulus up to u^order."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import rem
 from .errors import BudgetExceededError, InvariantError
 
 __all__ = [
@@ -156,10 +157,9 @@ def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Level
     cid = np.cumsum(root, dtype=np.int32)[key] - 1
     del key, root
     sizes = np.bincount(cid).astype(np.int32)
-    # Orbit order from the rep: the point d steps before it sits (len - d) mod len on.
-    size = sizes[cid]
-    d = (size - d) % size
-    del size
+    # Orbit order from the rep: the point d steps before it sits (len - d) mod len on,
+    # which is len - d for d > 0, as d < len.
+    np.subtract(sizes[cid], d, out=d, where=d > 0)
     d += (np.cumsum(sizes, dtype=np.int32) - sizes)[cid]
     orbit = np.empty(c, dtype=np.int32)
     orbit[d] = starts
@@ -260,7 +260,7 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
         tail_pairs.append(tail_length_by_cycle(sw) if with_tail_lengths else [])
         orbits.append(sw.orbit)
         # The level-(n-1) cycle under each orbit member; a cycle starts at its rep.
-        owner = prev_labels[sw.orbit % prev_modulus]
+        owner = prev_labels[rem(sw.orbit, prev_modulus)]
         ends = np.cumsum(sw.lengths)
         par = owner[ends - sw.lengths]
         lead = np.repeat(par, sw.lengths)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import Valuation, mult_order, ord_p
+from .arith import Valuation, mult_order, ord_p, rem
 from .errors import InvariantError, NotACycleError
 from .graph import ORACLE_MAX_POINTS, Cycle
 
@@ -337,11 +337,11 @@ def _lane_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
     min_lo, min_hi, min_der = lo, hi, der
     for step in range(1, k + 1):
         h, lo, d = fmap.limbs(lo, P, p)
-        hi = (h + hi * d) % P
-        der = der * d % P
+        hi = rem(h + hi * d, P)
+        der = rem(der * d, P)
         if step == k:
             break
-        if (lo % base == x1).any():
+        if (rem(lo, base) == x1).any():
             raise InvariantError(f"a lift returns to its fiber after {step} < k steps",
                                  p, fmap, n, x1)
         less = lo < min_lo
@@ -349,7 +349,7 @@ def _lane_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
         min_hi = np.where(less, hi, min_hi)
         min_der = np.where(less, der, min_der)
     # Checks the closed form t -> b + a*t against the real map.
-    if not np.array_equal(lo, x1 + (b + a * t) % p * base):
+    if not np.array_equal(lo, x1 + rem(b + a * t, p) * base):
         raise InvariantError("f^k does not move offsets by t -> b + a*t", p, fmap, n, x1)
     H, D, mlo, mhi, mder = (v.tolist() for v in (hi, der, min_lo, min_hi, min_der))
     rows = []

@@ -1,11 +1,12 @@
 """Tests for exact integer and modular arithmetic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycletree.arith import (IntPoly, OddPrime, Valuation, exact_orbit,
-                             iterate_series, mult_order, ord_p)
+                             iterate_series, mult_order, ord_p, rem)
 from cycletree.errors import NotPeriodicError
 
 small_polys = st.builds(
@@ -88,6 +89,31 @@ def test_ord_p_additive(u, v, p):
     ou, ov, ouv = ord_p(u, p, cap), ord_p(v, p, cap), ord_p(u * v, p, cap)
     if not ou.saturated and not ov.saturated and ou.value + ov.value < cap:
         assert ouv == Valuation(ou.value + ov.value, False)
+
+
+REM_DTYPES = {  # dtype: (smallest a, largest a, largest m)
+    np.int64: (-2**62, 2**62, 3**19),
+    np.int32: (-2**31, 2**31 - 1, 2**31 - 1),
+    object: (-2**70, 2**70, 3**19),
+}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(REM_DTYPES)), st.data())
+def test_rem_matches_percent(dtype, data):
+    """``rem`` equals ``%`` elementwise, negative values included, and with
+    ``inplace`` it returns the array it was given, holding the result."""
+    lo, hi, m_top = REM_DTYPES[dtype]
+    m = data.draw(st.one_of(st.integers(1, m_top), st.sampled_from([1, 3, m_top])))
+    edges = [lo, -m, -1, 0, 1, m - 1, m, hi]
+    values = data.draw(st.lists(st.one_of(st.integers(lo, hi), st.sampled_from(edges)),
+                                max_size=50))
+    a = np.array(values, dtype=dtype)
+    want = a % m
+    got = rem(a, m)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert a.tolist() == values
+    assert rem(a, m, inplace=True) is a and a.tolist() == want.tolist()
 
 
 def test_mult_order_examples():

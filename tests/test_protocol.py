@@ -147,6 +147,9 @@ def test_limbs_at_large_modulus(case):
     hi, lo, d = fmap.limbs(np.array(xs, dtype=np.int64), P, p)
     assert (hi.tolist(), lo.tolist(), d.tolist()) == \
         ([v // P for v, _ in square], [v % P for v, _ in square], [d % P for _, d in square])
+    if isinstance(fmap, IntPoly):
+        assert fmap.eval_array(np.array(xs, dtype=np.int64), P).tolist() == \
+            [fmap(x) % P for x in xs]
 
 
 @settings(max_examples=100, deadline=None)
