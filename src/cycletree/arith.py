@@ -139,13 +139,12 @@ class MapProtocol:
     ``p`` is always passed last (maps without poles ignore it), every
     ``modulus`` is a power of p, and ``dwork`` divides ``work``.  A map type
     implements ``walk``, ``taylor_at``, ``table``, ``limbs``, ``describe`` and
-    ``__str__``, plus ``poles`` if it has any; ``value`` and ``value_deriv``
-    default to one step of ``walk``.
+    ``__str__``, plus ``poles`` if it has any.  One value is one step of
+    ``walk``: ``next(f.walk(x, 1, m, m, p))`` is (f(x), f'(x)) mod m.
 
-    * ``value(x, modulus, p)``: f(x) mod modulus.
-    * ``value_deriv(x, modulus, p)``: (f(x), f'(x)) mod modulus.
     * ``walk(x, steps, work, dwork, p)``: yields (f(y) mod work, f'(y) mod
-      dwork) for y = x, f(x), ..., ``steps`` times.
+      dwork) for y = x, f(x), ..., ``steps`` times; its per-call work (a
+      rational map's inverse exponent) is done once per call, not per step.
     * ``taylor_at(x0, order, modulus, p)``: Hasse coefficients of f at x0.
     * ``table(modulus, p)``: int64 successor array of f mod modulus, -1 at poles.
     * ``limbs(x, modulus, p)``: arrays (hi, lo, d) over the residues x, with
@@ -153,20 +152,8 @@ class MapProtocol:
     * ``poles(p)``: the classes mod p where f is undefined.
     * ``describe()``: the JSON description of the map.
 
-    Evaluating at a pole raises ``BadReductionError``.  Loops over many
-    points take their per-point function from ``_at`` once per call, so a
-    map can do its per-call work there once.
+    Evaluating at a pole raises ``BadReductionError``.
     """
-
-    def value(self, x: int, modulus: int, p: int) -> int:
-        return self.value_deriv(x, modulus, p)[0]
-
-    def value_deriv(self, x: int, modulus: int, p: int) -> tuple[int, int]:
-        return self._at(modulus, modulus, p)(x)
-
-    def _at(self, work: int, dwork: int, p: int):
-        """The function y -> (f(y) mod work, f'(y) mod dwork)."""
-        return lambda y: next(self.walk(y, 1, work, dwork, p))
 
     def poles(self, p: int) -> list[int]:
         return []
@@ -217,9 +204,6 @@ class IntPoly(MapProtocol):
         return acc
 
     # -- the map protocol (see MapProtocol); p is ignored ---------------------
-
-    def value(self, x: int, modulus: int, p: int) -> int:
-        return self.eval_mod(x, modulus)
 
     def walk(self, x: int, steps: int, work: int, dwork: int,
              p: int) -> Iterator[tuple[int, int]]:

@@ -119,26 +119,19 @@ class RationalMap(MapProtocol):
     def poles(self, p: int) -> list[int]:
         return [x for x in range(p) if self.den.eval_mod(x, p) == 0]
 
-    def _at(self, work: int, dwork: int, p: int):
-        """y -> (h(y), h'(y)); h' by the quotient rule, exact in Z_p."""
+    def walk(self, x: int, steps: int, work: int, dwork: int, p: int):
+        """Steps y -> (h(y), h'(y)); h' by the quotient rule, exact in Z_p."""
         e = self._inverse_exponent(work, p)
         num, den = self.num.eval_mod, self.den.eval_mod
         dnum, dden = (d.eval_mod for d in self._derivatives)
-
-        def at(x: int) -> tuple[int, int]:
+        for _ in range(steps):
             dx = den(x, work)
             if dx % p == 0:
                 raise BadReductionError(x, p)
             nx = num(x, work)
             inv_d = pow(dx, e, work)
-            return (nx * inv_d % work,
-                    (dx * dnum(x, dwork) - nx * dden(x, dwork)) * inv_d % dwork * inv_d % dwork)
-        return at
-
-    def walk(self, x: int, steps: int, work: int, dwork: int, p: int):
-        at = self._at(work, dwork, p)
-        for _ in range(steps):
-            x, der = at(x)
+            der = (dx * dnum(x, dwork) - nx * dden(x, dwork)) * inv_d % dwork * inv_d % dwork
+            x = nx * inv_d % work
             yield x, der
 
     def table(self, modulus: int, p: int) -> np.ndarray:

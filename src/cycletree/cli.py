@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 1 verification mismatch, 2 usage/parse error, 3 budget
 exceeded, 4 broken internal invariant (InvariantError).  Output formats: text
 (default), json, dot.  The point budget defaults to 10^7 and can be overridden
-with --budget or CYCLETREE_BUDGET.
+with --budget or CYCLETREE_BUDGET; a budget below 1, or a negative --max-level,
+--levels or --random, is a usage error.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
 
-def _default_budget() -> int:
-    return int(os.environ.get("CYCLETREE_BUDGET", DEFAULT_BUDGET))
-
-
 def _add_common(sub: argparse.ArgumentParser, rational: bool = False):
     sub.add_argument("--prime", "-p", required=True, help="odd prime p")
     sub.add_argument("--poly", required=not rational,
@@ -42,10 +39,6 @@ def _add_common(sub: argparse.ArgumentParser, rational: bool = False):
         sub.add_argument("--den", help="denominator coefficients (rational map)")
     sub.add_argument("--budget", type=int, default=None,
                      help="point budget (default: CYCLETREE_BUDGET or 10^7)")
-
-
-def _parse_prime(text: str) -> OddPrime:
-    return OddPrime(int(text))
 
 
 def _parse_map(args):
@@ -199,27 +192,15 @@ def render_dot(tree: AnalyzedTree) -> str:
 
 
 def cmd_analyze(args) -> int:
-    p = _parse_prime(args.prime)
-    fmap = _parse_map(args)
-    budget = args.budget or _default_budget()
-    tree = analyze(fmap, p, max_level=args.max_level, budget=budget,
-                   max_deepen=args.max_deepen)
+    tree = analyze(_parse_map(args), args.prime, max_level=args.max_level,
+                   budget=args.budget, max_deepen=args.max_deepen)
     render = {"text": render_text, "json": render_json, "dot": render_dot}[args.format]
     sys.stdout.write(render(tree))
     return EXIT_BUDGET if tree.budget_exceeded else EXIT_OK
 
 
-def _verify_one(fmap, p, budget, max_level) -> tuple[int, int, dict]:
-    report, _ = verify_all(fmap, p, max_level=max_level, budget=budget)
-    return report.checked, report.mismatches, {
-        name: (s.checked, s.mismatches) for name, s in report.rules.items()}
-
-
 def cmd_verify(args) -> int:
-    p = _parse_prime(args.prime)
-    budget = args.budget or _default_budget()
-    max_level = args.max_level
-    polys = []
+    p = args.prime
     if args.random:
         rng = random.Random(args.seed)
         polys = [random_poly(rng, p, args.degree) for _ in range(args.random)]
@@ -228,33 +209,31 @@ def cmd_verify(args) -> int:
     else:
         raise ValueError("verify needs --poly or --random N")
     totals: dict[str, list[int]] = {}
-    grand_mismatches = 0
     for fmap in polys:
-        checked, mismatches, rules = _verify_one(fmap, p, budget, max_level)
-        grand_mismatches += mismatches
-        for name, (c, m) in rules.items():
+        report = verify_all(fmap, p, max_level=args.max_level, budget=args.budget)[0]
+        for name, stats in report.rules.items():
             agg = totals.setdefault(name, [0, 0])
-            agg[0] += c
-            agg[1] += m
+            agg[0] += stats.checked
+            agg[1] += stats.mismatches
     for name in sorted(totals):
         c, m = totals[name]
         print(f"{name}: {c} checked, {m} mismatches, {'FAIL' if m else 'pass'}")
-    print(f"polynomials: {len(polys)}; total mismatches: {grand_mismatches}")
-    return EXIT_OK if grand_mismatches == 0 else EXIT_MISMATCH
+    mismatches = sum(m for _, m in totals.values())
+    print(f"polynomials: {len(polys)}; total mismatches: {mismatches}")
+    return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
 def _brute_verdicts(args, title: str, criterion, brute) -> int:
     """Print the closed-form verdict at each level 1..levels beside the one
     read off that level's oracle sweep, wherever the oracle allows one."""
-    p = _parse_prime(args.prime)
+    p = args.prime
     f = _parse_map(args)
-    budget = args.budget or _default_budget()
     print(f"{title} for f = {f}, p = {p}")
     agree = True
     for n in range(1, args.levels + 1):
         verdict = criterion(f, p, n)
         try:
-            seen = brute(enumerate_level(f, p, n, budget=budget))
+            seen = brute(enumerate_level(f, p, n, budget=args.budget))
         except BudgetExceededError:
             print(f"  n={n}: criterion={verdict} brute=(over budget)")
             continue
@@ -275,10 +254,9 @@ def cmd_cyclecheck(args) -> int:
 
 
 def cmd_tails(args) -> int:
-    p = _parse_prime(args.prime)
+    p = args.prime
     f = _parse_map(args)
-    budget = args.budget or _default_budget()
-    stats = tail_analysis(f, p, args.level, args.klass, budget=budget)
+    stats = tail_analysis(f, p, args.level, args.klass, budget=args.budget)
     print(f"tail analysis for f = {f}, p = {p}, level {args.level}, "
           f"class {args.klass} (cycle rep {stats.cycle_rep})")
     print("fiber size -> count:")
@@ -295,11 +273,8 @@ def cmd_tails(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    p = _parse_prime(args.prime)
-    fmap = _parse_map(args)
-    budget = args.budget or _default_budget()
-    tree = analyze(fmap, p, max_level=args.max_level, budget=budget,
-                   max_deepen=args.max_deepen)
+    tree = analyze(_parse_map(args), args.prime, max_level=args.max_level,
+                   budget=args.budget, max_deepen=args.max_deepen)
     orb = tree.orbits
     confirmed = sorted(orb.confirmed_lengths())
     print(f"confirmed orbit lengths: {confirmed}")
@@ -313,8 +288,7 @@ def cmd_orbits(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "verify": cmd_verify,
@@ -324,6 +298,15 @@ def main(argv=None) -> int:
         "orbits": cmd_orbits,
     }
     try:
+        # The prime first, then the budget: the one place either is resolved.
+        args.prime = OddPrime(int(args.prime))
+        if args.budget is None:
+            args.budget = int(os.environ.get("CYCLETREE_BUDGET", DEFAULT_BUDGET))
+        if args.budget < 1:
+            raise ValueError(f"budget must be a positive number of points, not {args.budget}")
+        for flag in ("max_level", "levels", "random"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must not be negative")
         return handlers[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

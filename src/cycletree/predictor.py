@@ -150,19 +150,20 @@ def _undetermined(beyond: int, reason: UndeterminedReason,
                           split_known_until=split_known_until)
 
 
-def _is_kd_lift(node: CycleNode, parent: CycleNode | None) -> bool:
+def _is_kd_lift(node: CycleNode) -> bool:
+    parent = node.parent
     return (parent is not None
             and parent.classification is not None
             and parent.classification.behavior is Behavior.PARTIALLY_SPLITS
             and node.length == parent.length * parent.classification.d)
 
 
-def predict(fmap, p: int, node: CycleNode, parent: CycleNode | None = None) -> PredictedShape:
+def predict(fmap, p: int, node: CycleNode) -> PredictedShape:
     """Shape of the subtree below ``node`` from its linearization data.
 
-    ``parent`` supplies context for lifts of partially splitting cycles (the
-    horizon rule needs the parent's level and d); pass the explored parent
-    when available.  Pure: never expands the node.
+    Lifts of partially splitting cycles read their context from ``node.parent``
+    (the horizon rule needs the parent's level and d).  Pure: never expands
+    the node.
     """
     if node.lin is None:
         raise ValueError("the level-0 root has no prediction")
@@ -187,11 +188,11 @@ def predict(fmap, p: int, node: CycleNode, parent: CycleNode | None = None) -> P
         return _stationary_partial(node.classification.d)
 
     # Splitting cycles.
-    if _is_kd_lift(node, parent):
+    if _is_kd_lift(node):
         # Lift of a partially splitting cycle: the valuation of the iterate
         # multiplier, capped at nu*d, decides the whole subtree.
-        nu = parent.level
-        d = parent.classification.d
+        nu = node.parent.level
+        d = node.parent.classification.d
         e = multiplier_valuation(fmap, p, node.cycle, cap=nu * d)
         if e.saturated:
             return _undetermined(nu + nu * d, UndeterminedReason.PARTIAL_SPLIT_HORIZON,
@@ -356,9 +357,8 @@ class _Analysis:
 
     # -- main recursion ------------------------------------------------------
 
-    def process(self, node: CycleNode, parent: CycleNode | None,
-                rounds_left: int, round_until: int) -> None:
-        shape = predict(self.fmap, self.p, node, parent)
+    def process(self, node: CycleNode, rounds_left: int, round_until: int) -> None:
+        shape = predict(self.fmap, self.p, node)
         node.shape = shape
         kind = shape.kind
 
@@ -374,7 +374,7 @@ class _Analysis:
                 self.unresolved += 1
                 return
             for child in expand_children(self.fmap, self.p, node):
-                self.process(child, node, rounds_left, round_until)
+                self.process(child, rounds_left, round_until)
             return
         if kind is ShapeKind.STATIONARY_PARTIAL_SPLIT:
             self._process_partial_chain(node, rounds_left)
@@ -402,7 +402,7 @@ class _Analysis:
             return
         self.deepen_nodes += 1
         for child in expand_children(self.fmap, self.p, node):
-            self.process(child, node, rounds_left, round_until)
+            self.process(child, rounds_left, round_until)
 
     def _process_exceptional_split(self, node: CycleNode) -> None:
         """Case 2 of the splitting trichotomy: identify the exceptional lift,
@@ -432,7 +432,7 @@ class _Analysis:
             raise InvariantError("exceptional lift disagrees with -b/(a-1) offset",
                                  self.p, self.fmap, node.level, node.rep)
         for child in children:
-            self.process(child, node, 0, 0)
+            self.process(child, 0, 0)
 
     def _process_partial_chain(self, head: CycleNode, rounds_left: int) -> None:
         """Walk the stationary chain below a partially splitting cycle.
@@ -470,7 +470,7 @@ class _Analysis:
                 if child.length == node.length:
                     k_child = child
                     continue
-                shape = predict(self.fmap, self.p, child, node)
+                shape = predict(self.fmap, self.p, child)
                 child.shape = shape
                 if shape.kind is ShapeKind.UNDETERMINED:
                     pending.append(child)
@@ -506,7 +506,7 @@ class _Analysis:
                 deferred.append(child)
         for child in deferred:
             # below the transfer horizon: fall back to deepening by expansion
-            self.process(child, child.parent, self.max_deepen, 0)
+            self.process(child, self.max_deepen, 0)
         if m_known is None and not pending:
             # chain stopped before any kd-lift was examined
             self.unresolved += 1
@@ -535,17 +535,6 @@ def _chain_head(node: CycleNode) -> bool:
                                      and _chain_kind(parent) == kind)
 
 
-def _expand_root(fmap, p: int, budget: int) -> CycleNode:
-    """Level-0 root plus its level-1 children from direct enumeration."""
-    root = CycleNode(Cycle(0, 1, 0), None, None, expanded=True)
-    level1 = enumerate_level(fmap, p, 1, budget=budget)
-    for cyc in level1.cycles:
-        child = make_node(fmap, p, cyc, offset=cyc.rep, start=cyc.rep)
-        child.parent = root
-        root.children.append(child)
-    return root
-
-
 def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
             max_deepen: int = 3) -> AnalyzedTree:
     """Explore the lift tree with expand_children, annotate every node with
@@ -558,59 +547,40 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     sink that lies on no cycle.
     """
     analysis = _Analysis(fmap, p, max_level, budget, max_deepen)
-    root = _expand_root(fmap, p, budget)
+    # The level-0 root, with its level-1 children from direct enumeration.
+    root = CycleNode(Cycle(0, 1, 0), None, None, expanded=True)
+    for cyc in enumerate_level(fmap, p, 1, budget=budget).cycles:
+        child = make_node(fmap, p, cyc, offset=cyc.rep, start=cyc.rep)
+        child.parent = root
+        root.children.append(child)
     for child in root.children:
-        analysis.process(child, None, max_deepen, 0)
+        analysis.process(child, max_deepen, 0)
 
-    # Flatten breadth-first with children in rep order.
+    # One breadth-first pass, children in rep order: the flat rows, the heads
+    # of theorem-backed stationary chains (each within the orbit bound) and
+    # the unexpanded undetermined frontier.
     nodes: list[TreeNode] = []
-    order: list[tuple[CycleNode, int | None]] = [(root, None)]
-    i = 0
-    while i < len(order):
-        cnode, parent_id = order[i]
-        nid = i
-        lin = cnode.lin
-        cls = cnode.classification
-        nodes.append(TreeNode(
-            id=nid,
-            parent=parent_id,
-            level=cnode.level,
-            length=cnode.length,
-            rep=cnode.rep,
-            classification=cls.behavior.value if cls else None,
-            d=cls.d if cls else None,
-            A=lin.A.value if lin else None,
-            B=lin.B.value if lin else None,
-            Asat=lin.A.saturated if lin else None,
-            Bsat=lin.B.saturated if lin else None,
-            prediction=cnode.shape,
-        ))
-        for child in cnode.children:
-            order.append((child, nid))
-        i += 1
-
-    # Orbit report: heads of theorem-backed stationary chains.
     confirmed: list[OrbitChain] = []
-    cycle_nodes = [cn for cn, _ in order]
-    for nid, cnode in enumerate(cycle_nodes):
-        if cnode.shape is not None and _chain_head(cnode):
-            confirmed.append(OrbitChain(cnode.length, _chain_kind(cnode), nid, cnode.level))
-
-    for chain in confirmed:
-        if not orbit_length_allowed(chain.length, p):
-            raise InvariantError(f"confirmed orbit length {chain.length} violates the "
-                                 "orbit bound", p, fmap, chain.level,
-                                 cycle_nodes[chain.node_id].rep)
-
     stable: dict[int, int] = {}
     undetermined_count = 0
-    for cnode in cycle_nodes:
-        if (cnode.shape is not None
-                and cnode.shape.kind is ShapeKind.UNDETERMINED
-                and not cnode.expanded):
+    order: list[tuple[CycleNode, int | None]] = [(root, None)]
+    for nid, (cnode, parent_id) in enumerate(order):  # order grows as the pass runs
+        lin, cls, shape = cnode.lin, cnode.classification, cnode.shape
+        ab = (lin.A.value, lin.B.value, lin.A.saturated, lin.B.saturated) if lin else (None,) * 4
+        nodes.append(TreeNode(nid, parent_id, cnode.level, cnode.length, cnode.rep,
+                              cls.behavior.value if cls else None, cls.d if cls else None,
+                              *ab, shape))
+        order += [(child, nid) for child in cnode.children]
+        if shape is None:
+            continue
+        if _chain_head(cnode):
+            if not orbit_length_allowed(cnode.length, p):
+                raise InvariantError(f"confirmed orbit length {cnode.length} violates the "
+                                     "orbit bound", p, fmap, cnode.level, cnode.rep)
+            confirmed.append(OrbitChain(cnode.length, _chain_kind(cnode), nid, cnode.level))
+        if shape.kind is ShapeKind.UNDETERMINED and not cnode.expanded:
             undetermined_count += 1
-            lvl = stable.get(cnode.length, 0)
-            stable[cnode.length] = max(lvl, cnode.level)
+            stable[cnode.length] = max(stable.get(cnode.length, 0), cnode.level)
 
     orbits = OrbitReport(
         confirmed=sorted(confirmed, key=lambda c: (c.length, c.node_id)),

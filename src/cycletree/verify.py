@@ -208,46 +208,39 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
         analyzed = analyze(fmap, p, budget=budget)
     report = VerifyReport(int(p), fmap.describe(), top)
 
-    # Locate every analyzed node in the oracle.
-    index: dict[int, tuple[int, int] | None] = {}
-    children_of: dict[int, list] = {}
-    for node in analyzed.nodes:
+    # Locate every analyzed node in the oracle, the root at (0, 0), and group the
+    # children of each node.  analyze always expands the root, so its child set
+    # is compared whenever the oracle has a level-1 cycle (a map with a pole in
+    # every class has none, and no child set to compare).
+    root, *rest = analyzed.nodes
+    index: dict[int, tuple[int, int]] = {root.id: (0, 0)}
+    children_of: dict[int, list] = {root.id: []} if oracle.children[0][0] else {}
+    for node in rest:
         children_of.setdefault(node.parent, []).append(node)
-    for node in analyzed.nodes:
-        if node.level == 0 or node.level > top:
-            index[node.id] = None
+        if node.level > top:
             continue
         try:
             idx = oracle.cycle_index(node.level, node.rep)
         except KeyError:
             report.record("prefix", False,
                           f"analyzed cycle rep={node.rep}@{node.level} missing from oracle")
-            index[node.id] = None
             continue
         ok = oracle.lengths[node.level][idx] == node.length
-        report.record("prefix", ok,
-                      f"length mismatch at rep={node.rep}@{node.level}")
-        index[node.id] = (node.level, idx) if ok else None
+        report.record("prefix", ok, f"length mismatch at rep={node.rep}@{node.level}")
+        if ok:
+            index[node.id] = (node.level, idx)
 
     # Expanded nodes must reproduce the oracle's child sets exactly.
-    for node in analyzed.nodes:
-        kids = children_of.get(node.id, [])
-        if not kids or node.level + 1 > top:
-            continue
-        if node.level == 0:
-            got = sorted((c.rep, c.length) for c in kids)
-            want = sorted(zip(oracle.reps[1], oracle.lengths[1]))
-            report.record("prefix", got == want, "level-1 cycle set differs")
-            continue
-        pos = index.get(node.id)
-        if pos is None:
+    for nid, kids in children_of.items():
+        pos = index.get(nid)
+        if pos is None or pos[0] >= top:
             continue
         level, idx = pos
         got = sorted((c.rep, c.length) for c in kids)
         want = sorted((oracle.reps[level + 1][c], oracle.lengths[level + 1][c])
                       for c in oracle.children[level][idx])
         report.record("prefix", got == want,
-                      f"children of rep={node.rep}@{level} differ")
+                      f"children of rep={oracle.reps[level][idx]}@{level} differ")
 
     # Annotation conformance: one claim per shape, checked by ``_holds``.
     memo: dict = {}

@@ -241,8 +241,8 @@ def test_verify_corruption_exit_1(capsys, monkeypatch):
 
     real = predictor_mod.predict
 
-    def corrupted(fmap, p, node, parent=None):
-        shape = real(fmap, p, node, parent)
+    def corrupted(fmap, p, node):
+        shape = real(fmap, p, node)
         if shape.kind is ShapeKind.GROWS_FOREVER:
             return PredictedShape(ShapeKind.TAILS_FOREVER, tail_bound=0)
         return shape
@@ -343,3 +343,23 @@ def test_readme_library_sketch():
         else:
             exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
     assert values == [{9}, True]
+
+
+def test_out_of_range_numbers_exit_2(capsys, monkeypatch):
+    """A budget below 1 (from --budget or CYCLETREE_BUDGET) and a negative
+    --max-level, --levels or --random are usage errors; an invalid prime is
+    still the error reported first."""
+    verify = ["verify", "--prime", "5", "--poly", "1,1"]
+    cases = [verify + ["--budget", "0"], verify + ["--budget", "-5"],
+             verify + ["--max-level", "-1"], ["verify", "--prime", "3", "--random", "-3"],
+             ["analyze", "--prime", "3", "--poly", "1,1", "--max-level", "-2"],
+             ["permcheck", "--prime", "3", "--poly", "1,1", "--levels", "-1"]]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+    code, _, err = run_cli(capsys, "verify", "--prime", "4", "--poly", "1,1", "--budget", "0")
+    assert code == 2 and "not an odd prime" in err
+    monkeypatch.setenv("CYCLETREE_BUDGET", "0")
+    code, _, err = run_cli(capsys, *verify)
+    assert code == 2 and "budget" in err

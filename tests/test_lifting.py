@@ -282,7 +282,7 @@ def _check_children_against_reference(f, p, n, node, members, next_level, next_m
     for t in range(p):
         y = x1 + t * base
         for _ in range(k):
-            y = f.value(y, modulus, p)
+            y = next(f.walk(y, 1, modulus, modulus, p))[0]
         phi.append((y - x1) // base % p)
     over = [(c, m) for c, m in zip(next_level.cycles, next_members, strict=True)
             if c.rep % base in members]
@@ -293,7 +293,7 @@ def _check_children_against_reference(f, p, n, node, members, next_level, next_m
         walked, y = [], child.start
         for _ in range(child.cycle.length):
             walked.append(y)
-            y = f.value(y, modulus, p)
+            y = next(f.walk(y, 1, modulus, modulus, p))[0]
         assert tuple(sorted(walked)) == ref_members
         lin = compute_lin(f, p, ref)
         assert child.lin == lin

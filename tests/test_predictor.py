@@ -67,7 +67,7 @@ def test_predict_partial_and_kd_rule():
     assert shape.kind is ShapeKind.STATIONARY_PARTIAL_SPLIT
     assert shape.d == 4
     kd_child = next(c for c in expand_children(f, 5, node) if c.cycle.length == 4)
-    kd_shape = predict(f, 5, kd_child, parent=node)
+    kd_shape = predict(f, 5, kd_child)
     # m = ord_5(2^4 - 1) = 1, so the 4-cycle grows immediately
     assert kd_shape.kind is ShapeKind.GROWS_FOREVER
 
@@ -237,8 +237,8 @@ def test_verify_harness_catches_corruption(monkeypatch):
 
     real_predict = predictor_mod.predict
 
-    def corrupted(fmap, p, node, parent=None):
-        shape = real_predict(fmap, p, node, parent)
+    def corrupted(fmap, p, node):
+        shape = real_predict(fmap, p, node)
         if shape.kind is ShapeKind.SPLITS_THEN_GROWS:
             return predictor_mod.PredictedShape(
                 ShapeKind.SPLITS_THEN_GROWS, splits=shape.splits + 1,

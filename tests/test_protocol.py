@@ -2,7 +2,8 @@
 
 Every map type must agree with plain integer evaluation (rational maps with
 num * pow(den, -1, m) and the quotient rule) through each protocol method:
-value, value_deriv, walk, taylor_at, table, limbs and poles.
+walk (one step of it is a single value and derivative), taylor_at, table,
+limbs and poles.
 """
 
 import numpy as np
@@ -74,14 +75,14 @@ def test_protocol_matches_reference(case, walks):
     assert table.dtype == np.int64
     assert table.tolist() == [-1 if r is None else r[0] for r in ref]
     defined = [x for x in range(m) if ref[x] is not None]
-    assert [fmap.value(x, m, p) for x in defined] == [ref[x][0] for x in defined]
+    assert [next(fmap.walk(x, 1, m, m, p))[0] for x in defined] == [ref[x][0] for x in defined]
     for r in want_poles:
         with pytest.raises(BadReductionError):
-            fmap.value(r, m, p)
+            next(fmap.walk(r, 1, m, m, p))
 
-    # value_deriv and the first two Hasse coefficients agree with the reference
+    # one step of walk and the first two Hasse coefficients agree with the reference
     for x in defined[:: max(1, len(defined) // 20)]:
-        assert fmap.value_deriv(x, m, p) == ref[x]
+        assert next(fmap.walk(x, 1, m, m, p)) == ref[x]
         assert fmap.taylor_at(x, 2, m, p)[:2] == list(ref[x])
 
     # walk: k steps at (work, dwork) = (m^2, m), stopping with

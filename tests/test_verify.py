@@ -249,7 +249,7 @@ def test_orbit_arrays_follow_the_map():
                 members = orbit[pos:pos + k]
                 assert members[0] == rep == min(members)
                 for x, y in zip(members, members[1:] + members[:1]):
-                    assert oracle_map.value(x, modulus, p) == y
+                    assert next(oracle_map.walk(x, 1, modulus, modulus, p))[0] == y
                 pos += k
 
 
@@ -356,3 +356,33 @@ def test_relabelled_node_is_flagged():
                 assert report.mismatches == 1, (p, node, shape)
                 swaps += 1
     assert swaps > 40
+
+
+def test_prefix_mismatch_paths():
+    """Each way an analyzed prefix can leave the oracle is caught by the prefix
+    rule: a missing child in its parent's child set, a wrong length or a rep
+    the oracle lacks at the node and in its parent's child set.  The root's
+    child set is compared even when the analyzed tree lists no level-1 node."""
+    f, p, level = IntPoly([0, 0, 1]), 5, 4
+    oracle = build_tree_bruteforce(f, p, level)
+    analyzed = analyze(f, p, max_level=level)
+    nodes = analyzed.nodes
+    level1 = [n for n in nodes if n.level == 1]
+    leaf = next(n for n in nodes if n.level == 2 and n.prediction.kind is ShapeKind.GROWS_FOREVER)
+    assert len(level1) == 2 and not any(n.parent == leaf.id for n in nodes)
+    off_oracle = next(r for r in range(p**2) if r not in oracle.reps[2])
+
+    def prefix_mismatches(tampered):
+        report = verify_map(f, p, max_level=level, oracle=oracle,
+                            analyzed=dataclasses.replace(analyzed, nodes=tampered))
+        return report.rules["prefix"].mismatches
+
+    def swap(node, **changes):
+        return [dataclasses.replace(n, **changes) if n is node else n for n in nodes]
+
+    assert prefix_mismatches(nodes) == 0
+    assert prefix_mismatches([n for n in nodes if n is not level1[0]]) == 1
+    assert prefix_mismatches(swap(leaf, length=2 * leaf.length)) == 2
+    assert prefix_mismatches(swap(leaf, rep=off_oracle)) == 2
+    assert prefix_mismatches([n for n in nodes if n is not leaf]) == 1
+    assert prefix_mismatches([n for n in nodes if n.level != 1]) == 1
