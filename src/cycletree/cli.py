@@ -4,7 +4,7 @@ Exit codes: 0 ok, 1 verification mismatch, 2 usage/parse error, 3 budget
 exceeded, 4 broken internal invariant (InvariantError).  Output formats: text
 (default), json, dot.  The point budget defaults to 10^7 and can be overridden
 with --budget or CYCLETREE_BUDGET; a budget below 1, or a negative --max-level,
---levels or --random, is a usage error.
+--levels, --random, --degree or --max-deepen, is a usage error.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
             args.budget = int(os.environ.get("CYCLETREE_BUDGET", DEFAULT_BUDGET))
         if args.budget < 1:
             raise ValueError(f"budget must be a positive number of points, not {args.budget}")
-        for flag in ("max_level", "levels", "random"):
+        for flag in ("max_level", "levels", "random", "degree", "max_deepen"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must not be negative")
         return handlers[args.command](args)

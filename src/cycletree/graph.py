@@ -210,9 +210,10 @@ class BruteTree:
     """Cycle-lift tree built by exhaustive enumeration of levels 0..max_level.
 
     Nodes are addressed as (level, index); index orders cycles by rep.  The
-    level-0 root is the single 1-cycle of the trivial ring.  ``orbits[n]``
-    holds every cycle member of level n, cycles in index order, each in orbit
-    order from its rep (int32, as p^n is below 2^31).  When built with
+    level-0 root is the single 1-cycle of the trivial ring.  ``children[n]``
+    lists each level-n cycle's lifts by index, for n below ``max_level`` only.
+    ``orbits[n]`` holds every cycle member of level n, cycles in index order,
+    each in orbit order from its rep (int32, as p^n is below 2^31).  When built with
     ``with_tail_lengths`` each level records (cycle length, longest tail)
     pairs for cycles that own tails.
     """
@@ -246,7 +247,7 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
     reps = [[0]]
     lengths = [[1]]
     parents = [[-1]]
-    children: list[list[list[int]]] = [[[]]]
+    children: list[list[list[int]]] = []
     tail_points = [0]
     tail_pairs: list[list[tuple[int, int]]] = [[]]
     orbits = [np.zeros(1, dtype=np.int32)]
@@ -274,8 +275,7 @@ def build_tree_bruteforce(fmap, p: int, max_level: int, budget: int = DEFAULT_BU
         for idx, pid in enumerate(par):
             kids[pid].append(idx)
         parents.append(par)
-        children.append([[] for _ in reps[n]])
-        children[n - 1] = kids
+        children.append(kids)
         prev_labels = sw.labels
         prev_modulus = sw.modulus
         del sw  # free this level's tables before the next, p times larger, sweep

@@ -343,17 +343,28 @@ class _Analysis:
 
     # -- expansion with work accounting -------------------------------------
 
-    def can_expand(self, node: CycleNode) -> bool:
-        """Charge one expansion of ``node`` to the work budget if it fits;
-        every True answer is followed by ``expand_children``."""
+    def expand(self, node: CycleNode) -> list[CycleNode] | None:
+        """The children of ``node``, its k*p map evaluations charged to the work
+        budget; None, and no charge, at max_level or when the charge does not fit."""
         if node.level >= self.max_level:
-            return False
-        cost = node.length * self.p  # the k*p map evaluations of expand_children
+            return None
+        cost = node.length * self.p
         if self.work + cost > self.budget:
             self.budget_exceeded = True
-            return False
+            return None
         self.work += cost
-        return True
+        return expand_children(self.fmap, self.p, node)
+
+    def next_round(self, level: int, rounds_left: int,
+                   round_until: int) -> tuple[int, int] | None:
+        """The deepening round (rounds_left, round_until) a node at ``level`` is
+        expanded in: the current one below round_until, else a new one to
+        min(2*level, max_level) while rounds remain; None when none remain."""
+        if level < round_until:
+            return rounds_left, round_until
+        if rounds_left > 0:
+            return rounds_left - 1, min(2 * level, self.max_level)
+        return None
 
     # -- main recursion ------------------------------------------------------
 
@@ -369,40 +380,31 @@ class _Analysis:
         if kind is ShapeKind.SPLITS_THEN_GROWS:  # all-but-one: case 2
             self._process_exceptional_split(node)
             return
-        if kind is ShapeKind.GROWS_THEN_SPLITS:
-            if not self.can_expand(node):
-                self.unresolved += 1
-                return
-            for child in expand_children(self.fmap, self.p, node):
-                self.process(child, rounds_left, round_until)
-            return
         if kind is ShapeKind.STATIONARY_PARTIAL_SPLIT:
             self._process_partial_chain(node, rounds_left)
             return
-
-        # Undetermined splitting (case 3): deepen by doubling the horizon.
-        assert kind is ShapeKind.UNDETERMINED
-        if node.level < round_until:
-            pass  # continue the current deepening round
-        elif rounds_left > 0:
-            round_until = min(2 * node.level, self.max_level)
-            rounds_left -= 1
-        else:
-            node.shape = _undetermined(shape.beyond_level,
-                                       UndeterminedReason.PATHOLOGICAL_SUSPECT,
-                                       shape.split_known_until)
+        if kind is ShapeKind.GROWS_THEN_SPLITS:
+            rounds = rounds_left, round_until
+        else:  # undetermined splitting (case 3): deepen by doubling the horizon
+            assert kind is ShapeKind.UNDETERMINED
+            rounds = self.next_round(node.level, rounds_left, round_until)
+            if rounds is None:
+                node.shape = _undetermined(shape.beyond_level,
+                                           UndeterminedReason.PATHOLOGICAL_SUSPECT,
+                                           shape.split_known_until)
+                self.unresolved += 1
+                return
+            if self.deepen_nodes >= DEEPEN_WIDTH:
+                # deepening frontier got too wide; stay honestly undetermined
+                self.unresolved += 1
+                return
+        children = self.expand(node)
+        if children is None:
             self.unresolved += 1
             return
-        if self.deepen_nodes >= DEEPEN_WIDTH:
-            # deepening frontier got too wide; stay honestly undetermined
-            self.unresolved += 1
-            return
-        if not self.can_expand(node):
-            self.unresolved += 1
-            return
-        self.deepen_nodes += 1
-        for child in expand_children(self.fmap, self.p, node):
-            self.process(child, rounds_left, round_until)
+        self.deepen_nodes += kind is ShapeKind.UNDETERMINED
+        for child in children:
+            self.process(child, *rounds)
 
     def _process_exceptional_split(self, node: CycleNode) -> None:
         """Case 2 of the splitting trichotomy: identify the exceptional lift,
@@ -413,15 +415,14 @@ class _Analysis:
         """
         if not _chain_head(node):
             return  # parent's expansion already certified this chain
-        if not self.can_expand(node):
+        children = self.expand(node)
+        if children is None:
             return  # annotation alone still determines the subtree
-        children = expand_children(self.fmap, self.p, node)
         lin = node.lin
         a_val = lin.A.value
-        exceptional = [c for c in children
-                       if c.lin.B.saturated or c.lin.B.value >= a_val]
-        regular = [c for c in children
-                   if not (c.lin.B.saturated or c.lin.B.value >= a_val)]
+        exceptional, regular = [], []
+        for c in children:
+            (exceptional if c.lin.B.saturated or c.lin.B.value >= a_val else regular).append(c)
         if len(exceptional) != 1 or any(c.lin.B.value != a_val - 1 for c in regular):
             raise InvariantError("exceptional-lift pattern violated in case 2",
                                  self.p, self.fmap, node.level, node.rep)
@@ -441,30 +442,19 @@ class _Analysis:
         again, same d) and kd-lifts whose multiplier valuation is capped at
         nu*d.  The first unsaturated valuation certifies m and settles every
         deeper kd-family; saturated ones stay undetermined and the chain is
-        extended, doubling the horizon up to ``max_deepen`` times.
+        extended, doubling the horizon up to ``max_deepen`` times beyond the
+        head's own round.
         """
         d = head.classification.d
         node = head
         m_known: int | None = None
         pending: list[CycleNode] = []
-        chain_nodes: list[CycleNode] = []
-        round_until = 0
-        while True:
-            node.shape = _stationary_partial(d, m_known)
-            chain_nodes.append(node)
-            if m_known is not None:
+        chain = [head]
+        rounds = rounds_left + 1, 0  # the head's round is free
+        while m_known is None:
+            rounds = self.next_round(node.level, *rounds)
+            if rounds is None or (children := self.expand(node)) is None:
                 break
-            if node.level >= round_until:
-                if node.parent is None or node is head:
-                    round_until = min(2 * max(node.level, 1), self.max_level)
-                elif rounds_left > 0:
-                    rounds_left -= 1
-                    round_until = min(2 * node.level, self.max_level)
-                else:
-                    break
-            if not self.can_expand(node):
-                break
-            children = expand_children(self.fmap, self.p, node)
             k_child = None
             for child in children:
                 if child.length == node.length:
@@ -490,9 +480,9 @@ class _Analysis:
                 raise InvariantError("partial split changed d along the chain",
                                      self.p, self.fmap, node.level, node.rep)
             node = k_child
-        if m_known is not None:
-            for visited in chain_nodes:
-                visited.shape = _stationary_partial(d, m_known)
+            chain.append(node)
+        for visited in chain:
+            visited.shape = _stationary_partial(d, m_known)
         deferred = []
         for child in pending:
             nu = child.parent.level
@@ -706,12 +696,12 @@ class KdLiftSample:
     child_length: int
 
 
-def check_identity_sample(fmap, p: int, sample: KdLiftSample) -> dict:
-    """Evaluate both sides of the capped-valuation identity
+def check_identity_sample(fmap, p: int, sample: KdLiftSample) -> bool:
+    """Whether the capped-valuation identity
 
         min(ord_p(h(y) - y) - n, n*d) = min(ord_p(h'(y) - 1), n*d)
 
-    for one kd-lift y, where h is the (k*d)-th iterate and n the parent level.
+    holds for one kd-lift y, where h is the (k*d)-th iterate and n the parent level.
     """
     n, d, kd = sample.parent_level, sample.d, sample.child_length
     if kd != sample.k * d:
@@ -724,9 +714,5 @@ def check_identity_sample(fmap, p: int, sample: KdLiftSample) -> dict:
     a = 1
     for x, der in fmap.walk(y, kd, big, med, p):
         a = a * der % med
-    lhs_ord = ord_p((x - y) % big, p, n + cap + 1)
-    lhs = min(lhs_ord.value - n, cap)
-    rhs_ord = ord_p(a - 1, p, cap + 1)
-    rhs = min(rhs_ord.value, cap)
-
-    return {"sample": sample, "lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
+    lhs = min(ord_p((x - y) % big, p, n + cap + 1).value - n, cap)
+    return lhs == min(ord_p(a - 1, p, cap + 1).value, cap)

@@ -214,7 +214,7 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
     # every class has none, and no child set to compare).
     root, *rest = analyzed.nodes
     index: dict[int, tuple[int, int]] = {root.id: (0, 0)}
-    children_of: dict[int, list] = {root.id: []} if oracle.children[0][0] else {}
+    children_of: dict[int, list] = {root.id: []} if top and oracle.children[0][0] else {}
     for node in rest:
         children_of.setdefault(node.parent, []).append(node)
         if node.level > top:
@@ -258,17 +258,16 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
 # ---------------------------------------------------------------------------
 
 
-def check_lift_length_law(tree: BruteTree, p: int,
-                          report: VerifyReport | None = None) -> RuleStats:
+def check_lift_length_law(tree: BruteTree, p: int, report: VerifyReport) -> RuleStats:
     """Every cycle's lift lengths must form one of the four lawful patterns
-    (``classify_lifts``)."""
-    stats = report.stat("lift-length-law") if report else RuleStats()
+    (``_lifts``, at the tree's prime)."""
+    stats = report.stat("lift-length-law")
     for level in range(1, tree.max_level):
         for idx, k in enumerate(tree.lengths[level]):
-            lens = sorted(tree.lengths[level + 1][c] for c in tree.children[level][idx])
-            ok = classify_lifts(lens, k, p) is not None
+            ok = _lifts(tree, level, idx) is not None
             stats.record(ok)
-            if not ok and report:
+            if not ok:
+                lens = sorted(tree.lengths[level + 1][c] for c in tree.children[level][idx])
                 report.note([f"lift-length-law: {lens} under k={k}@{level}"])
     return stats
 
@@ -358,8 +357,7 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
     return chosen, a, b
 
 
-def check_chain_congruences(fmap, p: int, tree: BruteTree,
-                            report: VerifyReport | None = None) -> RuleStats:
+def check_chain_congruences(fmap, p: int, tree: BruteTree, report: VerifyReport) -> RuleStats:
     """The multiplier power law and the offset recurrence across every
     parent/child pair:
 
@@ -370,7 +368,7 @@ def check_chain_congruences(fmap, p: int, tree: BruteTree,
     to its parent's chosen member, x' = x + t p^n; level 1 uses the reps).
     Every (a, b) is read off the oracle's orbit arrays by ``_level_lin``.
     """
-    stats = report.stat("chain-congruence") if report else RuleStats()
+    stats = report.stat("chain-congruence")
     if tree.max_level < 2:
         return stats
     chosen, a, b = _level_lin(fmap, p, 1, tree, None)
@@ -389,11 +387,10 @@ def check_chain_congruences(fmap, p: int, tree: BruteTree,
         ok = ((rem(c_a - a_pow, base) == 0)
               & (rem(p * c_b - (t * (a_pow - 1) + pb * geo), base) == 0))
         stats.checked += len(ok)
-        stats.mismatches += int(len(ok) - ok.sum())
-        if report:
-            bad = np.flatnonzero(~ok)
-            report.note(f"chain-congruence: rep={tree.reps[level + 1][c]}@{level + 1}"
-                        for c in bad[np.argsort(par[bad], kind="stable")])
+        bad = np.flatnonzero(~ok)
+        stats.mismatches += len(bad)
+        report.note(f"chain-congruence: rep={tree.reps[level + 1][c]}@{level + 1}"
+                    for c in bad[np.argsort(par[bad], kind="stable")])
         chosen, a, b = c_chosen, c_a, c_b
     return stats
 
@@ -413,45 +410,36 @@ def collect_kd_samples(tree: BruteTree) -> list[KdLiftSample]:
     return samples
 
 
-def check_kd_identity(fmap, p: int, tree: BruteTree,
-                      report: VerifyReport | None = None) -> RuleStats:
-    stats = report.stat("kd-identity") if report else RuleStats()
+def check_kd_identity(fmap, p: int, tree: BruteTree, report: VerifyReport) -> RuleStats:
+    stats = report.stat("kd-identity")
     for sample in collect_kd_samples(tree):
-        result = check_identity_sample(fmap, p, sample)
-        stats.record(result["holds"])
-        if not result["holds"] and report:
+        ok = check_identity_sample(fmap, p, sample)
+        stats.record(ok)
+        if not ok:
             report.note([f"kd-identity: {sample}"])
     return stats
 
 
-def check_orbit_lengths(tree: BruteTree, p: int,
-                        report: VerifyReport | None = None) -> RuleStats:
-    """Chains of constant length reaching the deepest level must obey the
-    orbit bound (``orbit_length_allowed``)."""
-    stats = report.stat("orbit-bound") if report else RuleStats()
+def check_orbit_lengths(tree: BruteTree, p: int, report: VerifyReport) -> RuleStats:
+    """Deepest-level cycles with the length of their parent (chains of constant
+    length reaching the horizon) must obey the orbit bound
+    (``orbit_length_allowed``, evaluated once per length)."""
+    stats = report.stat("orbit-bound")
     top = tree.max_level
     if top < 2:
         return stats
-    for idx, c in enumerate(tree.lengths[top]):
-        level, i = top, idx
-        stationary = False
-        while level > 1:
-            pidx = tree.parents[level][i]
-            if tree.lengths[level - 1][pidx] != c:
-                break
-            stationary = True
-            level, i = level - 1, pidx
-        if not stationary:
-            continue
-        ok = orbit_length_allowed(c, p)
-        stats.record(ok)
-        if not ok and report:
-            report.note([f"orbit-bound: stationary length {c}"])
+    lengths = np.array(tree.lengths[top], dtype=np.int64)
+    stationary = lengths[lengths == np.array(tree.lengths[top - 1])[tree.parents[top]]]
+    distinct, which = np.unique(stationary, return_inverse=True)
+    bad = stationary[~np.array([orbit_length_allowed(c, p) for c in distinct.tolist()],
+                               dtype=bool)[which]]
+    stats.checked += len(stationary)
+    stats.mismatches += len(bad)
+    report.note(f"orbit-bound: stationary length {c}" for c in bad.tolist())
     return stats
 
 
-def check_tail_bounds(fmap, p: int, max_level: int,
-                      report: VerifyReport | None = None,
+def check_tail_bounds(fmap, p: int, max_level: int, report: VerifyReport,
                       tree: BruteTree | None = None) -> RuleStats:
     """Observed longest tail over each cycle with tails is at most
     ``tail_bound(p, n, k)`` = p + (n-2)k at level n.
@@ -461,12 +449,12 @@ def check_tail_bounds(fmap, p: int, max_level: int,
     """
     if tree is None or tree.tail_pairs is None:
         raise ValueError("check_tail_bounds needs a tree built with_tail_lengths")
-    stats = report.stat("tail-bound") if report else RuleStats()
+    stats = report.stat("tail-bound")
     for n in range(1, max_level + 1):
         for k, longest in tree.tail_pairs[n]:
             ok = longest <= tail_bound(p, n, k)
             stats.record(ok)
-            if not ok and report:
+            if not ok:
                 report.note([f"tail-bound: tail of {longest} at level {n} over k={k}"])
     return stats
 

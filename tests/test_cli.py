@@ -347,13 +347,15 @@ def test_readme_library_sketch():
 
 def test_out_of_range_numbers_exit_2(capsys, monkeypatch):
     """A budget below 1 (from --budget or CYCLETREE_BUDGET) and a negative
-    --max-level, --levels or --random are usage errors; an invalid prime is
-    still the error reported first."""
+    --max-level, --levels, --random, --degree or --max-deepen are usage errors;
+    an invalid prime is still the error reported first."""
     verify = ["verify", "--prime", "5", "--poly", "1,1"]
     cases = [verify + ["--budget", "0"], verify + ["--budget", "-5"],
              verify + ["--max-level", "-1"], ["verify", "--prime", "3", "--random", "-3"],
              ["analyze", "--prime", "3", "--poly", "1,1", "--max-level", "-2"],
-             ["permcheck", "--prime", "3", "--poly", "1,1", "--levels", "-1"]]
+             ["permcheck", "--prime", "3", "--poly", "1,1", "--levels", "-1"],
+             ["verify", "--prime", "5", "--random", "2", "--degree", "-3"],
+             ["analyze", "--prime", "3", "--poly", "1,1", "--max-deepen", "-2"]]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

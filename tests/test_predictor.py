@@ -8,7 +8,7 @@ from cycletree.graph import build_tree_bruteforce, enumerate_level
 from cycletree.lifting import expand_children, make_node
 from cycletree.predictor import (Scope, ShapeKind, UndeterminedReason, analyze,
                                  predict, separation_analysis)
-from cycletree.verify import check_kd_identity, collect_kd_samples, verify_map
+from cycletree.verify import VerifyReport, check_kd_identity, collect_kd_samples, verify_map
 
 
 def level1_node(f, p, rep=None):
@@ -104,6 +104,19 @@ def test_analyze_pathological_suspect_flag():
                if n.prediction and n.prediction.reason}
     assert UndeterminedReason.PATHOLOGICAL_SUSPECT in reasons
     assert {"length": 1, "level": 8} in tree.orbits.stable_so_far
+
+
+@pytest.mark.parametrize("rounds", range(4))
+def test_deepening_doubles_the_horizon(rounds):
+    """Each deepening round doubles the horizon, and a partial chain's head
+    gets its first round for free: with r rounds at p = 3, the identity's
+    deepest node is at level 2^r and the partial chain of 4x + 8x^2 + 4x^3
+    reaches level 2^(r+1)."""
+    tree = analyze(IntPoly([0, 1]), 3, max_level=30, max_deepen=rounds)
+    assert max(n.level for n in tree.nodes) == 2**rounds
+    tree = analyze(IntPoly([0, 4, 8, 4]), 3, max_level=30, max_deepen=rounds)
+    assert max(n.level for n in tree.nodes
+               if n.classification == "partially-splits") == 2 ** (rounds + 1)
 
 
 def test_analyze_partial_chain_certificate():
@@ -217,7 +230,7 @@ def test_identity_check_on_partial_chain():
     tree = build_tree_bruteforce(f, 5, 6)
     samples = collect_kd_samples(tree)
     assert samples, "x^2 mod 5 must expose kd-lifts over the fixed point 1"
-    stats = check_kd_identity(f, 5, tree)
+    stats = check_kd_identity(f, 5, tree, VerifyReport(5, {}, 6))
     assert stats.checked == len(samples)
     assert stats.mismatches == 0
 

@@ -16,7 +16,7 @@ from cycletree.errors import InvariantError
 from cycletree.graph import build_tree_bruteforce
 from cycletree.lifting import compute_lin_at
 from cycletree.predictor import PredictedShape, Scope, ShapeKind, analyze
-from cycletree.verify import (check_chain_congruences, check_kd_identity,
+from cycletree.verify import (VerifyReport, check_chain_congruences, check_kd_identity,
                               check_lift_length_law, check_orbit_lengths,
                               check_tail_bounds, oracle_depth, random_poly,
                               verify_all, verify_map)
@@ -89,7 +89,7 @@ def test_level_without_cycles():
     h = RationalMap(IntPoly([7, 4, 7, 7]), IntPoly([3, 8, 6]))
     tree = build_tree_bruteforce(InverseEvalMap.of(h), 3, 5)
     assert tree.lengths[1] == []
-    stats = check_chain_congruences(h, 3, tree)
+    stats = check_chain_congruences(h, 3, tree, VerifyReport(3, {}, 5))
     assert (stats.checked, stats.mismatches) == (0, 0)
 
 
@@ -101,10 +101,10 @@ def test_cycle_longer_than_chunk(monkeypatch):
         tree = build_tree_bruteforce(f, p, oracle_depth(p, 5000))
         longest = max(longest, *(max(lens, default=0) for lens in tree.lengths))
         want = [tuple(map(list, lin)) for lin in _chain_lins(f, p, tree)[1:]]
-        stats = check_chain_congruences(f, p, tree)
+        stats = check_chain_congruences(f, p, tree, VerifyReport(p, {}, tree.max_level))
         monkeypatch.setattr(verify, "_CHAIN_CHUNK", 4)
         assert [tuple(map(list, lin)) for lin in _chain_lins(f, p, tree)[1:]] == want
-        assert check_chain_congruences(f, p, tree) == stats
+        assert check_chain_congruences(f, p, tree, VerifyReport(p, {}, tree.max_level)) == stats
         assert stats.mismatches == 0
         monkeypatch.undo()
     assert longest > 4
@@ -215,7 +215,7 @@ def test_tampered_orbit_raises():
     orbit = tree.orbits[level]
     orbit[start + 1], orbit[start + 2] = orbit[start + 2], orbit[start + 1]
     with pytest.raises(InvariantError) as info:
-        check_chain_congruences(f, 3, tree)
+        check_chain_congruences(f, 3, tree, VerifyReport(3, {}, tree.max_level))
     err = info.value
     assert (err.p, err.level, err.rep) == (3, level, tree.reps[level][i])
     assert isinstance(err, AssertionError)
@@ -229,7 +229,7 @@ def test_child_off_its_parent_raises():
     i = next(i for i, q in enumerate(parents) if any(q != other for other in parents))
     parents[i] = next(q for q in parents if q != parents[i])
     with pytest.raises(InvariantError) as info:
-        check_chain_congruences(f, 3, tree)
+        check_chain_congruences(f, 3, tree, VerifyReport(3, {}, tree.max_level))
     err = info.value
     assert "no member over the parent rep" in str(err)
     assert (err.p, err.level, err.rep) == (3, level, tree.reps[level][i])
@@ -311,7 +311,7 @@ def test_invariant_error_exit_4(capsys, monkeypatch):
 def test_check_tail_bounds_needs_tail_lengths():
     tree = build_tree_bruteforce(IntPoly([0, 0, 1]), 3, 3)
     with pytest.raises(ValueError):
-        check_tail_bounds(IntPoly([0, 0, 1]), 3, 3, tree=tree)
+        check_tail_bounds(IntPoly([0, 0, 1]), 3, 3, report=VerifyReport(3, {}, 3), tree=tree)
 
 
 def test_report_keeps_first_50_details():
