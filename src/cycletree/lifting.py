@@ -158,7 +158,7 @@ def classify_lifts(child_lengths, k: int, p: int) -> Classification | None:
     return None
 
 
-def multiplier_valuation(fmap, p: int, cycle: Cycle, cap: int) -> Valuation:
+def multiplier_valuation(fmap, p: int, node: CycleNode, cap: int) -> Valuation:
     """ord_p((f^k)'(x1) - 1) capped at ``cap``, from a high-precision walk.
 
     The cycle's own LinearData only pins this valuation up to the level, which
@@ -166,21 +166,24 @@ def multiplier_valuation(fmap, p: int, cycle: Cycle, cap: int) -> Valuation:
     """
     work = p ** (cap + 1)
     a = 1
-    for _, der in fmap.walk(cycle.rep, cycle.length, work, work, p):
+    for _, der in fmap.walk(node.rep, node.length, work, work, p):
         a = a * der % work
     return ord_p(a - 1, p, cap)
 
 
 @dataclass(eq=False, slots=True)
 class CycleNode:
-    """Tree node: a cycle plus its linearization data and classification.
+    """Tree node: the cycle of f_level with smallest member ``rep``, plus its
+    linearization data and classification.
 
     ``offset`` is the fiber offset t of this node's walk start relative to its
     parent's canonical representative (None for the root).  Nodes compare by
     identity; the tree mutates them only by attaching children once.
     """
 
-    cycle: Cycle
+    level: int
+    length: int
+    rep: int
     lin: LinearData | None
     classification: Classification | None
     children: list["CycleNode"] = field(default_factory=list)
@@ -190,23 +193,12 @@ class CycleNode:
     parent: "CycleNode | None" = field(default=None, repr=False)
     shape: object | None = None  # PredictedShape, attached by the predictor
 
-    @property
-    def level(self) -> int:
-        return self.cycle.level
-
-    @property
-    def length(self) -> int:
-        return self.cycle.length
-
-    @property
-    def rep(self) -> int:
-        return self.cycle.rep
-
 
 def make_node(fmap, p: int, cycle: Cycle, offset: int | None = None,
               start: int | None = None) -> CycleNode:
     lin = compute_lin(fmap, p, cycle)
-    return CycleNode(cycle, lin, classify(lin, p), offset=offset, start=start)
+    return CycleNode(cycle.level, cycle.length, cycle.rep, lin, classify(lin, p),
+                     offset=offset, start=start)
 
 
 def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
@@ -218,7 +210,7 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     walked over every lift, which checks the closed form and yields each
     child's rep, its a, and its b at the walk start.  Cost: the child lengths
     sum to k*p, so k*p evaluations; the caller charges them
-    (``predictor._Analysis.can_expand``).  The child lengths must match the
+    (``predictor._Analysis.expand``).  The child lengths must match the
     node's classification under the lift-length law (``classify_lifts``).
 
     Two routes walk the lifts, with the same checks and the same results
@@ -233,13 +225,13 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     """
     if node.expanded:
         return node.children
-    n, k = node.cycle.level, node.cycle.length
+    n, k = node.level, node.length
     children = _children(fmap, p, node, _route(p, n))
-    got = [c.cycle.length for c in children]
+    got = [c.length for c in children]
     if classify_lifts(got, k, p) != node.classification:
         raise InvariantError(f"lift-length law violated: lengths {sorted(got)} under "
                              f"k={k} do not read {node.classification}", p, fmap, n,
-                             node.cycle.rep)
+                             node.rep)
     node.children = children
     node.expanded = True
     return children
@@ -248,7 +240,7 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
 def _children(fmap, p: int, node: CycleNode, walk) -> list[CycleNode]:
     """The children of ``node`` in rep order, walked by ``walk``, which
     returns (rep, a, b at the start, D_j and hi limb at the rep) per child."""
-    n, k, x1 = node.cycle.level, node.cycle.length, node.cycle.rep
+    n, k, x1 = node.level, node.length, node.rep
     base = p**n
     modulus = base * p
     a, b = node.lin.a_mod_p, node.lin.b_mod_p
@@ -274,9 +266,9 @@ def _children(fmap, p: int, node: CycleNode, walk) -> list[CycleNode]:
     for (t0, r), (rep, deriv, b_start, rep_deriv, rep_hi) in zip(offset_cycles, rows):
         child_b = (b_start * rep_deriv - rep_hi * (deriv - 1)) % modulus
         lin = _lin(p, n + 1, deriv, child_b)
-        children.append(CycleNode(Cycle(n + 1, r * k, rep), lin, classify(lin, p),
+        children.append(CycleNode(n + 1, r * k, rep, lin, classify(lin, p),
                                   offset=t0, start=x1 + t0 * base, parent=node))
-    children.sort(key=lambda c: c.cycle.rep)
+    children.sort(key=lambda c: c.rep)
     return children
 
 
@@ -292,7 +284,7 @@ def _route(p: int, level: int):
 def _point_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
     """Walk each child once from x1 + p^n t0 at p^{2(n+1)}, one point at a
     time; it must first return to its start after exactly r*k steps."""
-    n, k, x1 = node.cycle.level, node.cycle.length, node.cycle.rep
+    n, k, x1 = node.level, node.length, node.rep
     base = p**n
     modulus = base * p
     work = modulus * modulus
@@ -327,7 +319,7 @@ def _lane_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
     way: u <- H_t + u*D_t, a <- a*D_t."""
     import numpy as np  # loaded already by arith
 
-    n, k, x1 = node.cycle.level, node.cycle.length, node.cycle.rep
+    n, k, x1 = node.level, node.length, node.rep
     base = p**n
     P = base * p
     a, b = node.lin.a_mod_p, node.lin.b_mod_p

@@ -8,9 +8,10 @@ claim about the node's entire (infinite) subtree:
   splits s more times itself and then its descendants grow forever.  The
   all-but-one form recurs in the exceptional lift, which pins a p-adic
   periodic orbit of the node's length.
-* stationary-partial-split(d): the node partially splits and its unique
+* stationary-partial-split(d, m): the node partially splits and its unique
   same-length lift does so again, forever; m, once certified, gives the
-  behaviour of every deeper kd-lift family (splits m-1 times, then grows).
+  behaviour of every kd-lift at a parent level nu with nu*d > m (it splits
+  m-1 times, then grows).
 * tails-forever(k, bound): the node grows tails at every level; each level
   has a single same-length lift carrying tails of bounded length.
 * grows-then-splits: the p = 3, level-1 special case; the single lift splits
@@ -18,9 +19,10 @@ claim about the node's entire (infinite) subtree:
 * undetermined(beyond, reason): full splitting is known down to
   ``split_known_until``; nothing is claimed past ``beyond_level``.
 
-``analyze`` explores with expand_children only (never a global sweep),
-deepens undetermined nodes by doubling their horizon, and assembles an
-orbit-length report from the theorem-backed stationary chains.
+``analyze`` sweeps level 1 once for the root's children and explores below
+it with expand_children only, deepens undetermined nodes by doubling their
+horizon, and assembles an orbit-length report from the theorem-backed
+stationary chains.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from enum import Enum
 
 from .arith import IntPoly, iterate_series, mult_order, ord_p, exact_orbit
 from .errors import InvariantError, SeparationError
-from .graph import DEFAULT_BUDGET, Cycle, enumerate_level
+from .graph import DEFAULT_BUDGET, enumerate_level
 from .lifting import (Behavior, CycleNode, expand_children, make_node,
                       multiplier_valuation)
 
@@ -50,7 +52,6 @@ __all__ = [
     "separation_analysis",
     "orbit_length_allowed",
     "tail_bound",
-    "KdLiftSample",
 ]
 
 
@@ -193,7 +194,7 @@ def predict(fmap, p: int, node: CycleNode) -> PredictedShape:
         # multiplier, capped at nu*d, decides the whole subtree.
         nu = node.parent.level
         d = node.parent.classification.d
-        e = multiplier_valuation(fmap, p, node.cycle, cap=nu * d)
+        e = multiplier_valuation(fmap, p, node, cap=nu * d)
         if e.saturated:
             return _undetermined(nu + nu * d, UndeterminedReason.PARTIAL_SPLIT_HORIZON,
                                  split_known_until=nu + nu * d)
@@ -440,18 +441,19 @@ class _Analysis:
 
         Every level contributes one same-length lift (which partially splits
         again, same d) and kd-lifts whose multiplier valuation is capped at
-        nu*d.  The first unsaturated valuation certifies m and settles every
-        deeper kd-family; saturated ones stay undetermined and the chain is
-        extended, doubling the horizon up to ``max_deepen`` times beyond the
-        head's own round.
+        nu*d.  The first level with an unsaturated kd-lift certifies the
+        kd-lift shape, which every unsaturated kd-lift of the chain must share,
+        and m with it.  Until then the chain is extended, doubling the horizon
+        up to ``max_deepen`` times beyond the head's own round.  Saturated
+        kd-lifts stay undetermined, and each is deepened by its own expansion.
         """
         d = head.classification.d
         node = head
-        m_known: int | None = None
+        certified: PredictedShape | None = None
         pending: list[CycleNode] = []
         chain = [head]
         rounds = rounds_left + 1, 0  # the head's round is free
-        while m_known is None:
+        while certified is None:
             rounds = self.next_round(node.level, *rounds)
             if rounds is None or (children := self.expand(node)) is None:
                 break
@@ -460,19 +462,15 @@ class _Analysis:
                 if child.length == node.length:
                     k_child = child
                     continue
-                shape = predict(self.fmap, self.p, child)
-                child.shape = shape
-                if shape.kind is ShapeKind.UNDETERMINED:
+                child.shape = predict(self.fmap, self.p, child)
+                if child.shape.kind is ShapeKind.UNDETERMINED:
                     pending.append(child)
-                else:
-                    e_own = (1 if shape.kind is ShapeKind.GROWS_FOREVER
-                             else shape.splits + 2)
-                    if m_known is None:
-                        m_known = e_own
-                    elif m_known != e_own:
-                        raise InvariantError(
-                            "kd-lifts of one chain disagree on the certified m",
-                            self.p, self.fmap, node.level, node.rep)
+                elif certified is None:
+                    certified = child.shape
+                elif child.shape != certified:
+                    raise InvariantError(
+                        "kd-lifts of one chain disagree on the certified m",
+                        self.p, self.fmap, node.level, node.rep)
             if k_child is None or k_child.classification.behavior is not Behavior.PARTIALLY_SPLITS:
                 raise InvariantError("partial split lost its same-length lift",
                                      self.p, self.fmap, node.level, node.rep)
@@ -481,23 +479,15 @@ class _Analysis:
                                      self.p, self.fmap, node.level, node.rep)
             node = k_child
             chain.append(node)
+        if certified is None:
+            m = None
+        else:  # a kd-lift with valuation m grows (m = 1) or splits m-2 more times
+            m = 1 if certified.kind is ShapeKind.GROWS_FOREVER else certified.splits + 2
         for visited in chain:
-            visited.shape = _stationary_partial(d, m_known)
-        deferred = []
+            visited.shape = _stationary_partial(d, m)
         for child in pending:
-            nu = child.parent.level
-            if m_known is not None and nu * d > m_known:
-                # the separation rule transfers m to this level
-                if m_known == 1:
-                    child.shape = _grows_forever()
-                else:
-                    child.shape = _splits_then_grows(m_known - 2, Scope.ALL)
-            else:
-                deferred.append(child)
-        for child in deferred:
-            # below the transfer horizon: fall back to deepening by expansion
             self.process(child, self.max_deepen, 0)
-        if m_known is None and not pending:
+        if certified is None and not pending:
             # chain stopped before any kd-lift was examined
             self.unresolved += 1
 
@@ -538,7 +528,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     """
     analysis = _Analysis(fmap, p, max_level, budget, max_deepen)
     # The level-0 root, with its level-1 children from direct enumeration.
-    root = CycleNode(Cycle(0, 1, 0), None, None, expanded=True)
+    root = CycleNode(0, 1, 0, None, None, expanded=True)
     for cyc in enumerate_level(fmap, p, 1, budget=budget).cycles:
         child = make_node(fmap, p, cyc, offset=cyc.rep, start=cyc.rep)
         child.parent = root
@@ -650,12 +640,9 @@ def separation_analysis(f: IntPoly, p: int, alpha: int, k: int) -> SeparationAna
     if taylor[1] != h1:
         raise InvariantError("iterate series disagrees with multiplier product",
                              p, f, rep=alpha)
+    # The exact valuations below use caps p^cap > |v| that cannot bind.
     if h1 != 1:
-        m = 0
-        v = h1 - 1
-        while v % p == 0:
-            v //= p
-            m += 1
+        m = ord_p(h1 - 1, p, (h1 - 1).bit_length()).value
         return SeparationAnalysis(alpha, k, d, h1, False, m, None, tuple(taylor))
     if f.degree <= 1:
         raise SeparationError("f is linear with unit multiplier; no separation rule")
@@ -672,47 +659,5 @@ def separation_analysis(f: IntPoly, p: int, alpha: int, k: int) -> SeparationAna
         # commuting compositions force the first nonzero index = 1 mod d
         raise InvariantError(f"first nonzero iterate coefficient at {ell}, "
                              f"violating ell = 1 (mod {d})", p, f, rep=alpha)
-    m = 0
-    v = taylor[ell]
-    while v % p == 0:
-        v //= p
-        m += 1
+    m = ord_p(taylor[ell], p, taylor[ell].bit_length()).value
     return SeparationAnalysis(alpha, k, d, h1, True, m, ell, tuple(taylor))
-
-
-# ---------------------------------------------------------------------------
-# Runtime-checkable consequences of the multiplier identities.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KdLiftSample:
-    """A kd-lift of a partially splitting k-cycle at level ``parent_level``."""
-
-    parent_level: int
-    k: int
-    d: int
-    child_rep: int
-    child_length: int
-
-
-def check_identity_sample(fmap, p: int, sample: KdLiftSample) -> bool:
-    """Whether the capped-valuation identity
-
-        min(ord_p(h(y) - y) - n, n*d) = min(ord_p(h'(y) - 1), n*d)
-
-    holds for one kd-lift y, where h is the (k*d)-th iterate and n the parent level.
-    """
-    n, d, kd = sample.parent_level, sample.d, sample.child_length
-    if kd != sample.k * d:
-        raise ValueError("child length must be k*d")
-    y = sample.child_rep
-    cap = n * d
-
-    big = p ** (n + cap + 1)
-    med = p ** (cap + 1)
-    a = 1
-    for x, der in fmap.walk(y, kd, big, med, p):
-        a = a * der % med
-    lhs = min(ord_p((x - y) % big, p, n + cap + 1).value - n, cap)
-    return lhs == min(ord_p(a - 1, p, cap + 1).value, cap)

@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import IntPoly, rem
+from .arith import IntPoly, ord_p, rem
 from .errors import InvariantError
 from .graph import DEFAULT_BUDGET, BruteTree, build_tree_bruteforce
 from .lifting import Behavior, Classification, classify_lifts
-from .predictor import (AnalyzedTree, KdLiftSample, PredictedShape, Scope, ShapeKind,
-                        analyze, check_identity_sample, orbit_length_allowed, tail_bound)
+from .predictor import (AnalyzedTree, PredictedShape, Scope, ShapeKind, analyze,
+                        orbit_length_allowed, tail_bound)
 
 __all__ = [
     "RuleStats",
@@ -47,6 +47,7 @@ __all__ = [
     "random_poly",
     "check_lift_length_law",
     "check_chain_congruences",
+    "KdLiftSample",
     "collect_kd_samples",
     "check_orbit_lengths",
     "check_tail_bounds",
@@ -395,6 +396,17 @@ def check_chain_congruences(fmap, p: int, tree: BruteTree, report: VerifyReport)
     return stats
 
 
+@dataclass(frozen=True)
+class KdLiftSample:
+    """A kd-lift of a partially splitting k-cycle at level ``parent_level``."""
+
+    parent_level: int
+    k: int
+    d: int
+    child_rep: int
+    child_length: int
+
+
 def collect_kd_samples(tree: BruteTree) -> list[KdLiftSample]:
     """kd-lifts of partially splitting cycles, identified structurally."""
     samples = []
@@ -411,9 +423,21 @@ def collect_kd_samples(tree: BruteTree) -> list[KdLiftSample]:
 
 
 def check_kd_identity(fmap, p: int, tree: BruteTree, report: VerifyReport) -> RuleStats:
+    """The capped-valuation identity on every kd-lift y of the oracle,
+
+        min(ord_p(h(y) - y) - n, n*d) = min(ord_p(h'(y) - 1), n*d),
+
+    where h is the (k*d)-th iterate and n the parent level."""
     stats = report.stat("kd-identity")
     for sample in collect_kd_samples(tree):
-        ok = check_identity_sample(fmap, p, sample)
+        n, y, kd = sample.parent_level, sample.child_rep, sample.child_length
+        cap = n * sample.d
+        big, med = p ** (n + cap + 1), p ** (cap + 1)
+        a = 1
+        for x, der in fmap.walk(y, kd, big, med, p):
+            a = a * der % med
+        ok = (min(ord_p((x - y) % big, p, n + cap + 1).value - n, cap)
+              == min(ord_p(a - 1, p, cap + 1).value, cap))
         stats.record(ok)
         if not ok:
             report.note([f"kd-identity: {sample}"])

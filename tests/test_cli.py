@@ -8,6 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,43 @@ def test_analyze_text(capsys):
     assert "determined: yes" in out
     assert "confirmed [9]" in out
     assert out.endswith("\n")
+
+
+PARTIAL_SPLIT_TEXT = {
+    # d = 2 and m = ord_5(4^2 - 1) = 1, certified by the level-2 kd-lifts
+    4: """\
+map: 4x  (p = 5)
+level 0: root
+  level 1: len 1 @ 0 [partially-splits(d=2) A=0 B=>=1] -> stationary partial split (d=2, kd-lifts split 0x then grow)
+    level 2: len 1 @ 0 [partially-splits(d=2) A=0 B=>=2] -> stationary partial split (d=2, kd-lifts split 0x then grow)
+    level 2: len 2 @ 5 [grows A=1 B=0] -> grows forever
+    level 2: len 2 @ 10 [grows A=1 B=0] -> grows forever
+  level 1: len 2 @ 1 [grows A=>=1 B=0] -> grows forever
+  level 1: len 2 @ 2 [grows A=>=1 B=0] -> grows forever
+determined: yes
+orbits: confirmed [1]; stable-so-far []; undetermined chains 0
+orbit bound: length <= 25 (k*r with k <= 5 and r dividing 4)
+""",
+    # no kd-lift is examined, so m stays uncertified
+    1: """\
+map: 4x  (p = 5)
+level 0: root
+  level 1: len 1 @ 0 [partially-splits(d=2) A=0 B=>=1] -> stationary partial split (d=2)
+  level 1: len 2 @ 1 [grows A=>=1 B=0] -> grows forever
+  level 1: len 2 @ 2 [grows A=>=1 B=0] -> grows forever
+determined: no
+orbits: confirmed [1]; stable-so-far []; undetermined chains 0
+orbit bound: length <= 25 (k*r with k <= 5 and r dividing 4)
+""",
+}
+
+
+@pytest.mark.parametrize("max_level", sorted(PARTIAL_SPLIT_TEXT))
+def test_analyze_text_partial_split(capsys, max_level):
+    code, out, _ = run_cli(capsys, "analyze", "--prime", "5", "--poly", "0,4",
+                           "--max-level", str(max_level))
+    assert code == 0
+    assert out == PARTIAL_SPLIT_TEXT[max_level]
 
 
 def test_analyze_json_schema_and_roundtrip(capsys):

@@ -134,10 +134,10 @@ def test_expand_matches_oracle():
                 nxt = []
                 for nd in frontier:
                     kids = expand_children(f, p, nd)
-                    idx = tree.cycle_index(level, nd.cycle.rep)
+                    idx = tree.cycle_index(level, nd.rep)
                     want = sorted((tree.reps[level + 1][c], tree.lengths[level + 1][c])
                                   for c in tree.children[level][idx])
-                    got = sorted((c.cycle.rep, c.cycle.length) for c in kids)
+                    got = sorted((c.rep, c.length) for c in kids)
                     assert got == want
                     nxt.extend(kids)
                 frontier = nxt
@@ -156,8 +156,8 @@ def test_chain_congruences_at_expansion():
             a, b = node.lin.a, node.lin.b
             base = p**n
             for child in expand_children(f, p, node):
-                r = child.cycle.length // cycle.length
-                child_lin = compute_lin_at(f, p, n + 1, child.cycle.length,
+                r = child.length // cycle.length
+                child_lin = compute_lin_at(f, p, n + 1, child.length,
                                            child.start)
                 a_pow = pow(a, r, base)
                 geo = sum(pow(a, j, base) for j in range(r)) % base
@@ -185,7 +185,7 @@ def test_classification_inheritance():
                 elif beh is Behavior.GROWS_TAILS:
                     assert cbeh is Behavior.GROWS_TAILS
                 else:
-                    if child.cycle.length == cycle.length:
+                    if child.length == cycle.length:
                         assert cbeh is Behavior.PARTIALLY_SPLITS
                         assert child.classification.d == node.classification.d
                     else:
@@ -205,7 +205,7 @@ def test_partial_split_fixed_offset():
             if node.classification.behavior is not Behavior.PARTIALLY_SPLITS:
                 continue
             k_child = next(c for c in expand_children(f, p, node)
-                           if c.cycle.length == cycle.length)
+                           if c.length == cycle.length)
             a, b = node.lin.a, node.lin.b
             t_expected = -b * pow(a - 1, -1, p) % p
             assert k_child.offset == t_expected
@@ -232,7 +232,7 @@ def test_growth_persistence():
                     if level >= 2 or p > 3:
                         assert child.classification.behavior is Behavior.GROWS
                     else:
-                        c = iterate_series(f, node.cycle.rep, node.cycle.length,
+                        c = iterate_series(f, node.rep, node.length,
                                            2, modulus=27)[2] % 3
                         expect_split = node.lin.b % 3 == c
                         is_split = child.classification.behavior is Behavior.SPLITS
@@ -246,17 +246,17 @@ def test_expected_child_multisets():
     # tails -> single child of length k; partial -> 1 + (p-1)/d children
     f = IntPoly([1, 1])
     node = make_node(f, 3, enumerate_level(f, 3, 1).cycles[0])
-    assert [c.cycle.length for c in expand_children(f, 3, node)] == [9]
+    assert [c.length for c in expand_children(f, 3, node)] == [9]
 
     f = IntPoly([0, 1])
     node = make_node(f, 3, Cycle(1, 1, 0))
-    assert [c.cycle.length for c in expand_children(f, 3, node)] == [1, 1, 1]
+    assert [c.length for c in expand_children(f, 3, node)] == [1, 1, 1]
 
     f = IntPoly([0, 0, 1])  # f'(0) = 0: the fixed point 0 grows tails
     node = make_node(f, 3, Cycle(1, 1, 0))
     assert node.classification.behavior is Behavior.GROWS_TAILS
     kids = expand_children(f, 3, node)
-    assert [c.cycle.length for c in kids] == [1]
+    assert [c.length for c in kids] == [1]
     assert kids[0].classification.behavior is Behavior.GROWS_TAILS
 
 
@@ -276,7 +276,7 @@ def _check_children_against_reference(f, p, n, node, members, next_level, next_m
     the smallest offset of its cycle under the walked f^k offset map.
     ``members`` and ``next_members`` are the oracle's orbit slices: those of
     ``node`` and those of every cycle of ``next_level``."""
-    x1, k = node.cycle.rep, node.cycle.length
+    x1, k = node.rep, node.length
     base, modulus = p**n, p ** (n + 1)
     phi = []
     for t in range(p):
@@ -287,11 +287,11 @@ def _check_children_against_reference(f, p, n, node, members, next_level, next_m
     over = [(c, m) for c, m in zip(next_level.cycles, next_members, strict=True)
             if c.rep % base in members]
     kids = expand_children(f, p, node)
-    assert [c.cycle.rep for c in kids] == [c.rep for c, _ in over]
+    assert [c.rep for c in kids] == [c.rep for c, _ in over]
     for child, (ref, ref_members) in zip(kids, over):
-        assert (child.cycle.level, child.cycle.length) == (ref.level, ref.length)
+        assert (child.level, child.length) == (ref.level, ref.length)
         walked, y = [], child.start
-        for _ in range(child.cycle.length):
+        for _ in range(child.length):
             walked.append(y)
             y = next(f.walk(y, 1, modulus, modulus, p))[0]
         assert tuple(sorted(walked)) == ref_members
@@ -368,7 +368,7 @@ def test_tampered_lin_is_caught():
 
 
 def _child_data(children):
-    return [(c.cycle.rep, c.cycle.length, c.lin, c.classification, c.offset, c.start)
+    return [(c.rep, c.length, c.lin, c.classification, c.offset, c.start)
             for c in children]
 
 
@@ -399,8 +399,8 @@ def test_lane_walk_matches_point_walk(rational):
             for _ in range(top):
                 nxt = []
                 # the three shortest cycles, as the big-int walk takes k*p steps
-                for node in sorted(frontier, key=lambda c: c.cycle.length)[:3]:
-                    if node.cycle.length * p > 200_000:
+                for node in sorted(frontier, key=lambda c: c.length)[:3]:
+                    if node.length * p > 200_000:
                         continue
                     kids = _children(f, p, node, _point_walk)
                     assert _child_data(_children(f, p, node, _lane_walk)) == _child_data(kids)
@@ -421,7 +421,7 @@ def test_lane_route_int64_boundary():
     kids = _children(f, p, node, _lane_walk)
     assert _child_data(kids) == _child_data(_children(f, p, node, _point_walk))
     assert _child_data(expand_children(f, p, node)) == _child_data(kids)
-    child = min(kids, key=lambda c: c.cycle.length)
+    child = min(kids, key=lambda c: c.length)
     assert _child_data(expand_children(f, p, child)) == \
         _child_data(_children(f, p, child, _point_walk))
 
@@ -446,7 +446,7 @@ def test_tampered_lin_is_caught_by_lanes():
                 for lin in (dataclasses.replace(node.lin,
                                                 b=node.lin.b + wrong_b - node.lin.b % p),
                             dataclasses.replace(node.lin, a=node.lin.a + 1)):
-                    bad = CycleNode(node.cycle, lin, classify(lin, p))
+                    bad = CycleNode(node.level, node.length, node.rep, lin, classify(lin, p))
                     with pytest.raises(InvariantError, match="t -> b"):
                         expand_children(f, p, bad)
                     assert not bad.expanded and bad.children == []
@@ -460,7 +460,7 @@ def test_pole_raises_bad_reduction(p):
     a split fixed point of the identity, handed to 1/x, whose lifts are all
     poles."""
     node = make_node(IntPoly([0, 1]), p, Cycle(1, 1, 0))
-    bad = CycleNode(node.cycle, node.lin, node.classification)
+    bad = CycleNode(node.level, node.length, node.rep, node.lin, node.classification)
     with pytest.raises(BadReductionError):
         expand_children(RationalMap(IntPoly([1]), IntPoly([0, 1])), p, bad)
     assert not bad.expanded and bad.children == []
@@ -481,8 +481,7 @@ def test_early_return_is_caught(p, message):
     seen = set()
     for f, nodes in maps:
         for node in nodes:
-            bad = CycleNode(Cycle(1, 2 * node.cycle.length, node.cycle.rep), node.lin,
-                            node.classification)
+            bad = CycleNode(1, 2 * node.length, node.rep, node.lin, node.classification)
             with pytest.raises(InvariantError, match=message):
                 expand_children(f, p, bad)
             assert not bad.expanded and bad.children == []

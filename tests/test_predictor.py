@@ -2,12 +2,14 @@
 
 import pytest
 
+import cycletree.predictor as predictor_mod
+from cycletree import cli
 from cycletree.arith import IntPoly
-from cycletree.errors import NotPeriodicError, SeparationError
+from cycletree.errors import InvariantError, NotPeriodicError, SeparationError
 from cycletree.graph import build_tree_bruteforce, enumerate_level
-from cycletree.lifting import expand_children, make_node
-from cycletree.predictor import (Scope, ShapeKind, UndeterminedReason, analyze,
-                                 predict, separation_analysis)
+from cycletree.lifting import Behavior, Classification, expand_children, make_node
+from cycletree.predictor import (SEPARATION_MAX_ORDER, PredictedShape, Scope, ShapeKind,
+                                 UndeterminedReason, analyze, predict, separation_analysis)
 from cycletree.verify import VerifyReport, check_kd_identity, collect_kd_samples, verify_map
 
 
@@ -66,7 +68,7 @@ def test_predict_partial_and_kd_rule():
     shape = predict(f, 5, node)
     assert shape.kind is ShapeKind.STATIONARY_PARTIAL_SPLIT
     assert shape.d == 4
-    kd_child = next(c for c in expand_children(f, 5, node) if c.cycle.length == 4)
+    kd_child = next(c for c in expand_children(f, 5, node) if c.length == 4)
     kd_shape = predict(f, 5, kd_child)
     # m = ord_5(2^4 - 1) = 1, so the 4-cycle grows immediately
     assert kd_shape.kind is ShapeKind.GROWS_FOREVER
@@ -196,6 +198,20 @@ def test_separation_errors():
         separation_analysis(IntPoly([0, -1]), 5, 0, 1)  # linear with h' = 1
 
 
+def test_separation_doubles_the_series_order():
+    """x + x^5 at 3: the iterate series is x + x^5, so the search doubles the
+    order from 2 to 4 to 8 before it finds ell = 5, a unit."""
+    sep = separation_analysis(IntPoly([0, 1, 0, 0, 0, 1]), 3, 0, 1)
+    assert (sep.pathological, sep.d, sep.ell, sep.m) == (True, 1, 5, 0)
+    assert sep.taylor == (0, 1, 0, 0, 0, 1, 0, 0, 0)
+
+
+def test_separation_gives_up_past_the_max_order():
+    f = IntPoly([0, 1] + [0] * 68 + [1])  # x + x^70
+    with pytest.raises(SeparationError, match=f"up to order {SEPARATION_MAX_ORDER}"):
+        separation_analysis(f, 3, 0, 1)
+
+
 def test_separation_matches_pathological_oracle():
     # x + 3x^2: chains separating at level n+1 split n times then grow
     f = IntPoly([0, 1, 3])
@@ -262,3 +278,71 @@ def test_verify_harness_catches_corruption(monkeypatch):
     report = verify_map(IntPoly([2, 1, 3, 1, 3, 2]), 3, max_level=8)
     assert not report.ok
     assert report.mismatches > 0
+
+
+# ---------------------------------------------------------------------------
+# analyze's own invariant checks, reached through a tampered predict or
+# expand_children.  4x at p = 5: the level-1 fixed point 0 partially splits
+# with d = 2 into the fixed point 0 and the kd-lifts (2-cycles) at 5 and 10.
+# 6x at p = 5: the fixed point 0 is case 2 from level 2 on (at level 1 both
+# valuations saturate), its exceptional lift at offset 0.
+# ---------------------------------------------------------------------------
+
+
+def _second_kd_lift_splits(real):
+    def predict(fmap, p, node):
+        if (node.level, node.rep) == (2, 10):
+            return PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=0, scope=Scope.ALL)
+        return real(fmap, p, node)
+    return predict
+
+
+def _edit_children(edit):
+    """An expand_children wrapper that passes each node's children through edit."""
+    def wrap(real):
+        return lambda fmap, p, node: edit(node, list(real(fmap, p, node)))
+    return wrap
+
+
+@_edit_children
+def _drop_same_length_lift(node, kids):
+    return [c for c in kids if c.length != node.length]
+
+
+@_edit_children
+def _change_d(node, kids):
+    for c in kids:
+        if c.length == node.length:
+            c.classification = Classification(Behavior.PARTIALLY_SPLITS, 4)
+    return kids
+
+
+@_edit_children
+def _move_exceptional_offset(node, kids):
+    for c in kids:
+        if c.rep == node.rep:
+            c.offset = 1
+    return kids
+
+
+@pytest.mark.parametrize("coeffs, target, tamper, message, level", [
+    ([0, 4], "predict", _second_kd_lift_splits, "kd-lifts of one chain disagree", 1),
+    ([0, 4], "expand_children", _drop_same_length_lift, "lost its same-length lift", 1),
+    ([0, 4], "expand_children", _change_d, "changed d along the chain", 1),
+    ([0, 6], "expand_children", _move_exceptional_offset,
+     "disagrees with -b/\\(a-1\\) offset", 2),
+])
+def test_analysis_invariants_raise(monkeypatch, coeffs, target, tamper, message, level):
+    monkeypatch.setattr(predictor_mod, target, tamper(getattr(predictor_mod, target)))
+    with pytest.raises(InvariantError, match=message) as err:
+        analyze(IntPoly(coeffs), 5, max_level=4)
+    assert (err.value.p, err.value.level, err.value.rep) == (5, level, 0)
+
+
+def test_analysis_invariant_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(predictor_mod, "predict", _second_kd_lift_splits(predictor_mod.predict))
+    code = cli.main(["analyze", "--prime", "5", "--poly", "0,4", "--max-level", "4"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("error: invariant violated: kd-lifts of one chain disagree")
+    assert "p=5" in err and "level=1" in err and "rep=0" in err
