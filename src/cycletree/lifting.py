@@ -159,16 +159,24 @@ def classify_lifts(child_lengths, k: int, p: int) -> Classification | None:
 
 
 def multiplier_valuation(fmap, p: int, node: CycleNode, cap: int) -> Valuation:
-    """ord_p((f^k)'(x1) - 1) capped at ``cap``, from a high-precision walk.
+    """ord_p((f^k)'(x1) - 1) capped at ``cap``, from walks at rising precision.
 
     The cycle's own LinearData only pins this valuation up to the level, which
-    is not enough for the partial-split horizon rule (cap = n*d).
+    is not enough for the partial-split horizon rule (cap = n*d).  Walks at
+    p^(c+1), c = 2, 4, 8, ... up to ``cap``, stop at the first c where the
+    valuation is below c.  Exact: (f^k)' mod p^(c+1) depends only on the orbit
+    mod p^(c+1), so a valuation below c there is the true one.
     """
-    work = p ** (cap + 1)
-    a = 1
-    for _, der in fmap.walk(node.rep, node.length, work, work, p):
-        a = a * der % work
-    return ord_p(a - 1, p, cap)
+    c = 0
+    while c < cap:
+        c = min(2 * c or 2, cap)
+        work = p ** (c + 1)
+        a = 1
+        for _, der in fmap.walk(node.rep, node.length, work, work, p):
+            a = a * der % work
+        if not (e := ord_p(a - 1, p, c)).saturated:
+            return e
+    return Valuation(cap, True)
 
 
 @dataclass(eq=False, slots=True)

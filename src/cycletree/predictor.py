@@ -190,8 +190,8 @@ def predict(fmap, p: int, node: CycleNode) -> PredictedShape:
 
     # Splitting cycles.
     if _is_kd_lift(node):
-        # Lift of a partially splitting cycle: the valuation of the iterate
-        # multiplier, capped at nu*d, decides the whole subtree.
+        # Lift of a partially splitting cycle: the iterate multiplier's valuation,
+        # capped at nu*d and walked at rising precision, decides the subtree.
         nu = node.parent.level
         d = node.parent.classification.d
         e = multiplier_valuation(fmap, p, node, cap=nu * d)
@@ -370,8 +370,9 @@ class _Analysis:
     # -- main recursion ------------------------------------------------------
 
     def process(self, node: CycleNode, rounds_left: int, round_until: int) -> None:
-        shape = predict(self.fmap, self.p, node)
-        node.shape = shape
+        if node.shape is None:  # a pending kd-lift arrives predicted by its chain
+            node.shape = predict(self.fmap, self.p, node)
+        shape = node.shape
         kind = shape.kind
 
         if kind in (ShapeKind.GROWS_FOREVER, ShapeKind.TAILS_FOREVER):

@@ -5,15 +5,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cycletree.arith import IntPoly, Valuation, mult_order
+from cycletree.arith import IntPoly, Valuation, mult_order, ord_p
 from cycletree.checkers import RationalMap
 from cycletree.errors import BadReductionError, InvariantError, NotACycleError
 from cycletree.graph import (DEFAULT_BUDGET, Cycle, _sweep_level, build_tree_bruteforce,
                              enumerate_level)
 from cycletree.lifting import (LANE_MIN_P, Behavior, CycleNode, _children, _lane_walk,
                                _point_walk, _route, classify, compute_lin, compute_lin_at,
-                               expand_children, make_node)
+                               expand_children, make_node, multiplier_valuation)
 
 
 def orbit_members(fmap, p, n):
@@ -487,3 +489,89 @@ def test_early_return_is_caught(p, message):
             assert not bad.expanded and bad.children == []
             seen.add(node.classification.behavior)
     assert {Behavior.SPLITS, Behavior.GROWS_TAILS} <= seen
+
+
+def _one_walk_valuation(fmap, p, node, cap):
+    """Reference: ord_p((f^k)' - 1) capped at cap, from one walk at p^(cap+1)."""
+    work = p ** (cap + 1)
+    a = 1
+    for _, der in fmap.walk(node.rep, node.length, work, work, p):
+        a = a * der % work
+    return ord_p(a - 1, p, cap)
+
+
+def _near_root_of_unity(p, lam0, alpha, j, tail, rational):
+    """alpha + w(x - alpha) + p^j tail(x), w the root of unity mod p^40 over
+    lam0; as a RationalMap it is divided by the unit 1 + p^j x.  A walk of
+    d = ord(lam0) steps from alpha has a multiplier near w^d = 1, so its
+    valuation runs up to about j."""
+    w = pow(lam0, p**39, p**40)
+    coeffs = [alpha - w * alpha, w]
+    poly = IntPoly([c + p**j * t for c, t in itertools.zip_longest(coeffs, tail, fillvalue=0)])
+    if rational:
+        return RationalMap(poly, IntPoly([1, p**j]))
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((3, 5, 7, 11, 13)), data=st.data())
+def test_multiplier_valuation_matches_one_walk(p, data):
+    """The rising-precision walks agree with one walk at p^(cap+1), on
+    polynomials and on rational maps with a unit denominator."""
+    lam0 = data.draw(st.integers(1, p - 1))
+    d = mult_order(lam0, p)
+    fmap = _near_root_of_unity(
+        p, lam0, data.draw(st.integers(0, p * p)), data.draw(st.integers(1, 12)),
+        data.draw(st.lists(st.integers(0, p**3), max_size=4)), data.draw(st.booleans()))
+    start = data.draw(st.integers(0, p**3))
+    cap = data.draw(st.sampled_from((1, 2, 3, 4, 6, 8, 10, 12, 16, 17, 24)))
+    node = CycleNode(1, d * data.draw(st.integers(1, 2)), start, None, None)
+    assert multiplier_valuation(fmap, p, node, cap) == _one_walk_valuation(fmap, p, node, cap)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("cap", [1, 2, 6, 10, 16, 23])
+def test_exact_kd_multiplier_saturates(p, cap):
+    """f = -x and f = w*x with w of order d mod p^(cap+1): the d-step
+    multiplier is 1 at every precision walked, so the valuation saturates."""
+    w = pow(2, p**cap, p ** (cap + 1))
+    d = mult_order(2, p)
+    for f, length in ((IntPoly([0, -1]), 2), (IntPoly([0, w]), d),
+                      (RationalMap(IntPoly([0, w]), IntPoly([1])), d)):
+        node = CycleNode(1, length, 1, None, None)
+        assert multiplier_valuation(f, p, node, cap) == Valuation(cap, True)
+        assert _one_walk_valuation(f, p, node, cap) == Valuation(cap, True)
+
+
+def _recorded_works(monkeypatch, fmap):
+    works = []
+    real = type(fmap).walk
+
+    def walk(self, x, steps, work, dwork, p):
+        works.append(work)
+        return real(self, x, steps, work, dwork, p)
+
+    monkeypatch.setattr(type(fmap), "walk", walk)
+    return works
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 9, 14])
+def test_multiplier_valuation_precision(monkeypatch, rational, p, j):
+    """f = w(1 + p^j)x, w of order d mod p^21: the d-step multiplier is
+    (1 + p^j)^d, of valuation exactly j.  An unsaturated result e walks no
+    higher than p^(2e+1); a saturated one ends with a walk at p^(cap+1)."""
+    d = mult_order(2, p)
+    w = pow(2, p**20, p**21) * (1 + p**j)
+    f = RationalMap(IntPoly([0, w]), IntPoly([1])) if rational else IntPoly([0, w])
+    works = _recorded_works(monkeypatch, f)
+    for cap in (1, 2, 3, 6, 10, 12):
+        works.clear()
+        e = multiplier_valuation(f, p, CycleNode(1, d, 1, None, None), cap)
+        assert e == (Valuation(j, False) if j < cap else Valuation(cap, True))
+        assert works == sorted(works) and works
+        if e.saturated:
+            assert works[-1] == p ** (cap + 1)
+        else:
+            assert max(works) <= p ** (2 * e.value + 1)

@@ -121,6 +121,23 @@ def test_deepening_doubles_the_horizon(rounds):
                if n.classification == "partially-splits") == 2 ** (rounds + 1)
 
 
+
+def test_each_kd_lift_valuation_walked_once(monkeypatch):
+    """4x + 8x^2 + 4x^3 at p = 3 has 11 kd-lifts to level 12, every one of
+    them saturated; process reuses the shape its chain already predicted."""
+    calls = []
+    real = predictor_mod.multiplier_valuation
+
+    def counted(fmap, p, node, cap):
+        calls.append((node.level, node.rep))
+        return real(fmap, p, node, cap)
+
+    monkeypatch.setattr(predictor_mod, "multiplier_valuation", counted)
+    tree = analyze(IntPoly([0, 4, 8, 4]), 3, max_level=12)
+    kd_lifts = [n for n in tree.nodes if n.prediction
+                and n.prediction.reason is UndeterminedReason.PARTIAL_SPLIT_HORIZON]
+    assert len(calls) == len(set(calls)) == len(kd_lifts) == 11
+
 def test_analyze_partial_chain_certificate():
     # x^2 mod 5: the fixed point 1 heads a stationary partial-split chain
     tree = analyze(IntPoly([0, 0, 1]), 5, max_level=8)
