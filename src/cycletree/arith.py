@@ -151,12 +151,16 @@ class MapProtocol:
       f(x) = hi*P + lo (mod P^2) and d = f'(x) (mod P), P = modulus.
     * ``poles(p)``: the classes mod p where f is undefined.
     * ``describe()``: the JSON description of the map.
+    * ``oracle_map()``: the map that ``verify``'s oracle evaluates (default: f).
 
     Evaluating at a pole raises ``BadReductionError``.
     """
 
     def poles(self, p: int) -> list[int]:
         return []
+
+    def oracle_map(self) -> "MapProtocol":
+        return self
 
 
 def _as_coeff_tuple(coeffs: Iterable[int]) -> tuple[int, ...]:

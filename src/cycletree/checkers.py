@@ -10,8 +10,8 @@ whole lift machinery applies.  The engine never expands that surrogate to
 coefficient form: it evaluates num and den with the ``IntPoly`` kernels and
 raises den to phi - 1 by square-and-multiply, on whole int64 arrays for tables
 and limbs (the oracle's 2^31-point cap keeps every product below 2^63) and per
-point elsewhere.  The independent oracle route inverts den by extended Euclid
-instead.
+point elsewhere.  The route ``verify``'s oracle evaluates, ``oracle_map``, is
+``InverseEvalMap``: the same map with den inverted by extended Euclid instead.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class RationalMap(MapProtocol):
     """x -> num(x)/den(x) on residues where den(x) is a unit.
 
     Evaluation uses the surrogate power form den(x)^(phi(m)-1), which equals
-    the modular inverse on units; the InverseEvalMap subclass inverts by
-    extended Euclid instead, so differential tests never compare the
-    surrogate against itself.
+    the modular inverse on units; the oracle evaluates ``oracle_map()``, the
+    InverseEvalMap that inverts by extended Euclid instead, so verification
+    never compares the surrogate against itself.
     """
 
     num: IntPoly
@@ -115,6 +115,9 @@ class RationalMap(MapProtocol):
 
     def describe(self) -> dict:
         return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
+
+    def oracle_map(self) -> "InverseEvalMap":
+        return InverseEvalMap(self.num, self.den)
 
     def poles(self, p: int) -> list[int]:
         return [x for x in range(p) if self.den.eval_mod(x, p) == 0]
@@ -193,7 +196,7 @@ class RationalMap(MapProtocol):
 class InverseEvalMap(RationalMap):
     """The same rational map evaluated through extended-Euclid inverses.
 
-    Used only as the independent oracle route for differential tests.
+    The independent oracle route of every rational map (``oracle_map``).
     """
 
     @classmethod

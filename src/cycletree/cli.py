@@ -68,14 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     ver = subs.add_parser("verify", help="differential check of predictions vs oracle")
-    ver.add_argument("--prime", "-p", required=True)
-    ver.add_argument("--poly", help="single polynomial to verify")
+    _add_common(ver, rational=True)
     ver.add_argument("--random", type=int, default=0, metavar="N",
                      help="verify N random polynomials instead")
     ver.add_argument("--degree", type=int, default=5)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--max-level", type=int, default=None)
-    ver.add_argument("--budget", type=int, default=None)
 
     perm = subs.add_parser("permcheck", help="permutation criterion vs brute force")
     _add_common(perm)
@@ -202,14 +200,14 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     p = args.prime
     if args.random:
+        if args.poly or args.num or args.den:
+            raise ValueError("give either a map or --random N, not both")
         rng = random.Random(args.seed)
-        polys = [random_poly(rng, p, args.degree) for _ in range(args.random)]
-    elif args.poly:
-        polys = [IntPoly.parse(args.poly)]
+        maps = [random_poly(rng, p, args.degree) for _ in range(args.random)]
     else:
-        raise ValueError("verify needs --poly or --random N")
+        maps = [_parse_map(args)]
     totals: dict[str, list[int]] = {}
-    for fmap in polys:
+    for fmap in maps:
         report = verify_all(fmap, p, max_level=args.max_level, budget=args.budget)[0]
         for name, stats in report.rules.items():
             agg = totals.setdefault(name, [0, 0])
@@ -219,7 +217,7 @@ def cmd_verify(args) -> int:
         c, m = totals[name]
         print(f"{name}: {c} checked, {m} mismatches, {'FAIL' if m else 'pass'}")
     mismatches = sum(m for _, m in totals.values())
-    print(f"polynomials: {len(polys)}; total mismatches: {mismatches}")
+    print(f"polynomials: {len(maps)}; total mismatches: {mismatches}")
     return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 

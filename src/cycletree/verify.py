@@ -1,16 +1,17 @@
 """Differential harness: every analytic claim is checked against the oracle.
 
-``verify_all`` is the pipeline: it builds one oracle (a ``BruteTree`` with
-tail lengths and orbit arrays) and runs on it ``verify_map`` and the structural
-laws that need no predictor: the lift-length law, the multiplier/offset chain
-congruences, the capped-valuation identity on kd-lifts, orbit-length and
-tail-length bounds.  ``verify_map`` checks that the analyzed prefix matches the
-oracle node for node, and that each annotation holds up to the oracle's
-horizon: ``_claim`` turns a shape into one claim on its node's subtree (the
-node's own lift pattern and the claim each child keeps), and one memoized
-walker, ``_holds``, checks every claim.
-Every reading of a cycle's lift lengths goes through ``lifting.classify_lifts``,
-the one statement of the lift-length law, which the analytic engine checks too.
+``verify_all`` is the pipeline for every map: it builds one oracle (a
+``BruteTree`` with tail lengths and orbit arrays) from ``fmap.oracle_map()``
+(extended Euclid for a rational map), and runs on it ``verify_map`` and the
+structural laws that need no predictor, which evaluate fmap: the lift-length
+law, the multiplier/offset chain congruences, the capped-valuation identity on
+kd-lifts, orbit-length and tail-length bounds.  ``verify_map`` checks that the
+analyzed prefix matches the oracle node for node, and that each annotation holds
+up to the oracle's horizon: ``_claim`` turns a shape into one claim on its
+node's subtree (the node's own lift pattern and the claim each child keeps), and
+one memoized walker, ``_holds``, checks every claim.  Every reading of a cycle's
+lift lengths goes through ``lifting.classify_lifts``, the one statement of the
+lift-length law, which the analytic engine checks too.
 
 The chain congruences read (a, b) off the orbit arrays in numpy.  At level m,
 P = p^m, take a cycle x_0 = rep, ..., x_{L-1} in orbit order and write
@@ -200,11 +201,15 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
     """Compare the predictor's annotated tree against the brute-force tree.
 
     ``max_level`` bounds the oracle depth (default: deepest level within the
-    point budget).  Precomputed trees may be passed in to share work.
+    point budget).  Precomputed trees may be passed in to share work; a given
+    oracle sets the horizon, and a ``max_level`` other than its depth is an error.
     """
-    top = max_level if max_level is not None else oracle_depth(p, budget)
     if oracle is None:
-        oracle = build_tree_bruteforce(fmap, p, top, budget=budget)
+        top = max_level if max_level is not None else oracle_depth(p, budget)
+        oracle = build_tree_bruteforce(fmap.oracle_map(), p, top, budget=budget)
+    elif max_level not in (None, oracle.max_level):
+        raise ValueError(f"max_level {max_level} differs from the oracle's {oracle.max_level}")
+    top = oracle.max_level
     if analyzed is None:
         analyzed = analyze(fmap, p, budget=budget)
     report = VerifyReport(int(p), fmap.describe(), top)
@@ -492,8 +497,8 @@ def verify_all(fmap, p: int, max_level: int | None = None,
     tails reports no tail-bound line.
     """
     top = max_level if max_level is not None else oracle_depth(p, budget)
-    tree = build_tree_bruteforce(fmap, p, top, budget=budget, with_tail_lengths=True)
-    report = verify_map(fmap, p, budget=budget, max_level=top, oracle=tree)
+    tree = build_tree_bruteforce(fmap.oracle_map(), p, top, budget=budget, with_tail_lengths=True)
+    report = verify_map(fmap, p, budget=budget, oracle=tree)
     check_lift_length_law(tree, p, report)
     check_chain_congruences(fmap, p, tree, report)
     check_kd_identity(fmap, p, tree, report)

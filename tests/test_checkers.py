@@ -118,6 +118,15 @@ def test_reciprocal_map_level1():
     assert dec.excluded_points == 1  # the pole at 0
 
 
+def test_oracle_route_of_each_map_type():
+    """A rational map's oracle evaluates the Euclid route; a polynomial is its own."""
+    h = RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1]))
+    route = h.oracle_map()
+    assert isinstance(route, InverseEvalMap) and (route.num, route.den) == (h.num, h.den)
+    f = IntPoly([2, 1, 3])
+    assert f.oracle_map() is f
+
+
 def test_analyze_rational_flags_pole():
     h = RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1]))
     tree = analyze(h, 3, max_level=5)

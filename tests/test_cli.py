@@ -266,6 +266,17 @@ def test_verify_clean_exit_0(capsys):
     assert "total mismatches: 0" in out
 
 
+def test_verify_rational_map_with_pole(capsys):
+    """verify takes --num/--den as analyze does: x + 1/x, with a pole at 0."""
+    code, out, _ = run_cli(capsys, "verify", "--prime", "3", "--num", "1,0,1",
+                           "--den", "0,1", "--max-level", "8")
+    assert code == 0
+    rules = [line.split(":")[0] for line in out.splitlines()[:-1]]
+    assert {"prefix", "chain-congruence", "lift-length-law", "tail-bound"} <= set(rules)
+    assert all(line.endswith(", 0 mismatches, pass") for line in out.splitlines()[:-1])
+    assert out.splitlines()[-1] == "polynomials: 1; total mismatches: 0"
+
+
 def test_verify_random_sweep(capsys):
     code, out, _ = run_cli(capsys, "verify", "--prime", "5", "--random", "5",
                            "--degree", "4", "--max-level", "4", "--seed", "42")
@@ -385,15 +396,17 @@ def test_readme_library_sketch():
 
 def test_out_of_range_numbers_exit_2(capsys, monkeypatch):
     """A budget below 1 (from --budget or CYCLETREE_BUDGET) and a negative
-    --max-level, --levels, --random, --degree or --max-deepen are usage errors;
-    an invalid prime is still the error reported first."""
+    --max-level, --levels, --random, --degree or --max-deepen are usage errors,
+    and so is verify's --random N with a map; an invalid prime is still the
+    error reported first."""
     verify = ["verify", "--prime", "5", "--poly", "1,1"]
     cases = [verify + ["--budget", "0"], verify + ["--budget", "-5"],
              verify + ["--max-level", "-1"], ["verify", "--prime", "3", "--random", "-3"],
              ["analyze", "--prime", "3", "--poly", "1,1", "--max-level", "-2"],
              ["permcheck", "--prime", "3", "--poly", "1,1", "--levels", "-1"],
              ["verify", "--prime", "5", "--random", "2", "--degree", "-3"],
-             ["analyze", "--prime", "3", "--poly", "1,1", "--max-deepen", "-2"]]
+             ["analyze", "--prime", "3", "--poly", "1,1", "--max-deepen", "-2"],
+             ["verify", "--prime", "3", "--random", "2", "--poly", "1,1"]]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -297,6 +297,35 @@ def test_cli_verify_readme_stdout(capsys):
     assert capsys.readouterr().out == README_VERIFY_STDOUT
 
 
+def test_rational_oracle_is_built_from_its_route(capsys, monkeypatch):
+    """verify_all and verify_map build their oracles from ``fmap.oracle_map()``
+    while the checkers evaluate fmap: a route to a different map, x + 2/x for
+    x + 1/x, must show up as mismatches (exit 1), not pass unnoticed."""
+    h = RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1]))
+    assert verify_map(h, 3, max_level=8).ok
+    monkeypatch.setattr(RationalMap, "oracle_map",
+                        lambda self: InverseEvalMap(IntPoly([1, 0, 2]), IntPoly([0, 1])))
+    assert not verify_map(h, 3, max_level=8).ok
+    code = cli.main(["verify", "--prime", "3", "--num", "1,0,1", "--den", "0,1",
+                     "--max-level", "8"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL" in out and "total mismatches: 0" not in out
+
+
+def test_verify_map_horizon_is_the_given_oracle():
+    """A given oracle sets verify_map's horizon, whatever the point budget
+    would allow, and a max_level other than its depth is refused."""
+    for f in (IntPoly([0, 1]), IntPoly([0, 1, 0, 3])):
+        oracle = build_tree_bruteforce(f, 3, 4)
+        report = verify_map(f, 3, oracle=oracle)
+        assert report.ok and report.checked > 0
+        assert report.oracle_levels == 4
+        assert verify_map(f, 3, max_level=4, oracle=oracle).oracle_levels == 4
+        with pytest.raises(ValueError, match="differs from the oracle"):
+            verify_map(f, 3, max_level=5, oracle=oracle)
+
+
 def test_invariant_error_exit_4(capsys, monkeypatch):
     def broken(fmap, p, tree, report=None):
         raise InvariantError("planted", p, fmap, 2, 0)
