@@ -1,13 +1,19 @@
 """Brute-force oracle: exhaustive cycle/tail decomposition of f_n on Z/p^nZ.
 
 This is the ground truth that every analytic prediction is checked against.
-Every map and every level takes one path.  The map supplies its own int64
+Every map takes one path.  The map supplies its own int64
 successor table (``table`` of the map protocol in ``arith``, -1 at poles).
 Poles point to an absorbing sink.  In-degree peeling strips the tails and
 leaves the cyclic points; doubling over windows of their orbits then gives
 each the position of its cycle's smallest member (the rep) and the steps to
-it, from which array passes, not a walk, list the cycles in rep order, each
-in orbit order from its rep.  ``enumerate_level`` returns a level as one
+it.  From ``LEADER_MIN_POINTS`` = 2^18 cyclic points on, the doubling runs over
+leaders only (a ruling set): one position in 32, picked by a multiplicative
+hash, as the orbit of x + s would walk in step with any stride.  A lockstep walk
+labels each point with its leader and offset, which one gather turns into rep
+and steps.  If more than half the cyclic points lie on leaderless cycles (the
+identity, x -> -x), the plain doubling runs instead; fewer are labelled apart.
+Array passes, not a walk, then list the cycles in rep order, each in orbit
+order from its rep.  ``enumerate_level`` returns a level as one
 ``LevelDecomposition`` of arrays, and builds ``Cycle`` objects only on request.
 Tail facts come from one pass outward from the cycles (``distance_to_cycle``),
 which gives every point its distance to a cycle and the cycle it enters.
@@ -41,6 +47,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**7
 ORACLE_MAX_POINTS = 2**31  # residues per level; not a budget, no option raises it
+LEADER_MIN_POINTS = 2**18  # cyclic points from which the doubling contracts to leaders
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +112,86 @@ def _check_size(points: int, budget: int) -> None:
             "the oracle's 2^31-point cap (no budget raises it)" if capped else "budget"))
 
 
+def _rep_steps(jw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per position of the cyclic permutation ``jw``, which the call consumes: m, the
+    position of its cycle's smallest member, and d (int32), the steps to it."""
+    c = len(jw)
+    if c >= LEADER_MIN_POINTS:
+        jw = jw.astype(np.int32)
+        leads = np.arange(c, dtype=np.uint32) * np.uint32(2654435761) < 1 << 27
+        lead = np.flatnonzero(leads)
+        # Walk each leader to the next: md = (lane << 32) + offset at each point, and per
+        # lane its length, next leader and best = (smallest position << 32) + its offset.
+        md = np.full(c, -1, dtype=np.int64)
+        best, nxt, seg = np.empty_like(lead), np.empty_like(lead), np.empty_like(lead)
+        tag, cur, low, t = np.arange(len(lead)) << 32, lead, lead << 32, 0
+        while cur.size:
+            md[cur] = tag + t
+            np.minimum(low, (cur << 32) + t, out=low)
+            cur = jw[cur].astype(np.intp)
+            t += 1
+            end = leads[cur]
+            done = tag[end] >> 32
+            nxt[done], seg[done], best[done] = cur[end], t, low[end]
+            tag, cur, low = tag[~end], cur[~end], low[~end]
+        del leads
+        if 2 * int(seg.sum()) >= c:  # else mostly cycles too short to hold a leader
+            gap = np.flatnonzero(md < 0)  # the points of leaderless cycles, renumbered
+            sub = np.cumsum(md < 0, dtype=np.int32)[jw[gap]] - 1 if len(gap) else gap
+            del jw
+            gm, gd = _rep_steps(sub.astype(np.int64))
+            # Doubling over leaders, whose windows span w points: d < length < 2^31, so
+            # only a window past a whole cycle can carry out of d, and it never wins.
+            nxt = np.searchsorted(lead, nxt)
+            w, k = seg, 1
+            while k < len(lead):
+                new = np.take(best, nxt)
+                new += w
+                np.minimum(new, best, out=new)
+                if np.array_equal(new, best):
+                    break
+                best = new
+                w = w + np.take(w, nxt)
+                nxt = np.take(nxt, nxt)
+                k *= 2
+            _, cyc = np.unique(best >> 32, return_inverse=True)
+            size = np.bincount(cyc, weights=seg)[cyc].astype(np.int32)  # cycle length per lane
+            # The point d steps past its leader is (steps(leader) - d) mod length from
+            # the rep.  md becomes the lanes, -1 on leaderless cycles, which clip.
+            d = (md & 0xFFFFFFFF).astype(np.int32)
+            md >>= 32
+            m = np.take((best & 0xFFFFFFFF).astype(np.int32), md, mode="clip")
+            np.subtract(m, d, out=d)
+            np.take(size, md, out=m, mode="clip")
+            np.add(d, m, out=d, where=d < 0)
+            np.take((best >> 32).astype(np.int32), md, out=m, mode="clip")
+            m[gap], d[gap] = gap[gm], gd
+            return m, d
+        del md
+        jw = jw.astype(np.int64)
+    # Doubling over the windows [i, i+w) of each orbit, key = m*2^32 + d: m is
+    # the smallest position in the window and d the steps from i to it, so the
+    # smaller key of two halves keeps the nearer copy of one position.  A round
+    # that changes nothing leaves every window a whole cycle: m is the rep's
+    # position and d < length.  c < 2^31 by the oracle cap, and d + w < 2w < 2^32
+    # never carries into m.  jw jumps w steps.
+    key = new = np.arange(c, dtype=np.int64) << 32
+    w = 1
+    while w < c:
+        new = np.take(key, jw)
+        new += w
+        np.minimum(new, key, out=new)
+        if np.array_equal(new, key):
+            break
+        key = new
+        jw = np.take(jw, jw)
+        w *= 2
+    del jw, new
+    d = (key & 0xFFFFFFFF).astype(np.int32)
+    key >>= 32  # key is now m
+    return key, d
+
+
 def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> LevelDecomposition:
     """Exhaustive cycle/tail decomposition of f_n, cycles ascending by rep."""
     modulus = p**n
@@ -128,40 +215,19 @@ def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Level
         front = hit[indeg[hit] == 0]
     cyclic = indeg[:modulus] > 0
     del nxt, indeg
-    jw = np.cumsum(cyclic)[succ[cyclic]] - 1  # successor, as a position among the cyclic points
-    c = len(jw)
-    # Doubling over the windows [i, i+w) of each orbit, key = m*2^32 + d: m is
-    # the smallest position in the window and d the steps from i to it, so the
-    # smaller key of two halves keeps the nearer copy of one position.  A round
-    # that changes nothing leaves every window a whole cycle: m is the rep's
-    # position and d < length.  c < 2^31 by the oracle cap, and d + w < 2w < 2^32
-    # never carries into m.  jw jumps w steps.
-    key = new = np.arange(c, dtype=np.int64) << 32
-    w = 1
-    while w < c:
-        new = np.take(key, jw)
-        new += w
-        np.minimum(new, key, out=new)
-        if np.array_equal(new, key):
-            break
-        key = new
-        jw = np.take(jw, jw)
-        w *= 2
-    del jw, new
+    m, d = _rep_steps(np.cumsum(cyclic)[succ[cyclic]] - 1)  # successors, as cyclic positions
     starts = np.flatnonzero(cyclic)
     del cyclic
-    d = (key & 0xFFFFFFFF).astype(np.int32)
-    key >>= 32  # key is now m
     root = d == 0  # the reps, ascending
     reps = starts[root]
-    cid = np.cumsum(root, dtype=np.int32)[key] - 1
-    del key, root
+    cid = np.cumsum(root, dtype=np.int32)[m] - 1
+    del m, root
     sizes = np.bincount(cid).astype(np.int32)
     # Orbit order from the rep: the point d steps before it sits (len - d) mod len on,
     # which is len - d for d > 0, as d < len.
     np.subtract(sizes[cid], d, out=d, where=d > 0)
     d += (np.cumsum(sizes, dtype=np.int32) - sizes)[cid]
-    orbit = np.empty(c, dtype=np.int32)
+    orbit = np.empty(len(starts), dtype=np.int32)
     orbit[d] = starts
     del d
     labels = np.full(modulus, -1, dtype=np.int32)

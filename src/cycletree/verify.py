@@ -16,7 +16,8 @@ lift-length law, which the analytic engine checks too.
 The chain congruences read (a, b) off the orbit arrays in numpy.  At level m,
 P = p^m, take a cycle x_0 = rep, ..., x_{L-1} in orbit order and write
 f(x_i) = c_i P + x_{i+1} (mod P^2); the low limb must be the next member, so
-the oracle's orbit is never trusted.  Lifting the walk from x_0 to Z/P^2 as
+the oracle's orbit is never trusted (a cycle whose orbit breaks this is one
+mismatch, and ends the check).  Lifting the walk from x_0 to Z/P^2 as
 x_i + u_i P (u_0 = 0), Taylor's f(x + uP) = f(x) + uP f'(x) (mod P^2) gives
 the exact carry recurrence u_{i+1} = c_i + u_i f'(x_i) (mod P): b at the rep
 is u_L and a is the product of the f'(x_i), a segmented scan of the affine
@@ -321,7 +322,8 @@ def _scan_at(der, hi, seg, at, modulus: int) -> tuple:
 def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
     """Arrays (chosen member, a, b at it) over the cycles of ``level``, in
     chunks of whole cycles.  The chosen member is the rep, or with ``over``
-    the first member from the rep that is over[cycle] mod p^(level-1)."""
+    the first member from the rep that is over[cycle] mod p^(level-1); it is -1
+    at a cycle whose orbit does not follow fmap."""
     modulus = p**level
     lengths = np.array(tree.lengths[level], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths)))
@@ -337,10 +339,7 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
         hi, lo, der = fmap.limbs(x, modulus, p)
         follow = np.arange(1, len(x) + 1)
         follow[last] = seg
-        bad = np.flatnonzero(lo != x[follow])
-        if len(bad):
-            raise InvariantError("orbit array disagrees with the map", p, fmap, level,
-                                 tree.reps[level][i0 + cyc[bad[0]]])
+        off = cyc[lo != x[follow]]
         if over is None:
             first = seg
         else:
@@ -359,6 +358,7 @@ def _level_lin(fmap, p: int, level: int, tree: BruteTree, over) -> tuple:
         a[i0:i1] = a_l
         b[i0:i1] = rem(u_l * d_j - u_j * (a_l - 1), modulus)
         chosen[i0:i1] = x[first]
+        chosen[i0 + off] = -1
         i0 = i1
     return chosen, a, b
 
@@ -377,26 +377,33 @@ def check_chain_congruences(fmap, p: int, tree: BruteTree, report: VerifyReport)
     stats = report.stat("chain-congruence")
     if tree.max_level < 2:
         return stats
-    chosen, a, b = _level_lin(fmap, p, 1, tree, None)
-    for level in range(1, tree.max_level):
-        base = p**level
-        par = np.array(tree.parents[level + 1], dtype=np.int64)
-        c_chosen, c_a, c_b = _level_lin(fmap, p, level + 1, tree, chosen[par])
-        r = np.array(tree.lengths[level + 1]) // np.array(tree.lengths[level])[par]
-        pa, pb = a[par], b[par]
-        a_pow, geo = np.ones_like(pa), np.zeros_like(pa)
-        for i in range(int(r.max()) if len(r) else 0):
-            live = i < r
-            geo = np.where(live, rem(geo + a_pow, base), geo)
-            a_pow = np.where(live, rem(a_pow * pa, base), a_pow)
-        t = (c_chosen - chosen[par]) // base
-        ok = ((rem(c_a - a_pow, base) == 0)
-              & (rem(p * c_b - (t * (a_pow - 1) + pb * geo), base) == 0))
-        stats.checked += len(ok)
-        bad = np.flatnonzero(~ok)
-        stats.mismatches += len(bad)
-        report.note(f"chain-congruence: rep={tree.reps[level + 1][c]}@{level + 1}"
-                    for c in bad[np.argsort(par[bad], kind="stable")])
+    for level in range(1, tree.max_level + 1):
+        par = np.array(tree.parents[level], dtype=np.int64)
+        over = chosen[par] if level > 1 else None
+        c_chosen, c_a, c_b = _level_lin(fmap, p, level, tree, over)
+        off = np.flatnonzero(c_chosen < 0)
+        for c in off:  # no (a, b) at this level or below can be compared
+            report.record("chain-congruence", False,
+                          f"orbit of rep={tree.reps[level][c]}@{level} does not follow the map")
+        if len(off):
+            break
+        if level > 1:
+            base = p ** (level - 1)
+            r = np.array(tree.lengths[level]) // np.array(tree.lengths[level - 1])[par]
+            pa, pb = a[par], b[par]
+            a_pow, geo = np.ones_like(pa), np.zeros_like(pa)
+            for i in range(int(r.max()) if len(r) else 0):
+                live = i < r
+                geo = np.where(live, rem(geo + a_pow, base), geo)
+                a_pow = np.where(live, rem(a_pow * pa, base), a_pow)
+            t = (c_chosen - chosen[par]) // base
+            ok = ((rem(c_a - a_pow, base) == 0)
+                  & (rem(p * c_b - (t * (a_pow - 1) + pb * geo), base) == 0))
+            stats.checked += len(ok)
+            bad = np.flatnonzero(~ok)
+            stats.mismatches += len(bad)
+            report.note(f"chain-congruence: rep={tree.reps[level][c]}@{level}"
+                        for c in bad[np.argsort(par[bad], kind="stable")])
         chosen, a, b = c_chosen, c_a, c_b
     return stats
 

@@ -277,6 +277,25 @@ def test_verify_rational_map_with_pole(capsys):
     assert out.splitlines()[-1] == "polynomials: 1; total mismatches: 0"
 
 
+def test_verify_oracle_off_the_map_exit_1(capsys, monkeypatch):
+    """An oracle orbit that does not follow the map is a chain-congruence mismatch,
+    reported with every rule, not a broken invariant: (1 + 3x + x^2)/x agrees with
+    x + 1/x mod 3 only."""
+    from cycletree.checkers import InverseEvalMap
+    from cycletree.verify import verify_all
+
+    monkeypatch.setattr(RationalMap, "oracle_map",
+                        lambda self: InverseEvalMap(IntPoly([1, 3, 1]), IntPoly([0, 1])))
+    code, out, _ = run_cli(capsys, "verify", "--prime", "3", "--num", "1,0,1",
+                           "--den", "0,1", "--max-level", "8")
+    assert code == 1
+    assert "chain-congruence: 1 checked, 1 mismatches, FAIL" in out.splitlines()
+    assert "prefix: 2 checked, 0 mismatches, pass" in out.splitlines()
+    assert out.splitlines()[-1] == "polynomials: 1; total mismatches: 1"
+    report = verify_all(RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1])), 3, max_level=8)[0]
+    assert report.details == ["chain-congruence: orbit of rep=1@2 does not follow the map"]
+
+
 def test_verify_random_sweep(capsys):
     code, out, _ = run_cli(capsys, "verify", "--prime", "5", "--random", "5",
                            "--degree", "4", "--max-level", "4", "--seed", "42")

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycletree import cli
+from cycletree import cli, graph
 from cycletree.arith import IntPoly, MapProtocol
 from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BudgetExceededError
@@ -116,18 +118,25 @@ def maps(draw):
     return p, draw(st.sampled_from([RationalMap, InverseEvalMap]))(num, den)
 
 
-@settings(max_examples=15, deadline=None)
-@given(maps())
-@example((3, IntPoly([])))  # zero map
-@example((5, IntPoly([4])))  # constant map
-@example((3, IntPoly([2**70 + 2, 1, 3, 1, 3, 2])))  # coefficient beyond int64
-@example((3, InverseEvalMap(IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4]))))  # poles at 1, 2 mod 3
-@example((3, RationalMap(IntPoly([0, 1, 1]), IntPoly([1, 0, 1]))))  # 1 + x^2 has no root mod 3
-@example((3, RationalMap(IntPoly([1]), IntPoly([0, 1]))))  # 1/x: a pole at 0, -1 fixed
-@example((3, IntPoly([0, 1])))  # identity: every point its own cycle
-@example((3, IntPoly([1, 1])))  # x + 1: one 3^9-point cycle, the most doubling rounds
-@example((3, IntPoly([0, 3])))  # 3x: tails up to n long into 0, the most peeling rounds
-@example((3, RationalMap(IntPoly([3]), IntPoly([0, 1]))))  # 3/x: no cycle at any level >= 1
+def sweep_cases(test):
+    """Drawn maps plus the edge cases of the sweep."""
+    for case in [
+        (3, IntPoly([])),  # zero map
+        (5, IntPoly([4])),  # constant map
+        (3, IntPoly([2**70 + 2, 1, 3, 1, 3, 2])),  # coefficient beyond int64
+        (3, InverseEvalMap(IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4]))),  # poles at 1, 2 mod 3
+        (3, RationalMap(IntPoly([0, 1, 1]), IntPoly([1, 0, 1]))),  # 1 + x^2 has no root mod 3
+        (3, RationalMap(IntPoly([1]), IntPoly([0, 1]))),  # 1/x: a pole at 0, -1 fixed
+        (3, IntPoly([0, 1])),  # identity: every point its own cycle
+        (3, IntPoly([1, 1])),  # x + 1: one 3^9-point cycle, the most doubling rounds
+        (3, IntPoly([0, 3])),  # 3x: tails up to n long into 0, the most peeling rounds
+        (3, RationalMap(IntPoly([3]), IntPoly([0, 1]))),  # 3/x: no cycle at any level >= 1
+    ]:
+        test = example(case)(test)
+    return settings(max_examples=15, deadline=None)(given(maps())(test))
+
+
+@sweep_cases
 def test_sweep_matches_reference_with_poles(case):
     # every level up to p^n <= 20000, from a few points to the largest
     p, fmap = case
@@ -150,6 +159,32 @@ def test_sweep_matches_reference_with_poles(case):
         assert got_dist.tolist() == [dist[x] for x in range(p**n)]
         assert [tree.reps[n][i] if i >= 0 else None for i in got_owner.tolist()] == \
             [owner[x] for x in range(p**n)]
+
+
+@sweep_cases
+def test_contracted_sweep_matches_reference_with_poles(case):
+    # The same levels through the leader contraction, which otherwise starts at
+    # 2^18 cyclic points: the identity bails out, x + 1 walks one cycle of leaders.
+    with mock.patch.object(graph, "LEADER_MIN_POINTS", 1):
+        test_sweep_matches_reference_with_poles.hypothesis.inner_test(case)
+
+
+@pytest.mark.parametrize("p, n, coeffs", [
+    (3, 12, [2, 1, 3, 1, 3, 2]),  # README quintic: 531,441 cyclic points
+    (3, 12, [1, 1]),  # x + 1: one cycle
+    (5, 8, [0, 1]),  # identity: the bail-out to plain doubling
+    (5, 8, [0, -1]),  # x -> -x: 2-cycles, the bail-out too
+    (3, 12, [32, 1]),  # x + 32: the orbit steps by 32, in step with strided leaders
+])
+def test_contraction_matches_plain_doubling(p, n, coeffs):
+    f = IntPoly(coeffs)
+    got = enumerate_level(f, p, n)
+    assert len(got.orbit) >= graph.LEADER_MIN_POINTS
+    with mock.patch.object(graph, "LEADER_MIN_POINTS", ORACLE_MAX_POINTS):
+        want = enumerate_level(f, p, n)
+    for name in ("labels", "reps", "lengths", "orbit"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_enumerate_square_mod_3():
