@@ -10,10 +10,10 @@ from .arith import IntPoly, OddPrime, Valuation, iterate_series, mult_order, ord
 from .checkers import InverseEvalMap, RationalMap, is_permutation, is_single_cycle
 from .errors import (BadReductionError, BudgetExceededError, CycletreeError,
                      InvariantError, NotACycleError, NotPeriodicError, SeparationError)
-from .graph import (Cycle, LevelDecomposition, TailStats, build_tree_bruteforce,
-                    enumerate_level, tail_analysis)
+from .graph import (LevelDecomposition, TailStats, build_tree_bruteforce, enumerate_level,
+                    tail_analysis)
 from .lifting import (Behavior, Classification, CycleNode, LinearData, classify,
-                      classify_lifts, compute_lin, expand_children, make_node)
+                      classify_lifts, compute_lin_at, expand_children, make_node)
 from .predictor import (AnalyzedTree, OrbitReport, PredictedShape,
                         SeparationAnalysis, ShapeKind, analyze, predict,
                         separation_analysis)
@@ -23,10 +23,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPoly", "OddPrime", "Valuation", "iterate_series", "mult_order", "ord_p",
-    "Cycle", "LevelDecomposition", "TailStats", "build_tree_bruteforce",
-    "enumerate_level", "tail_analysis",
+    "LevelDecomposition", "TailStats", "build_tree_bruteforce", "enumerate_level",
+    "tail_analysis",
     "Behavior", "Classification", "CycleNode", "LinearData", "classify",
-    "classify_lifts", "compute_lin", "expand_children", "make_node",
+    "classify_lifts", "compute_lin_at", "expand_children", "make_node",
     "AnalyzedTree", "OrbitReport", "PredictedShape", "SeparationAnalysis",
     "ShapeKind", "analyze", "predict", "separation_analysis",
     "InverseEvalMap", "RationalMap", "is_permutation", "is_single_cycle",

@@ -14,7 +14,7 @@ and steps.  If more than half the cyclic points lie on leaderless cycles (the
 identity, x -> -x), the plain doubling runs instead; fewer are labelled apart.
 Array passes, not a walk, then list the cycles in rep order, each in orbit
 order from its rep.  ``enumerate_level`` returns a level as one
-``LevelDecomposition`` of arrays, and builds ``Cycle`` objects only on request.
+``LevelDecomposition`` of arrays.
 Tail facts come from one pass outward from the cycles (``distance_to_cycle``),
 which gives every point its distance to a cycle and the cycle it enters.
 Whatever the budget, the oracle refuses levels of more than
@@ -36,7 +36,6 @@ from .errors import BudgetExceededError, InvariantError
 __all__ = [
     "DEFAULT_BUDGET",
     "ORACLE_MAX_POINTS",
-    "Cycle",
     "TailStats",
     "LevelDecomposition",
     "BruteTree",
@@ -50,20 +49,10 @@ ORACLE_MAX_POINTS = 2**31  # residues per level; not a budget, no option raises 
 LEADER_MIN_POINTS = 2**18  # cyclic points from which the doubling contracts to leaders
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
-    """One cycle of f_n, identified by (level, smallest member)."""
-
-    level: int
-    length: int
-    rep: int
-
-
 @dataclass
 class TailStats:
     """Fiber histogram and longest tail for points over one mod-p cycle."""
 
-    level: int
     cycle_rep: int
     cycle_length: int
     max_tail_length: int
@@ -83,7 +72,6 @@ class LevelDecomposition:
     the members, each cycle in orbit order from its rep.
     """
 
-    level: int
     modulus: int
     succ: np.ndarray
     labels: np.ndarray
@@ -95,12 +83,6 @@ class LevelDecomposition:
     @property
     def tail_point_count(self) -> int:
         return self.modulus - len(self.orbit) - self.excluded_points
-
-    @property
-    def cycles(self) -> list[Cycle]:
-        """One ``Cycle`` per cycle, built on each call."""
-        return [Cycle(self.level, k, rep)
-                for rep, k in zip(self.reps.tolist(), self.lengths.tolist())]
 
 
 def _check_size(points: int, budget: int) -> None:
@@ -232,7 +214,7 @@ def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Level
     del d
     labels = np.full(modulus, -1, dtype=np.int32)
     labels[starts] = cid
-    return LevelDecomposition(n, modulus, succ, labels, reps, sizes, orbit, excluded)
+    return LevelDecomposition(modulus, succ, labels, reps, sizes, orbit, excluded)
 
 
 _sweep_level = enumerate_level  # the name perfbench's span tracer wraps
@@ -279,9 +261,10 @@ class BruteTree:
     level-0 root is the single 1-cycle of the trivial ring.  ``children[n]``
     lists each level-n cycle's lifts by index, for n below ``max_level`` only.
     ``orbits[n]`` holds every cycle member of level n, cycles in index order,
-    each in orbit order from its rep (int32, as p^n is below 2^31).  When built with
-    ``with_tail_lengths`` each level records (cycle length, longest tail)
-    pairs for cycles that own tails.
+    each in orbit order from its rep (int32, as p^n is below 2^31).
+    ``tail_points[n]`` counts the level-n residues on no cycle, poles included.
+    When built with ``with_tail_lengths`` each level records (cycle length,
+    longest tail) pairs for cycles that own tails.
     """
 
     p: int
@@ -395,5 +378,5 @@ def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
     f2_unit = taylor[2] % p != 0
     expected = _expected_tail_histogram(p, n) if f2_unit else None
     matches = (hist == expected) if f2_unit else None
-    return TailStats(n, int(level1.reps[cid]), int(level1.lengths[cid]), max_tail, hist,
+    return TailStats(int(level1.reps[cid]), int(level1.lengths[cid]), max_tail, hist,
                      f2_unit, expected, matches)

@@ -28,14 +28,13 @@ from enum import Enum
 
 from .arith import Valuation, mult_order, ord_p, rem
 from .errors import InvariantError, NotACycleError
-from .graph import ORACLE_MAX_POINTS, Cycle
+from .graph import ORACLE_MAX_POINTS
 
 __all__ = [
     "Behavior",
     "Classification",
     "LinearData",
     "CycleNode",
-    "compute_lin",
     "compute_lin_at",
     "classify",
     "classify_lifts",
@@ -83,24 +82,14 @@ class LinearData:
     B's exact value only when B < A.
     """
 
-    p: int
-    level: int
     a: int
     b: int
     A: Valuation  # min(ord_p(a - 1), level), saturation flagged
     B: Valuation  # min(ord_p(b), level), saturation flagged
 
-    @property
-    def a_mod_p(self) -> int:
-        return self.a % self.p
-
-    @property
-    def b_mod_p(self) -> int:
-        return self.b % self.p
-
 
 def _lin(p: int, level: int, a: int, b: int) -> LinearData:
-    return LinearData(p, level, a, b, ord_p(a - 1, p, level), ord_p(b, p, level))
+    return LinearData(a, b, ord_p(a - 1, p, level), ord_p(b, p, level))
 
 
 def compute_lin_at(fmap, p: int, level: int, length: int, member: int) -> LinearData:
@@ -121,14 +110,9 @@ def compute_lin_at(fmap, p: int, level: int, length: int, member: int) -> Linear
     return _lin(p, level, a, b)
 
 
-def compute_lin(fmap, p: int, cycle: Cycle) -> LinearData:
-    """Linearization data of a cycle, computed at its canonical representative."""
-    return compute_lin_at(fmap, p, cycle.level, cycle.length, cycle.rep)
-
-
 def classify(lin: LinearData, p: int) -> Classification:
     """The four-way lift classification from (a mod p, b mod p)."""
-    a, b = lin.a_mod_p, lin.b_mod_p
+    a, b = lin.a % p, lin.b % p
     if a == 1:
         if b != 0:
             return Classification(Behavior.GROWS)
@@ -184,9 +168,9 @@ class CycleNode:
     """Tree node: the cycle of f_level with smallest member ``rep``, plus its
     linearization data and classification.
 
-    ``offset`` is the fiber offset t of this node's walk start relative to its
-    parent's canonical representative (None for the root).  Nodes compare by
-    identity; the tree mutates them only by attaching children once.
+    ``offset`` is the fiber offset t of the member its expansion walk started
+    from, parent.rep + t p^parent.level (None at levels 0 and 1).  Nodes compare
+    by identity; the tree mutates them only by attaching children once.
     """
 
     level: int
@@ -195,18 +179,15 @@ class CycleNode:
     lin: LinearData | None
     classification: Classification | None
     children: list["CycleNode"] = field(default_factory=list)
-    expanded: bool = False
     offset: int | None = None
-    start: int | None = None  # the member the expansion walk started from
     parent: "CycleNode | None" = field(default=None, repr=False)
     shape: object | None = None  # PredictedShape, attached by the predictor
 
 
-def make_node(fmap, p: int, cycle: Cycle, offset: int | None = None,
-              start: int | None = None) -> CycleNode:
-    lin = compute_lin(fmap, p, cycle)
-    return CycleNode(cycle.level, cycle.length, cycle.rep, lin, classify(lin, p),
-                     offset=offset, start=start)
+def make_node(fmap, p: int, level: int, length: int, rep: int) -> CycleNode:
+    """The node of the cycle of f_level with smallest member ``rep``."""
+    lin = compute_lin_at(fmap, p, level, length, rep)
+    return CycleNode(level, length, rep, lin, classify(lin, p))
 
 
 def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
@@ -231,7 +212,7 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     gives F(y_j) - y_j = D_j * (F(start) - start) (rotation), and for
     rep = y_j - u p^m, F(rep) - rep = F(y_j) - y_j - u p^m (a - 1) (re-lift).
     """
-    if node.expanded:
+    if node.children:
         return node.children
     n, k = node.level, node.length
     children = _children(fmap, p, node, _route(p, n))
@@ -241,17 +222,15 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
                              f"k={k} do not read {node.classification}", p, fmap, n,
                              node.rep)
     node.children = children
-    node.expanded = True
     return children
 
 
 def _children(fmap, p: int, node: CycleNode, walk) -> list[CycleNode]:
     """The children of ``node`` in rep order, walked by ``walk``, which
     returns (rep, a, b at the start, D_j and hi limb at the rep) per child."""
-    n, k, x1 = node.level, node.length, node.rep
-    base = p**n
-    modulus = base * p
-    a, b = node.lin.a_mod_p, node.lin.b_mod_p
+    n, k = node.level, node.length
+    modulus = p ** (n + 1)
+    a, b = node.lin.a % p, node.lin.b % p
 
     # Offset cycles as (smallest offset, cycle length); a = 0 has one, [b].
     if a == 0:
@@ -275,7 +254,7 @@ def _children(fmap, p: int, node: CycleNode, walk) -> list[CycleNode]:
         child_b = (b_start * rep_deriv - rep_hi * (deriv - 1)) % modulus
         lin = _lin(p, n + 1, deriv, child_b)
         children.append(CycleNode(n + 1, r * k, rep, lin, classify(lin, p),
-                                  offset=t0, start=x1 + t0 * base, parent=node))
+                                  offset=t0, parent=node))
     children.sort(key=lambda c: c.rep)
     return children
 
@@ -330,7 +309,7 @@ def _lane_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
     n, k, x1 = node.level, node.length, node.rep
     base = p**n
     P = base * p
-    a, b = node.lin.a_mod_p, node.lin.b_mod_p
+    a, b = node.lin.a % p, node.lin.b % p
     t = np.arange(p, dtype=np.int64) if a else np.array([b], dtype=np.int64)
     lo = x1 + t * base
     hi, der = np.zeros_like(lo), np.ones_like(lo)

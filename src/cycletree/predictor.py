@@ -119,9 +119,7 @@ class PredictedShape:
                 f"({self.reason.value}; splits through level {self.split_known_until})")
 
 
-@functools.lru_cache(maxsize=4096)
-def _grows_forever() -> PredictedShape:
-    return PredictedShape(ShapeKind.GROWS_FOREVER)
+_GROWS_FOREVER = PredictedShape(ShapeKind.GROWS_FOREVER)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -176,13 +174,13 @@ def predict(fmap, p: int, node: CycleNode) -> PredictedShape:
 
     if beh is Behavior.GROWS:
         if n >= 2 or p > 3:
-            return _grows_forever()
+            return _GROWS_FOREVER
         # p = 3, level 1: growth continues unless b = c (mod 3), where c is
         # the quadratic coefficient of the iterate at the representative.
         series = iterate_series(fmap, node.rep, k, 2, modulus=p**3, p=p)
         c = series[2] % p
-        if node.lin.b_mod_p != c:
-            return _grows_forever()
+        if node.lin.b % p != c:
+            return _GROWS_FOREVER
         return PredictedShape(ShapeKind.GROWS_THEN_SPLITS)
 
     if beh is Behavior.PARTIALLY_SPLITS:
@@ -529,9 +527,10 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     """
     analysis = _Analysis(fmap, p, max_level, budget, max_deepen)
     # The level-0 root, with its level-1 children from direct enumeration.
-    root = CycleNode(0, 1, 0, None, None, expanded=True)
-    for cyc in enumerate_level(fmap, p, 1, budget=budget).cycles:
-        child = make_node(fmap, p, cyc, offset=cyc.rep, start=cyc.rep)
+    root = CycleNode(0, 1, 0, None, None)
+    level1 = enumerate_level(fmap, p, 1, budget=budget)
+    for rep, length in zip(level1.reps.tolist(), level1.lengths.tolist()):
+        child = make_node(fmap, p, 1, length, rep)
         child.parent = root
         root.children.append(child)
     for child in root.children:
@@ -559,7 +558,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
                 raise InvariantError(f"confirmed orbit length {cnode.length} violates the "
                                      "orbit bound", p, fmap, cnode.level, cnode.rep)
             confirmed.append(OrbitChain(cnode.length, _chain_kind(cnode), nid, cnode.level))
-        if shape.kind is ShapeKind.UNDETERMINED and not cnode.expanded:
+        if shape.kind is ShapeKind.UNDETERMINED and not cnode.children:
             undetermined_count += 1
             stable[cnode.length] = max(stable.get(cnode.length, 0), cnode.level)
 

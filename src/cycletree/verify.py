@@ -83,8 +83,6 @@ class RuleStats:
 
 @dataclass
 class VerifyReport:
-    p: int
-    map_desc: dict
     oracle_levels: int
     rules: dict[str, RuleStats] = field(default_factory=dict)
     details: list[str] = field(default_factory=list)
@@ -213,7 +211,7 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
     top = oracle.max_level
     if analyzed is None:
         analyzed = analyze(fmap, p, budget=budget)
-    report = VerifyReport(int(p), fmap.describe(), top)
+    report = VerifyReport(top)
 
     # Locate every analyzed node in the oracle, the root at (0, 0), and group the
     # children of each node.  analyze always expands the root, so its child set
@@ -500,8 +498,10 @@ def verify_all(fmap, p: int, max_level: int | None = None,
     """Every check on one oracle: ``verify_map`` and the structural checkers,
     all reading one tree built with tail lengths.  Returns (report, tree).
 
-    The tail-bound rule runs only when some level has tails, so a map without
-    tails reports no tail-bound line.
+    The tail-bound rule runs when some level has a residue on no cycle
+    (``BruteTree.tail_points``, poles included), so only a permutation reports
+    no tail-bound line.  Where every such residue is a pole or feeds into one,
+    no cycle owns a tail and the line reads 0 checked.
     """
     top = max_level if max_level is not None else oracle_depth(p, budget)
     tree = build_tree_bruteforce(fmap.oracle_map(), p, top, budget=budget, with_tail_lengths=True)

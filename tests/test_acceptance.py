@@ -14,7 +14,7 @@ import pytest
 from cycletree.arith import IntPoly, Valuation
 from cycletree.checkers import InverseEvalMap, RationalMap, is_permutation, is_single_cycle
 from cycletree.graph import _sweep_level, build_tree_bruteforce, enumerate_level, tail_analysis
-from cycletree.lifting import compute_lin
+from cycletree.lifting import compute_lin_at
 from cycletree.predictor import Scope, ShapeKind, analyze, separation_analysis
 from cycletree.verify import (RuleStats, oracle_depth, random_poly, verify_all,
                               verify_map)
@@ -91,10 +91,11 @@ def test_criterion_01_paper_nine_cycle():
     dec = enumerate_level(f, 3, 4, budget=BUDGET)
     sweep = _sweep_level(f, 3, 4, BUDGET)  # members from the oracle's orbit array
     ends = itertools.accumulate(sweep.lengths)
-    nine = [c for c, end in zip(dec.cycles, ends, strict=True)
-            if 0 in sweep.orbit[end - c.length:end]]
-    ok = len(nine) == 1 and nine[0].length == 9
-    lin = compute_lin(f, 3, nine[0])
+    nine = [(rep, k) for rep, k, end in zip(dec.reps.tolist(), dec.lengths.tolist(), ends,
+                                            strict=True)
+            if 0 in sweep.orbit[end - k:end]]
+    ok = len(nine) == 1 and nine[0][1] == 9
+    lin = compute_lin_at(f, 3, 4, nine[0][1], nine[0][0])
     ok &= lin.A == Valuation(3, False)  # ord_3(a_4 - 1) = 3 exactly
     ok &= lin.B == Valuation(4, True)  # ord_3(b_4) = 4 = the level cap
 
@@ -228,10 +229,10 @@ def test_criterion_09_closed_form_criteria(corpus):
     # the p = 3 level-3 rule, exercised where level 2 would lie
     for f in (IntPoly([8, 23, 19, 6, 2, 17]), IntPoly([23, 22, 9, 13, 12, 26])):
         dec2 = enumerate_level(f, 3, 2, budget=BUDGET)
-        ok &= len(dec2.cycles) == 1 and dec2.cycles[0].length == 9
+        ok &= len(dec2.reps) == 1 and dec2.lengths[0] == 9
         ok &= not is_single_cycle(f, 3, 3)
         dec3 = enumerate_level(f, 3, 3, budget=BUDGET)
-        ok &= len(dec3.cycles) > 1
+        ok &= len(dec3.reps) > 1
     report(9, ok, f"permutation criterion == brute on {corpus.perm_checked} "
                   f"cases (n<=4), single-cycle on {corpus.cycle_checked} cases "
                   "(n<=5, including the p=3 level-3 rule)")

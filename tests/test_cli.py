@@ -335,26 +335,15 @@ def test_cyclecheck(capsys):
     assert "DISAGREE" not in out
 
 
-def test_brute_verdicts_build_no_cycle_objects(capsys, monkeypatch):
-    """The identity has p^n fixed points at level n; the verdicts read the
-    level's arrays, so not one ``Cycle`` is built for them."""
-    import cycletree.graph as graph_mod
-
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return real(*args)
-
-    real = graph_mod.Cycle
-    monkeypatch.setattr(graph_mod, "Cycle", counting)
+def test_brute_verdicts_on_the_identity(capsys):
+    """The identity has p^n fixed points at level n: a permutation at every
+    level and a single cycle at none, by criterion and by the oracle alike."""
     for command, verdict in (("cyclecheck", False), ("permcheck", True)):
         code, out, _ = run_cli(capsys, command, "--prime", "5", "--poly", "0,1",
                                "--levels", "6")
         assert code == 0
         assert out.splitlines()[1:] == [
             f"  n={n}: criterion={verdict} brute={verdict} agree" for n in range(1, 7)]
-    assert built == []
 
 
 def test_tails_command(capsys):

@@ -152,7 +152,7 @@ def test_sweep_matches_reference_with_poles(case):
         assert tree.tail_pairs[n] == pairs
         dec = enumerate_level(fmap, p, n)
         members = [tuple(sorted(orbit[e - k:e])) for e, k in zip(ends, tree.lengths[n])]
-        assert [(c.rep, c.length, m) for c, m in zip(dec.cycles, members, strict=True)] == \
+        assert list(zip(dec.reps.tolist(), dec.lengths.tolist(), members, strict=True)) == \
             [(c[0], len(c), tuple(sorted(c))) for c in cycles]
         assert (dec.tail_point_count, dec.excluded_points) == (tails, poles)
         got_dist, got_owner = distance_to_cycle(_sweep_level(fmap, p, n, DEFAULT_BUDGET))
@@ -189,31 +189,31 @@ def test_contraction_matches_plain_doubling(p, n, coeffs):
 
 def test_enumerate_square_mod_3():
     dec = enumerate_level(IntPoly([0, 0, 1]), 3, 1)
-    assert [(c.length, c.rep) for c in dec.cycles] == [(1, 0), (1, 1)]
+    assert list(zip(dec.lengths.tolist(), dec.reps.tolist())) == [(1, 0), (1, 1)]
     assert dec.tail_point_count == 1
 
 
 def test_enumerate_translation():
     dec = enumerate_level(IntPoly([1, 1]), 3, 2)
-    assert len(dec.cycles) == 1
-    assert dec.cycles[0].length == 9
+    assert len(dec.reps) == 1
+    assert dec.lengths[0] == 9
     assert dec.tail_point_count == 0
 
 
 def test_enumerate_quintic_level_4():
     f = IntPoly([2, 1, 3, 1, 3, 2])
     dec = enumerate_level(f, 3, 4)
-    with_zero = [(c, m) for c, m in zip(dec.cycles, orbit_members(f, 3, 4), strict=True)
-                 if 0 in m]
+    with_zero = [(k, m) for k, m in zip(dec.lengths.tolist(), orbit_members(f, 3, 4),
+                                        strict=True) if 0 in m]
     assert len(with_zero) == 1
-    assert with_zero[0][0].length == 9
+    assert with_zero[0][0] == 9
     assert with_zero[0][1] == (0, 2, 14, 22, 33, 35, 39, 55, 61)
 
 
 def test_level_zero():
     dec = enumerate_level(IntPoly([5, 3]), 7, 0)
-    assert len(dec.cycles) == 1
-    assert dec.cycles[0].length == 1 and dec.cycles[0].rep == 0
+    assert len(dec.reps) == 1
+    assert dec.lengths[0] == 1 and dec.reps[0] == 0
     assert dec.tail_point_count == 0
 
 
@@ -225,7 +225,7 @@ def test_sweep_matches_reference(seed):
     f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(1, 6)))
     dec = enumerate_level(f, p, n)
     members = orbit_members(f, p, n)
-    assert [(c.rep, c.length) for c in dec.cycles] == [(m[0], len(m)) for m in members]
+    assert list(zip(dec.reps.tolist(), dec.lengths.tolist())) == [(m[0], len(m)) for m in members]
     got = sorted(list(m) for m in members)
     want, tails = brute_decompose(f, p, n)
     assert got == want
@@ -238,7 +238,7 @@ def test_numpy_and_python_paths_agree():
     dec = enumerate_level(f, 3, 8)
     want, tails = brute_decompose(f, 3, 8)
     members = orbit_members(f, 3, 8)
-    assert [(c.rep, c.length) for c in dec.cycles] == [(m[0], len(m)) for m in members]
+    assert list(zip(dec.reps.tolist(), dec.lengths.tolist())) == [(m[0], len(m)) for m in members]
     got = sorted(list(m) for m in members)
     assert got == want and dec.tail_point_count == tails
 
@@ -250,7 +250,7 @@ def test_partition_invariant():
         n = rng.randint(1, 4)
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
         dec = enumerate_level(f, p, n)
-        assert sum(c.length for c in dec.cycles) + dec.tail_point_count == p**n
+        assert sum(dec.lengths.tolist()) + dec.tail_point_count == p**n
 
 
 def test_budget_error_carries_requirement():
@@ -360,7 +360,7 @@ def test_no_tails_over_noncritical_cycles():
         found += 1
         for n in (2, 3):
             dec = enumerate_level(f, p, n)
-            cyclic = sum(c.length for c in dec.cycles)
+            cyclic = sum(dec.lengths.tolist())
             expected = len(members) * p ** (n - 1)
             assert cyclic == expected
 
@@ -401,10 +401,10 @@ def test_tail_bound_over_corpus_sample():
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
         dec1 = enumerate_level(f, p, 1)
         deriv = f.derivative()
-        for c, members in zip(dec1.cycles, orbit_members(f, p, 1), strict=True):
+        for k, members in zip(dec1.lengths.tolist(), orbit_members(f, p, 1), strict=True):
             critical = [m for m in members if deriv.eval_mod(m, p) == 0]
             if not critical:
                 continue
             for n in (2, 3, 4):
                 stats = tail_analysis(f, p, n, critical[0])
-                assert stats.max_tail_length <= p + (n - 2) * c.length
+                assert stats.max_tail_length <= p + (n - 2) * k

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from cycletree.arith import IntPoly, Valuation, mult_order, ord_p
 from cycletree.checkers import RationalMap
 from cycletree.errors import BadReductionError, InvariantError, NotACycleError
-from cycletree.graph import (DEFAULT_BUDGET, Cycle, _sweep_level, build_tree_bruteforce,
-                             enumerate_level)
+from cycletree.graph import DEFAULT_BUDGET, _sweep_level, build_tree_bruteforce, enumerate_level
 from cycletree.lifting import (LANE_MIN_P, Behavior, CycleNode, _children, _lane_walk,
-                               _point_walk, _route, classify, compute_lin, compute_lin_at,
-                               expand_children, make_node, multiplier_valuation)
+                               _point_walk, _route, classify, compute_lin_at, expand_children,
+                               make_node, multiplier_valuation)
 
 
 def orbit_members(fmap, p, n):
@@ -26,11 +25,17 @@ def orbit_members(fmap, p, n):
     return [tuple(sorted(orbit[end - k:end])) for k, end in zip(sw.lengths, ends)]
 
 
+def cycles(fmap, p, n):
+    """(rep, length) of each cycle of f_n, in rep order."""
+    dec = enumerate_level(fmap, p, n)
+    return list(zip(dec.reps.tolist(), dec.lengths.tolist()))
+
+
 def test_translation_cycle_grows():
     # f = x + 1, p = 5: the 5-cycle of f_1 has iterate x + 5
     f = IntPoly([1, 1])
-    cycle = enumerate_level(f, 5, 1).cycles[0]
-    lin = compute_lin(f, 5, cycle)
+    rep, length = cycles(f, 5, 1)[0]
+    lin = compute_lin_at(f, 5, 1, length, rep)
     assert lin.a == 1
     assert lin.b == 1
     assert lin.A == Valuation(1, True)
@@ -50,10 +55,9 @@ def test_identity_fixed_point_splits():
 
 def test_quintic_level4_values():
     f = IntPoly([2, 1, 3, 1, 3, 2])
-    dec = enumerate_level(f, 3, 4)
-    cycle = next(c for c, members in zip(dec.cycles, orbit_members(f, 3, 4), strict=True)
-                 if 0 in members)
-    lin = compute_lin(f, 3, cycle)
+    rep, length = next(c for c, members in zip(cycles(f, 3, 4), orbit_members(f, 3, 4),
+                                               strict=True) if 0 in members)
+    lin = compute_lin_at(f, 3, 4, length, rep)
     assert lin.A == Valuation(3, False)
     assert lin.B == Valuation(4, True)
 
@@ -63,7 +67,7 @@ def test_classify_table():
     from cycletree.arith import ord_p
 
     def lin(p, n, a, b):
-        return LinearData(p, n, a, b, ord_p(a - 1, p, n), ord_p(b, p, n))
+        return LinearData(a, b, ord_p(a - 1, p, n), ord_p(b, p, n))
 
     assert classify(lin(3, 2, 1, 2), 3).behavior is Behavior.GROWS
     assert classify(lin(3, 2, 1, 3), 3).behavior is Behavior.SPLITS
@@ -96,29 +100,28 @@ def test_representative_independence():
         n = rng.randint(1, 3)
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
         deriv = f.derivative()
-        for cycle, members in zip(enumerate_level(f, p, n).cycles, orbit_members(f, p, n),
-                                  strict=True):
-            base = compute_lin(f, p, cycle)
+        for (rep, length), members in zip(cycles(f, p, n), orbit_members(f, p, n),
+                                          strict=True):
+            base = compute_lin_at(f, p, n, length, rep)
             # different integer lifts of the same congruence class
             for z in (1, 2, p):
-                other = compute_lin_at(f, p, n, cycle.length,
-                                       cycle.rep + z * p**n)
+                other = compute_lin_at(f, p, n, length, rep + z * p**n)
                 assert other.a == base.a
                 assert other.b % p**base.A.value == base.b % p**base.A.value
             # arbitrary member choice: the capped pair stays put
             for member in members:
-                other = compute_lin_at(f, p, n, cycle.length, member)
+                other = compute_lin_at(f, p, n, length, member)
                 assert other.a == base.a
                 assert other.A == base.A
                 assert (min(other.B.value, base.A.value)
                         == min(base.B.value, base.A.value))
             if any(deriv.eval_mod(m, p) == 0 for m in members):
                 continue  # ord(b) rotation invariance needs unit derivatives
-            y = cycle.rep
+            y = rep
             work = p ** (2 * n)
-            for _ in range(cycle.length - 1):
+            for _ in range(length - 1):
                 y = f.eval_mod(y, work)
-                other = compute_lin_at(f, p, n, cycle.length, y)
+                other = compute_lin_at(f, p, n, length, y)
                 assert other.a == base.a
                 assert other.B == base.B
 
@@ -129,8 +132,8 @@ def test_expand_matches_oracle():
         p = rng.choice([3, 5, 7])
         f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
         tree = build_tree_bruteforce(f, p, 4)
-        for cyc in enumerate_level(f, p, 1).cycles:
-            node = make_node(f, p, cyc)
+        for rep, length in cycles(f, p, 1):
+            node = make_node(f, p, 1, length, rep)
             frontier = [node]
             for level in range(1, 4):
                 nxt = []
@@ -153,14 +156,14 @@ def test_chain_congruences_at_expansion():
         p = rng.choice([3, 5, 7])
         n = rng.randint(1, 3)
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
-        for cycle in enumerate_level(f, p, n).cycles:
-            node = make_node(f, p, cycle)
+        for rep, length in cycles(f, p, n):
+            node = make_node(f, p, n, length, rep)
             a, b = node.lin.a, node.lin.b
             base = p**n
             for child in expand_children(f, p, node):
-                r = child.length // cycle.length
+                r = child.length // length
                 child_lin = compute_lin_at(f, p, n + 1, child.length,
-                                           child.start)
+                                           rep + child.offset * base)
                 a_pow = pow(a, r, base)
                 geo = sum(pow(a, j, base) for j in range(r)) % base
                 assert (child_lin.a - a_pow) % base == 0
@@ -176,8 +179,8 @@ def test_classification_inheritance():
     for _ in range(25):
         p = rng.choice([3, 5, 7])
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
-        for cycle in enumerate_level(f, p, 1).cycles:
-            node = make_node(f, p, cycle)
+        for rep, length in cycles(f, p, 1):
+            node = make_node(f, p, 1, length, rep)
             beh = node.classification.behavior
             seen.add(beh)
             for child in expand_children(f, p, node):
@@ -187,7 +190,7 @@ def test_classification_inheritance():
                 elif beh is Behavior.GROWS_TAILS:
                     assert cbeh is Behavior.GROWS_TAILS
                 else:
-                    if child.length == cycle.length:
+                    if child.length == length:
                         assert cbeh is Behavior.PARTIALLY_SPLITS
                         assert child.classification.d == node.classification.d
                     else:
@@ -202,12 +205,13 @@ def test_partial_split_fixed_offset():
     while found < 10:
         p = rng.choice([5, 7])
         f = IntPoly(rng.randrange(p * p) for _ in range(5))
-        for cycle in enumerate_level(f, p, rng.randint(1, 2)).cycles:
-            node = make_node(f, p, cycle)
+        n = rng.randint(1, 2)
+        for rep, length in cycles(f, p, n):
+            node = make_node(f, p, n, length, rep)
             if node.classification.behavior is not Behavior.PARTIALLY_SPLITS:
                 continue
             k_child = next(c for c in expand_children(f, p, node)
-                           if c.length == cycle.length)
+                           if c.length == length)
             a, b = node.lin.a, node.lin.b
             t_expected = -b * pow(a - 1, -1, p) % p
             assert k_child.offset == t_expected
@@ -223,7 +227,7 @@ def test_growth_persistence():
     for _ in range(30):
         p = rng.choice([3, 5, 7])
         f = IntPoly(rng.randrange(p * p) for _ in range(6))
-        frontier = [make_node(f, p, c) for c in enumerate_level(f, p, 1).cycles]
+        frontier = [make_node(f, p, 1, length, rep) for rep, length in cycles(f, p, 1)]
         for level in range(1, 4):
             nxt = []
             for node in frontier:
@@ -247,15 +251,16 @@ def test_expected_child_multisets():
     # grows -> one child of length pk; splits -> p children of length k;
     # tails -> single child of length k; partial -> 1 + (p-1)/d children
     f = IntPoly([1, 1])
-    node = make_node(f, 3, enumerate_level(f, 3, 1).cycles[0])
+    rep, length = cycles(f, 3, 1)[0]
+    node = make_node(f, 3, 1, length, rep)
     assert [c.length for c in expand_children(f, 3, node)] == [9]
 
     f = IntPoly([0, 1])
-    node = make_node(f, 3, Cycle(1, 1, 0))
+    node = make_node(f, 3, 1, 1, 0)
     assert [c.length for c in expand_children(f, 3, node)] == [1, 1, 1]
 
     f = IntPoly([0, 0, 1])  # f'(0) = 0: the fixed point 0 grows tails
-    node = make_node(f, 3, Cycle(1, 1, 0))
+    node = make_node(f, 3, 1, 1, 0)
     assert node.classification.behavior is Behavior.GROWS_TAILS
     kids = expand_children(f, 3, node)
     assert [c.length for c in kids] == [1]
@@ -286,18 +291,20 @@ def _check_children_against_reference(f, p, n, node, members, next_level, next_m
         for _ in range(k):
             y = next(f.walk(y, 1, modulus, modulus, p))[0]
         phi.append((y - x1) // base % p)
-    over = [(c, m) for c, m in zip(next_level.cycles, next_members, strict=True)
-            if c.rep % base in members]
+    next_cycles = zip(next_level.reps.tolist(), next_level.lengths.tolist())
+    over = [(c, m) for c, m in zip(next_cycles, next_members, strict=True)
+            if c[0] % base in members]
     kids = expand_children(f, p, node)
-    assert [c.rep for c in kids] == [c.rep for c, _ in over]
-    for child, (ref, ref_members) in zip(kids, over):
-        assert (child.level, child.length) == (ref.level, ref.length)
-        walked, y = [], child.start
+    assert [c.rep for c in kids] == [rep for (rep, _), _ in over]
+    for child, ((ref_rep, ref_length), ref_members) in zip(kids, over):
+        assert (child.level, child.length) == (n + 1, ref_length)
+        start = x1 + child.offset * base
+        walked, y = [], start
         for _ in range(child.length):
             walked.append(y)
             y = next(f.walk(y, 1, modulus, modulus, p))[0]
         assert tuple(sorted(walked)) == ref_members
-        lin = compute_lin(f, p, ref)
+        lin = compute_lin_at(f, p, n + 1, ref_length, ref_rep)
         assert child.lin == lin
         assert child.classification == classify(lin, p)
         orbit, t = [child.offset], phi[child.offset]
@@ -306,14 +313,13 @@ def _check_children_against_reference(f, p, n, node, members, next_level, next_m
             orbit.append(t)
             t = phi[t]
         assert child.offset == min(orbit)
-        assert child.start == x1 + child.offset * base
-        assert child.start in ref_members
+        assert start in ref_members
     return node.classification.behavior
 
 
 @pytest.mark.parametrize("rational", [False, True])
 def test_expand_matches_reference(rational):
-    """Closed-form expansion against enumeration, compute_lin and a walked
+    """Closed-form expansion against enumeration, compute_lin_at and a walked
     offset map, at p in {3, 5, 7, 11} with n <= 3."""
     rng = random.Random(31 + rational)
     seen = set()
@@ -324,8 +330,10 @@ def test_expand_matches_reference(rational):
         levels = [enumerate_level(f, p, n) for n in range(1, top)]
         members = [orbit_members(f, p, n) for n in range(1, top)]
         for n in range(1, top - 1):
-            for cycle, cycle_members in zip(levels[n - 1].cycles, members[n - 1], strict=True):
-                node = make_node(f, p, cycle)
+            level = levels[n - 1]
+            for rep, length, cycle_members in zip(level.reps.tolist(), level.lengths.tolist(),
+                                                  members[n - 1], strict=True):
+                node = make_node(f, p, n, length, rep)
                 seen.add(_check_children_against_reference(
                     f, p, n, node, cycle_members, levels[n], members[n]))
     assert seen == set(Behavior)
@@ -337,8 +345,10 @@ def test_expand_matches_reference_large_prime():
     levels = [enumerate_level(f, 101, n) for n in (1, 2, 3)]
     members = [orbit_members(f, 101, n) for n in (1, 2, 3)]
     for n in (1, 2):
-        for cycle, cycle_members in zip(levels[n - 1].cycles, members[n - 1], strict=True):
-            _check_children_against_reference(f, 101, n, make_node(f, 101, cycle),
+        level = levels[n - 1]
+        for rep, length, cycle_members in zip(level.reps.tolist(), level.lengths.tolist(),
+                                              members[n - 1], strict=True):
+            _check_children_against_reference(f, 101, n, make_node(f, 101, n, length, rep),
                                               cycle_members, levels[n], members[n])
 
 
@@ -352,26 +362,26 @@ def test_tampered_lin_is_caught():
     for _ in range(20):
         p = rng.choice([3, 5, 7])
         f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
-        for cycle in enumerate_level(f, p, rng.randint(1, 2)).cycles:
-            node = make_node(f, p, cycle)
+        n = rng.randint(1, 2)
+        for rep, length in cycles(f, p, n):
+            node = make_node(f, p, n, length, rep)
             beh = node.classification.behavior
             if beh not in (Behavior.GROWS, Behavior.SPLITS):
                 continue
             wrong_b = 0 if beh is Behavior.GROWS else 1
             for lin in (dataclasses.replace(node.lin, b=node.lin.b + wrong_b - node.lin.b % p),
                         dataclasses.replace(node.lin, a=node.lin.a + 1)):
-                bad = make_node(f, p, cycle)
+                bad = make_node(f, p, n, length, rep)
                 bad.lin, bad.classification = lin, classify(lin, p)
                 with pytest.raises(AssertionError):
                     expand_children(f, p, bad)
-                assert not bad.expanded and bad.children == []
+                assert bad.children == []
                 tampered += 1
     assert tampered >= 20
 
 
 def _child_data(children):
-    return [(c.rep, c.length, c.lin, c.classification, c.offset, c.start)
-            for c in children]
+    return [(c.rep, c.length, c.lin, c.classification, c.offset) for c in children]
 
 
 def _fixed_zero_maps(rng, p, rational):
@@ -382,7 +392,7 @@ def _fixed_zero_maps(rng, p, rational):
     maps = [IntPoly([0, 1, u, v]), IntPoly([p * w, 1, u, v]), IntPoly([0, 0, 1, v])]
     if rational:  # 1 + v x^2 is a unit at 0 and leaves f(0) and f'(0) as they are
         maps = [RationalMap(f, IntPoly([1, 0, v])) for f in maps]
-    return [(f, [make_node(f, p, Cycle(1, 1, 0))]) for f in maps]
+    return [(f, [make_node(f, p, 1, 1, 0)]) for f in maps]
 
 
 @pytest.mark.parametrize("rational", [False, True])
@@ -396,7 +406,7 @@ def test_lane_walk_matches_point_walk(rational):
         frontier = []
         while not frontier:  # a rational map can send every point to a pole
             f = _random_map(rng, p, rational)
-            frontier = [make_node(f, p, c) for c in enumerate_level(f, p, 1).cycles]
+            frontier = [make_node(f, p, 1, length, rep) for rep, length in cycles(f, p, 1)]
         for f, frontier in [(f, frontier)] + _fixed_zero_maps(rng, p, rational):
             for _ in range(top):
                 nxt = []
@@ -419,7 +429,7 @@ def test_lane_route_int64_boundary():
     assert _route(p, 1) is _lane_walk and _route(p, 2) is _point_walk
     assert _route(89, 1) is _point_walk and _route(LANE_MIN_P, 1) is _lane_walk
     f = IntPoly([0, 1, 1])  # x + x^2: 0 is a fixed point that splits into p
-    node = make_node(f, p, Cycle(1, 1, 0))
+    node = make_node(f, p, 1, 1, 0)
     kids = _children(f, p, node, _lane_walk)
     assert _child_data(kids) == _child_data(_children(f, p, node, _point_walk))
     assert _child_data(expand_children(f, p, node)) == _child_data(kids)
@@ -439,7 +449,7 @@ def test_tampered_lin_is_caught_by_lanes():
     for p in (LANE_MIN_P, 211, 1009):
         for w in (0, rng.randrange(1, p)):
             f = IntPoly([p * w, 1, rng.randrange(1, p), rng.randrange(p)])
-            node = make_node(f, p, Cycle(1, 1, 0))
+            node = make_node(f, p, 1, 1, 0)
             for node in (node, expand_children(f, p, node)[0]):
                 beh = node.classification.behavior
                 assert beh in (Behavior.GROWS, Behavior.SPLITS)
@@ -451,7 +461,7 @@ def test_tampered_lin_is_caught_by_lanes():
                     bad = CycleNode(node.level, node.length, node.rep, lin, classify(lin, p))
                     with pytest.raises(InvariantError, match="t -> b"):
                         expand_children(f, p, bad)
-                    assert not bad.expanded and bad.children == []
+                    assert bad.children == []
                     tampered += 1
     assert tampered == 24
 
@@ -461,11 +471,11 @@ def test_pole_raises_bad_reduction(p):
     """A walk that meets a pole raises BadReductionError on either route: here
     a split fixed point of the identity, handed to 1/x, whose lifts are all
     poles."""
-    node = make_node(IntPoly([0, 1]), p, Cycle(1, 1, 0))
+    node = make_node(IntPoly([0, 1]), p, 1, 1, 0)
     bad = CycleNode(node.level, node.length, node.rep, node.lin, node.classification)
     with pytest.raises(BadReductionError):
         expand_children(RationalMap(IntPoly([1]), IntPoly([0, 1])), p, bad)
-    assert not bad.expanded and bad.children == []
+    assert bad.children == []
 
 
 @pytest.mark.parametrize("p, message", [(7, "offset cycle length"),
@@ -479,14 +489,14 @@ def test_early_return_is_caught(p, message):
     maps = _fixed_zero_maps(rng, p, False)
     for _ in range(3):
         f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
-        maps.append((f, [make_node(f, p, c) for c in enumerate_level(f, p, 1).cycles[:3]]))
+        maps.append((f, [make_node(f, p, 1, length, rep) for rep, length in cycles(f, p, 1)[:3]]))
     seen = set()
     for f, nodes in maps:
         for node in nodes:
             bad = CycleNode(1, 2 * node.length, node.rep, node.lin, node.classification)
             with pytest.raises(InvariantError, match=message):
                 expand_children(f, p, bad)
-            assert not bad.expanded and bad.children == []
+            assert bad.children == []
             seen.add(node.classification.behavior)
     assert {Behavior.SPLITS, Behavior.GROWS_TAILS} <= seen
 

@@ -14,9 +14,10 @@ from cycletree.verify import VerifyReport, check_kd_identity, collect_kd_samples
 
 
 def level1_node(f, p, rep=None):
-    cycles = enumerate_level(f, p, 1).cycles
-    cyc = cycles[0] if rep is None else next(c for c in cycles if c.rep == rep)
-    return make_node(f, p, cyc)
+    dec = enumerate_level(f, p, 1)
+    cycles = list(zip(dec.reps.tolist(), dec.lengths.tolist()))
+    rep, length = cycles[0] if rep is None else next(c for c in cycles if c[0] == rep)
+    return make_node(f, p, 1, length, rep)
 
 
 def test_predict_grows_levels():
@@ -263,7 +264,7 @@ def test_identity_check_on_partial_chain():
     tree = build_tree_bruteforce(f, 5, 6)
     samples = collect_kd_samples(tree)
     assert samples, "x^2 mod 5 must expose kd-lifts over the fixed point 1"
-    stats = check_kd_identity(f, 5, tree, VerifyReport(5, {}, 6))
+    stats = check_kd_identity(f, 5, tree, VerifyReport(6))
     assert stats.checked == len(samples)
     assert stats.mismatches == 0
 

@@ -89,7 +89,7 @@ def test_level_without_cycles():
     h = RationalMap(IntPoly([7, 4, 7, 7]), IntPoly([3, 8, 6]))
     tree = build_tree_bruteforce(InverseEvalMap.of(h), 3, 5)
     assert tree.lengths[1] == []
-    stats = check_chain_congruences(h, 3, tree, VerifyReport(3, {}, 5))
+    stats = check_chain_congruences(h, 3, tree, VerifyReport(5))
     assert (stats.checked, stats.mismatches) == (0, 0)
 
 
@@ -101,10 +101,10 @@ def test_cycle_longer_than_chunk(monkeypatch):
         tree = build_tree_bruteforce(f, p, oracle_depth(p, 5000))
         longest = max(longest, *(max(lens, default=0) for lens in tree.lengths))
         want = [tuple(map(list, lin)) for lin in _chain_lins(f, p, tree)[1:]]
-        stats = check_chain_congruences(f, p, tree, VerifyReport(p, {}, tree.max_level))
+        stats = check_chain_congruences(f, p, tree, VerifyReport(tree.max_level))
         monkeypatch.setattr(verify, "_CHAIN_CHUNK", 4)
         assert [tuple(map(list, lin)) for lin in _chain_lins(f, p, tree)[1:]] == want
-        assert check_chain_congruences(f, p, tree, VerifyReport(p, {}, tree.max_level)) == stats
+        assert check_chain_congruences(f, p, tree, VerifyReport(tree.max_level)) == stats
         assert stats.mismatches == 0
         monkeypatch.undo()
     assert longest > 4
@@ -216,7 +216,7 @@ def test_tampered_orbit_is_a_mismatch():
     start = sum(tree.lengths[level][:i])
     orbit = tree.orbits[level]
     orbit[start + 1], orbit[start + 2] = orbit[start + 2], orbit[start + 1]
-    report = VerifyReport(3, {}, tree.max_level)
+    report = VerifyReport(tree.max_level)
     stats = check_chain_congruences(f, 3, tree, report)
     assert (stats.checked, stats.mismatches) == (len(tree.lengths[2]) + len(tree.lengths[3]) + 1, 1)
     assert report.details == [
@@ -231,7 +231,7 @@ def test_child_off_its_parent_raises():
     i = next(i for i, q in enumerate(parents) if any(q != other for other in parents))
     parents[i] = next(q for q in parents if q != parents[i])
     with pytest.raises(InvariantError) as info:
-        check_chain_congruences(f, 3, tree, VerifyReport(3, {}, tree.max_level))
+        check_chain_congruences(f, 3, tree, VerifyReport(tree.max_level))
     err = info.value
     assert "no member over the parent rep" in str(err)
     assert (err.p, err.level, err.rep) == (3, level, tree.reps[level][i])
@@ -342,13 +342,13 @@ def test_invariant_error_exit_4(capsys, monkeypatch):
 def test_check_tail_bounds_needs_tail_lengths():
     tree = build_tree_bruteforce(IntPoly([0, 0, 1]), 3, 3)
     with pytest.raises(ValueError):
-        check_tail_bounds(IntPoly([0, 0, 1]), 3, 3, report=VerifyReport(3, {}, 3), tree=tree)
+        check_tail_bounds(IntPoly([0, 0, 1]), 3, 3, report=VerifyReport(3), tree=tree)
 
 
 def test_report_keeps_first_50_details():
     """``record`` and ``note`` share one cap; ``note`` reads no more of its
     iterable than the cap leaves room for, so an endless one is fine."""
-    report = verify.VerifyReport(3, {}, 2)
+    report = verify.VerifyReport(2)
     for i in range(30):
         report.record("prefix", False, str(i))
     report.note(f"chain-congruence: {i}" for i in itertools.count())
