@@ -207,15 +207,21 @@ def cmd_verify(args) -> int:
     else:
         maps = [_parse_map(args)]
     totals: dict[str, list[int]] = {}
+    failed = []  # each failing map, then its kept mismatch details
     for fmap in maps:
         report = verify_all(fmap, p, max_level=args.max_level, budget=args.budget)[0]
         for name, stats in report.rules.items():
             agg = totals.setdefault(name, [0, 0])
             agg[0] += stats.checked
             agg[1] += stats.mismatches
+        if report.mismatches:
+            failed.append(f"mismatches of f = {fmap}:")
+            failed += (f"  {line}" for line in report.details)
     for name in sorted(totals):
         c, m = totals[name]
         print(f"{name}: {c} checked, {m} mismatches, {'FAIL' if m else 'pass'}")
+    for line in failed:
+        print(line)
     mismatches = sum(m for _, m in totals.values())
     print(f"polynomials: {len(maps)}; total mismatches: {mismatches}")
     return EXIT_OK if mismatches == 0 else EXIT_MISMATCH

@@ -10,10 +10,10 @@ Both are computed exactly by walking the cycle once at working precision
 p^{2n}, which is enough for every congruence used downstream.  The offset
 map is affine because, for n >= 1, Taylor's formula gives
 f^k(x1 + t p^n) = f^k(x1) + t p^n (f^k)'(x1) (mod p^{2n}), and p^{2n} is
-divisible by p^{n+1}.  So ``expand_children`` reads the map off (a, b) mod p
-and walks the k*p lifts once.  For p >= ``LANE_MIN_P``, while p^{n+1} < 2^31
-keeps every product in int64, it walks them as p numpy lanes, one per offset,
-k steps each; otherwise it walks each child with big ints at p^{2(n+1)}.
+divisible by p^{n+1}.  So ``expand_children`` reads the map off (a, b) mod p,
+advances each of the p lifts k steps, as numpy lanes or with big ints
+(``_route``), and chains the lifts along each cycle of the offset map into one
+child.
 
 The lift-length law (a k-cycle lifts to one pk-cycle, to p k-cycles, to one
 k-cycle carrying tails, or to one k-cycle plus (p-1)/d kd-cycles) is stated
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .arith import Valuation, mult_order, ord_p, rem
 from .errors import InvariantError, NotACycleError
@@ -43,9 +45,9 @@ __all__ = [
 ]
 
 # Child expansion walks the lifts as numpy lanes from this p on (``_route``).
-# Level-1 expansions of random quintics, 40 nodes per p, big-int walk time
-# over lane time: p = 61: 0.67, 71: 0.86, 79: 0.93, 89: 0.96, 97: 1.13,
-# 131: 1.28, 211: 2.55, 1009: 5.92.
+# Big-int over lane kernel time, level-1 expansions of random quintics, 40
+# nodes per p, two runs: p = 61: 0.70-0.75, 71: 0.92-1.03, 79: 1.00-1.01,
+# 89: 1.18-1.19, 97: 1.03-1.18, 131: 1.45-1.47, 211: 2.69-2.72, 1009: 7.65-7.98.
 LANE_MIN_P = 97
 
 
@@ -196,16 +198,16 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     The offsets t of the lifts x1 + p^n t move under f^k by t -> b + a*t
     (mod p), read off the node's (a, b) with no walk.  Each cycle of that map,
     listed from its smallest offset t0, is one child.  The real map is then
-    walked over every lift, which checks the closed form and yields each
-    child's rep, its a, and its b at the walk start.  Cost: the child lengths
-    sum to k*p, so k*p evaluations; the caller charges them
+    walked over the lifts, k steps each, which checks the closed form and
+    yields each child's rep, its a, and its b at the walk start.  Cost: k*p
+    evaluations, or k when a = 0 (one lift); the caller charges k*p
     (``predictor._Analysis.expand``).  The child lengths must match the
     node's classification under the lift-length law (``classify_lifts``).
 
-    Two routes walk the lifts, with the same checks and the same results
-    (``_route``).  For p >= ``LANE_MIN_P`` and p^{n+1} < 2^31 (int64 limbs)
-    ``_lane_walk`` advances all p lifts together as numpy lanes, k steps;
-    otherwise ``_point_walk`` walks each child once at p^{2(n+1)} with big ints.
+    Two kernels advance the lifts (``_route``): for p >= ``LANE_MIN_P`` and
+    p^{n+1} < 2^31 (int64 limbs) ``_int64_lifts`` as p numpy lanes, otherwise
+    ``_bigint_lifts`` one at a time at p^{2(n+1)}.  ``_children`` checks and
+    chains what either returns the same way.
 
     b at the canonical rep needs no second walk.  With m = n+1, L the child
     length, F = f^L, y_j = f^j(start) and D_j = (f^j)'(start), Taylor mod p^{2m}
@@ -225,34 +227,36 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     return children
 
 
-def _children(fmap, p: int, node: CycleNode, walk) -> list[CycleNode]:
-    """The children of ``node`` in rep order, walked by ``walk``, which
-    returns (rep, a, b at the start, D_j and hi limb at the rep) per child."""
-    n, k = node.level, node.length
-    modulus = p ** (n + 1)
+def _children(fmap, p: int, node: CycleNode, kernel) -> list[CycleNode]:
+    """The children of ``node`` in rep order.  ``kernel`` advances one lift
+    per offset t (every t when a is a unit, else b, the one cycle of t -> b) k
+    steps.  Each offset cycle, walked once from its smallest offset, is one
+    child: its lanes chain as the high limb does, u <- H_t + u*D_t and
+    a <- a*D_t, and its rep is their smallest low limb."""
+    n, k, x1 = node.level, node.length, node.rep
+    base = p**n
+    P = base * p
     a, b = node.lin.a % p, node.lin.b % p
-
-    # Offset cycles as (smallest offset, cycle length); a = 0 has one, [b].
-    if a == 0:
-        offset_cycles = [(b, 1)]
-    else:
-        offset_cycles = []
-        seen = [False] * p
-        for t0 in range(p):
-            if seen[t0]:
-                continue
-            r, t = 0, t0
-            while not seen[t]:
-                seen[t] = True
-                r += 1
-                t = (b + a * t) % p
-            offset_cycles.append((t0, r))
-
-    children = []
-    rows = walk(fmap, p, node, offset_cycles)
-    for (t0, r), (rep, deriv, b_start, rep_deriv, rep_hi) in zip(offset_cycles, rows):
-        child_b = (b_start * rep_deriv - rep_hi * (deriv - 1)) % modulus
-        lin = _lin(p, n + 1, deriv, child_b)
+    lanes = range(p) if a else range(b, b + 1)
+    lo, H, D, mlo, mhi, mder = kernel(fmap, p, node, lanes)
+    s = lanes.start
+    seen, children = [False] * len(lanes), []
+    for t0 in lanes:
+        if seen[t0 - s]:
+            continue
+        i, r, u, deriv, rep = t0, 0, 0, 1, P  # every low limb is below P
+        while r == 0 or i != t0:
+            seen[j := i - s] = True
+            i = (b + a * i) % p
+            if lo[j] != x1 + i * base:
+                raise InvariantError("f^k does not move offsets by t -> b + a*t",
+                                     p, fmap, n, x1)
+            if mlo[j] < rep:
+                rep, rep_deriv, rep_hi = mlo[j], deriv * mder[j] % P, (mhi[j] + u * mder[j]) % P
+            u = (H[j] + u * D[j]) % P
+            deriv = deriv * D[j] % P
+            r += 1
+        lin = _lin(p, n + 1, deriv, (u * rep_deriv - rep_hi * (deriv - 1)) % P)
         children.append(CycleNode(n + 1, r * k, rep, lin, classify(lin, p),
                                   offset=t0, parent=node))
     children.sort(key=lambda c: c.rep)
@@ -260,58 +264,48 @@ def _children(fmap, p: int, node: CycleNode, walk) -> list[CycleNode]:
 
 
 def _route(p: int, level: int):
-    """The child walk for a node at ``level``: p numpy lanes when p is wide
-    enough to pay for them and P = p^{level+1} < ``ORACLE_MAX_POINTS``, which
-    keeps every ``limbs`` product below P^2 < 2^63; else the big-int walk."""
+    """The lift kernel: numpy lanes when p pays for them and P = p^{level+1} <
+    ``ORACLE_MAX_POINTS`` keeps every ``limbs`` product below 2^63; else big ints."""
     if p >= LANE_MIN_P and p ** (level + 1) < ORACLE_MAX_POINTS:
-        return _lane_walk
-    return _point_walk
+        return _int64_lifts
+    return _bigint_lifts
 
 
-def _point_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
-    """Walk each child once from x1 + p^n t0 at p^{2(n+1)}, one point at a
-    time; it must first return to its start after exactly r*k steps."""
-    n, k, x1 = node.level, node.length, node.rep
-    base = p**n
-    modulus = base * p
-    work = modulus * modulus
-    rows = []
-    for t0, r in offset_cycles:
-        length = r * k
-        start = x1 + t0 * base
-        count, deriv, rep, rep_lift, rep_deriv = 1, 1, start, start, 1
-        for y, der in fmap.walk(start, length, work, modulus, p):
-            deriv = deriv * der % modulus
-            low = y % modulus
-            if low == start:
-                break
-            count += 1
-            if low < rep:
-                rep, rep_lift, rep_deriv = low, y, deriv
-        # Early return counts fewer than length members, none counts one more.
-        if count != length:
-            raise InvariantError("offset cycle length disagrees with lift length",
-                                 p, fmap, n, x1)
-        rows.append((rep, deriv, (y - start) % work // modulus, rep_deriv,
-                     rep_lift // modulus))
-    return rows
-
-
-def _lane_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
-    """All p lifts x1 + p^n t at once, as int64 lanes advanced k steps by
-    ``limbs`` mod P = p^{n+1}; the high limb follows by Taylor,
-    f(z + u P) = f(z) + u P f'(z) (mod P^2), so hi <- h + hi*d.  Each lane
-    keeps the smallest low limb of its steps below k, with hi and (f^j)' there.
-    A child chains the k-step results of the lanes on its offset cycle the same
-    way: u <- H_t + u*D_t, a <- a*D_t."""
-    import numpy as np  # loaded already by arith
-
+def _bigint_lifts(fmap, p: int, node: CycleNode, lanes) -> tuple[list, ...]:
+    """The lifts x1 + p^n t, t in ``lanes``, each walked k steps at P^2 with big
+    ints, P = p^{n+1}.  Six lists, one entry per lane: the last low limb, the
+    high limb H, D = (f^k)' mod P, and the smallest low limb of the steps below
+    k with its high limb and (f^j)' there (as ``_int64_lifts``)."""
     n, k, x1 = node.level, node.length, node.rep
     base = p**n
     P = base * p
-    a, b = node.lin.a % p, node.lin.b % p
-    t = np.arange(p, dtype=np.int64) if a else np.array([b], dtype=np.int64)
-    lo = x1 + t * base
+    rows = []
+    for t in lanes:
+        lo = min_lo = x1 + t * base
+        der, min_hi, min_der = 1, 0, 1
+        for step, (y, d) in enumerate(fmap.walk(lo, k, P * P, P, p), 1):
+            der = der * d % P
+            if step == k:
+                break
+            lo = y % P
+            if lo % base == x1:
+                raise InvariantError(f"a lift returns to its fiber after {step} < k steps",
+                                     p, fmap, n, x1)
+            if lo < min_lo:
+                min_lo, min_hi, min_der = lo, y // P, der
+        hi, lo = divmod(y, P)
+        rows.append((lo, hi, der, min_lo, min_hi, min_der))
+    return tuple(map(list, zip(*rows)))
+
+
+def _int64_lifts(fmap, p: int, node: CycleNode, lanes) -> tuple[list, ...]:
+    """As ``_bigint_lifts``, with the lifts as int64 lanes advanced k steps
+    together by ``limbs`` mod P = p^{n+1}; the high limb follows by Taylor,
+    f(z + u P) = f(z) + u P f'(z) (mod P^2), so hi <- h + hi*d."""
+    n, k, x1 = node.level, node.length, node.rep
+    base = p**n
+    P = base * p
+    lo = x1 + np.arange(lanes.start, lanes.stop, dtype=np.int64) * base
     hi, der = np.zeros_like(lo), np.ones_like(lo)
     min_lo, min_hi, min_der = lo, hi, der
     for step in range(1, k + 1):
@@ -327,19 +321,4 @@ def _lane_walk(fmap, p: int, node: CycleNode, offset_cycles) -> list[tuple]:
         min_lo = np.where(less, lo, min_lo)
         min_hi = np.where(less, hi, min_hi)
         min_der = np.where(less, der, min_der)
-    # Checks the closed form t -> b + a*t against the real map.
-    if not np.array_equal(lo, x1 + rem(b + a * t, p) * base):
-        raise InvariantError("f^k does not move offsets by t -> b + a*t", p, fmap, n, x1)
-    H, D, mlo, mhi, mder = (v.tolist() for v in (hi, der, min_lo, min_hi, min_der))
-    rows = []
-    for t0, r in offset_cycles:
-        i, u, deriv, rep = t0, 0, 1, P  # every low limb is below P
-        for _ in range(r):
-            j = i if a else 0
-            if mlo[j] < rep:
-                rep, rep_deriv, rep_hi = mlo[j], deriv * mder[j] % P, (mhi[j] + u * mder[j]) % P
-            u = (H[j] + u * D[j]) % P
-            deriv = deriv * D[j] % P
-            i = (b + a * i) % p
-        rows.append((rep, deriv, u, rep_deriv, rep_hi))
-    return rows
+    return tuple(v.tolist() for v in (lo, hi, der, min_lo, min_hi, min_der))

@@ -474,14 +474,14 @@ def check_orbit_lengths(tree: BruteTree, p: int, report: VerifyReport) -> RuleSt
 
 
 def check_tail_bounds(fmap, p: int, max_level: int, report: VerifyReport,
-                      tree: BruteTree | None = None) -> RuleStats:
+                      tree: BruteTree) -> RuleStats:
     """Observed longest tail over each cycle with tails is at most
     ``tail_bound(p, n, k)`` = p + (n-2)k at level n.
 
     Reads the per-cycle pairs of a tree built with ``with_tail_lengths=True``
     (levels 1..``max_level``); ``fmap`` is not evaluated.
     """
-    if tree is None or tree.tail_pairs is None:
+    if tree.tail_pairs is None:
         raise ValueError("check_tail_bounds needs a tree built with_tail_lengths")
     stats = report.stat("tail-bound")
     for n in range(1, max_level + 1):

@@ -12,8 +12,8 @@ from cycletree.arith import IntPoly, Valuation, mult_order, ord_p
 from cycletree.checkers import RationalMap
 from cycletree.errors import BadReductionError, InvariantError, NotACycleError
 from cycletree.graph import DEFAULT_BUDGET, _sweep_level, build_tree_bruteforce, enumerate_level
-from cycletree.lifting import (LANE_MIN_P, Behavior, CycleNode, _children, _lane_walk,
-                               _point_walk, _route, classify, compute_lin_at, expand_children,
+from cycletree.lifting import (LANE_MIN_P, Behavior, CycleNode, _children, _int64_lifts,
+                               _bigint_lifts, _route, classify, compute_lin_at, expand_children,
                                make_node, multiplier_valuation)
 
 
@@ -402,7 +402,7 @@ def test_lane_walk_matches_point_walk(rational):
     rng = random.Random(7 + rational)
     seen = set()
     for p, top in ((101, 3), (211, 2), (1009, 2)):
-        assert _route(p, top) is _lane_walk
+        assert _route(p, top) is _int64_lifts
         frontier = []
         while not frontier:  # a rational map can send every point to a pole
             f = _random_map(rng, p, rational)
@@ -414,8 +414,10 @@ def test_lane_walk_matches_point_walk(rational):
                 for node in sorted(frontier, key=lambda c: c.length)[:3]:
                     if node.length * p > 200_000:
                         continue
-                    kids = _children(f, p, node, _point_walk)
-                    assert _child_data(_children(f, p, node, _lane_walk)) == _child_data(kids)
+                    assert _int64_lifts(f, p, node, range(p)) == \
+                        _bigint_lifts(f, p, node, range(p))
+                    kids = _children(f, p, node, _bigint_lifts)
+                    assert _child_data(_children(f, p, node, _int64_lifts)) == _child_data(kids)
                     seen.add(node.classification.behavior)
                     nxt.extend(kids)
                 frontier = nxt
@@ -426,34 +428,37 @@ def test_lane_route_int64_boundary():
     """p = 46337 has p^2 < 2^31 < p^3: level 1 walks lanes, level 2 big ints."""
     p = 46337
     assert p**2 < 2**31 < p**3
-    assert _route(p, 1) is _lane_walk and _route(p, 2) is _point_walk
-    assert _route(89, 1) is _point_walk and _route(LANE_MIN_P, 1) is _lane_walk
+    assert _route(p, 1) is _int64_lifts and _route(p, 2) is _bigint_lifts
+    assert _route(89, 1) is _bigint_lifts and _route(LANE_MIN_P, 1) is _int64_lifts
     f = IntPoly([0, 1, 1])  # x + x^2: 0 is a fixed point that splits into p
     node = make_node(f, p, 1, 1, 0)
-    kids = _children(f, p, node, _lane_walk)
-    assert _child_data(kids) == _child_data(_children(f, p, node, _point_walk))
+    assert _int64_lifts(f, p, node, range(p)) == _bigint_lifts(f, p, node, range(p))
+    kids = _children(f, p, node, _int64_lifts)
+    assert _child_data(kids) == _child_data(_children(f, p, node, _bigint_lifts))
     assert _child_data(expand_children(f, p, node)) == _child_data(kids)
     child = min(kids, key=lambda c: c.length)
     assert _child_data(expand_children(f, p, child)) == \
-        _child_data(_children(f, p, child, _point_walk))
+        _child_data(_children(f, p, child, _bigint_lifts))
 
 
 def test_tampered_lin_is_caught_by_lanes():
-    """As ``test_tampered_lin_is_caught``, at primes where the lanes walk:
-    their end-offset check must raise and leave the node unexpanded.  Random
-    maps rarely have a = 1 at large p, so f = x + u x^2 + v x^3 + p w fixes 0
-    mod p with f'(0) = 1: it grows (w a unit) or splits (w = 0), and so do its
-    lifts."""
+    """As ``test_tampered_lin_is_caught``, on both kernels: the closed-form
+    check of the lifts' end offsets must raise and leave the node unexpanded,
+    at p = 7 and at p = 46337 on level 2 (P > 2^31) with big ints, and from
+    ``LANE_MIN_P`` on with lanes.  Random maps rarely have a = 1 at large p,
+    so f = x + u x^2 + v x^3 + p w fixes 0 mod p with f'(0) = 1: it grows
+    (w a unit) or splits (w = 0), and so do its lifts.  At p = 46337 only
+    w = 0, as a growing child would have p^2 lifts to walk."""
     rng = random.Random(6)
-    tampered = 0
-    for p in (LANE_MIN_P, 211, 1009):
-        for w in (0, rng.randrange(1, p)):
+    tampered, kernels = 0, set()
+    for p in (7, LANE_MIN_P, 211, 1009, 46337):
+        for w in (0,) if p == 46337 else (0, rng.randrange(1, p)):
             f = IntPoly([p * w, 1, rng.randrange(1, p), rng.randrange(p)])
             node = make_node(f, p, 1, 1, 0)
             for node in (node, expand_children(f, p, node)[0]):
                 beh = node.classification.behavior
                 assert beh in (Behavior.GROWS, Behavior.SPLITS)
-                assert _route(p, node.level) is _lane_walk
+                kernels.add(_route(p, node.level))
                 wrong_b = 0 if beh is Behavior.GROWS else 1
                 for lin in (dataclasses.replace(node.lin,
                                                 b=node.lin.b + wrong_b - node.lin.b % p),
@@ -463,7 +468,8 @@ def test_tampered_lin_is_caught_by_lanes():
                         expand_children(f, p, bad)
                     assert bad.children == []
                     tampered += 1
-    assert tampered == 24
+    assert tampered == 36
+    assert kernels == {_int64_lifts, _bigint_lifts}
 
 
 @pytest.mark.parametrize("p", [7, LANE_MIN_P])
@@ -478,7 +484,7 @@ def test_pole_raises_bad_reduction(p):
     assert bad.children == []
 
 
-@pytest.mark.parametrize("p, message", [(7, "offset cycle length"),
+@pytest.mark.parametrize("p, message", [(7, "returns to its fiber"),
                                         (LANE_MIN_P, "returns to its fiber")])
 def test_early_return_is_caught(p, message):
     """A node claiming twice its cycle length: its lifts return to their fiber
