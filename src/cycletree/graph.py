@@ -15,8 +15,9 @@ identity, x -> -x), the plain doubling runs instead; fewer are labelled apart.
 Array passes, not a walk, then list the cycles in rep order, each in orbit
 order from its rep.  ``enumerate_level`` returns a level as one
 ``LevelDecomposition`` of arrays.
-Tail facts come from one pass outward from the cycles (``distance_to_cycle``),
-which gives every point its distance to a cycle and the cycle it enters.
+Tail facts come from the peeling rounds.  A point peeled in round r (leaves in
+round 0) ends a chain of r + 1 tail points, so each cycle's longest tail is the
+longest such chain among the tail points that feed it directly.
 Whatever the budget, the oracle refuses levels of more than
 ``ORACLE_MAX_POINTS`` = 2^31 residues, so orbit arrays and labels are int32 and
 no int64 product in the map kernels overflows.
@@ -51,7 +52,8 @@ LEADER_MIN_POINTS = 2**18  # cyclic points from which the doubling contracts to 
 
 @dataclass
 class TailStats:
-    """Fiber histogram and longest tail for points over one mod-p cycle."""
+    """Fiber histogram over one critical class, and the longest tail over the
+    residues lying above the class's mod-p cycle, not over the whole basin."""
 
     cycle_rep: int
     cycle_length: int
@@ -69,7 +71,8 @@ class LevelDecomposition:
     ``succ`` is the int64 successor table, -1 at poles; ``excluded_points`` counts
     the poles.  ``labels`` maps each residue to its cycle id (-1 off cycles).  Cycles
     are in rep order: ``reps`` and ``lengths`` are int arrays, and ``orbit`` holds
-    the members, each cycle in orbit order from its rep.
+    the members, each cycle in orbit order from its rep.  ``tails`` (int32) holds
+    each cycle's longest tail, 0 for none; chains into poles enter no cycle.
     """
 
     modulus: int
@@ -78,6 +81,7 @@ class LevelDecomposition:
     reps: np.ndarray
     lengths: np.ndarray
     orbit: np.ndarray
+    tails: np.ndarray
     excluded_points: int
 
     @property
@@ -189,14 +193,27 @@ def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Level
     excluded = int(np.count_nonzero(poles))
     nxt[poles] = modulus
     del poles
+    # A point peeled in round r (leaves in round 0) ends chains of at most r + 1 tail
+    # points.  Its in-degree is never read again, so it keeps -(r + 1) there.
     indeg = np.bincount(nxt)
     front = np.flatnonzero(indeg == 0)
+    r = 0
     while front.size:
+        r += 1
+        indeg[front] = -r
         hit, k = np.unique(nxt[front], return_counts=True)
         indeg[hit] -= k
         front = hit[indeg[hit] == 0]
-    cyclic = indeg[:modulus] > 0
-    del nxt, indeg
+    cyclic = indeg > 0
+    cyclic[modulus] = False  # the sink: chains into poles enter no cycle
+    # The longest tail into a cycle enters it through a feeder, a tail point with a
+    # cyclic successor; keep each feeder's successor and chain until cycles have ids.
+    feeders = np.flatnonzero(cyclic[nxt] & ~cyclic)
+    fed = nxt[feeders]
+    del nxt  # before the chains: on a constant map almost every point is a feeder
+    chain = -indeg[feeders].astype(np.int32)
+    del indeg, feeders
+    cyclic = cyclic[:modulus]
     m, d = _rep_steps(np.cumsum(cyclic)[succ[cyclic]] - 1)  # successors, as cyclic positions
     starts = np.flatnonzero(cyclic)
     del cyclic
@@ -214,7 +231,9 @@ def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Level
     del d
     labels = np.full(modulus, -1, dtype=np.int32)
     labels[starts] = cid
-    return LevelDecomposition(modulus, succ, labels, reps, sizes, orbit, excluded)
+    tails = np.zeros(len(reps), dtype=np.int32)
+    np.maximum.at(tails, labels[fed], chain)
+    return LevelDecomposition(modulus, succ, labels, reps, sizes, orbit, tails, excluded)
 
 
 _sweep_level = enumerate_level  # the name perfbench's span tracer wraps
@@ -224,10 +243,12 @@ def distance_to_cycle(sweep: LevelDecomposition) -> tuple[np.ndarray, np.ndarray
     """Per-residue (distance to a cycle along the orbit, id of that cycle).
 
     Both are int32 arrays, dist 0 on cycles; both read -1 at poles and at points
-    whose orbit meets a pole.  One pass outward from the cycles: round d settles
-    the unsettled points whose successor is settled (at distance d-1) and drops
-    them from the work list, so a round touches only points still unsettled.
-    What a round leaves unsettled, for good, feeds into poles.
+    whose orbit meets a pole.  Its one caller is ``tail_analysis``, whose maximum
+    runs over part of a basin, which the peeling rounds cannot give.  One pass
+    outward from the cycles: round d settles the unsettled points whose successor
+    is settled (at distance d-1) and drops them from the work list, so a round
+    touches only points still unsettled.  What a round leaves unsettled, for good,
+    feeds into poles.
     """
     dist = np.where(sweep.labels >= 0, 0, -1).astype(np.int32)
     owner = sweep.labels.copy()
@@ -245,12 +266,8 @@ def distance_to_cycle(sweep: LevelDecomposition) -> tuple[np.ndarray, np.ndarray
 
 def tail_length_by_cycle(sweep: LevelDecomposition) -> list[tuple[int, int]]:
     """(cycle length, longest attached tail) for cycles with tails."""
-    dist, owner = distance_to_cycle(sweep)
-    valid = dist > 0
-    longest = np.zeros(len(sweep.reps), dtype=np.int32)  # dist's dtype: maximum.at's fast path
-    np.maximum.at(longest, owner[valid], dist[valid])
-    has = np.flatnonzero(longest)
-    return list(zip(sweep.lengths[has].tolist(), longest[has].tolist()))
+    has = np.flatnonzero(sweep.tails)
+    return list(zip(sweep.lengths[has].tolist(), sweep.tails[has].tolist()))
 
 
 @dataclass
@@ -264,7 +281,8 @@ class BruteTree:
     each in orbit order from its rep (int32, as p^n is below 2^31).
     ``tail_points[n]`` counts the level-n residues on no cycle, poles included.
     When built with ``with_tail_lengths`` each level records (cycle length,
-    longest tail) pairs for cycles that own tails.
+    longest tail) pairs for cycles that own tails, read off the sweep's peeling
+    rounds (``LevelDecomposition.tails``).
     """
 
     p: int
@@ -349,7 +367,9 @@ def _expected_tail_histogram(p: int, n: int) -> dict[int, int]:
 def tail_analysis(fmap, p: int, n: int, mod_p_class: int,
                   budget: int = DEFAULT_BUDGET) -> TailStats:
     """Fiber sizes of f_n restricted to one critical mod-p class, plus the
-    longest tail over the cycle that class belongs to.
+    longest tail over the cycle that class belongs to.  That maximum runs over
+    the residues lying above the class's mod-p cycle, not over the whole basin:
+    residues of other classes may feed longer tails into the same cycles.
 
     Requires the class to lie on a mod-p cycle with f' = 0 mod p there.
     """

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cycletree.arith import IntPoly
 from cycletree.checkers import RationalMap
 from cycletree.cli import main, render_json
+from cycletree.graph import distance_to_cycle, enumerate_level
 from cycletree.predictor import (AnalyzedTree, OrbitChain, OrbitReport, PredictedShape,
                                  Scope, ShapeKind, TreeNode, UndeterminedReason, analyze,
                                  orbit_bound_statement)
@@ -356,6 +357,18 @@ def test_tails_command(capsys):
     assert "10: 10" in out
     assert "25: 1" in out
     assert "matches observation" in out
+
+
+def test_tails_maximum_runs_over_the_class_cycle_not_the_basin(capsys):
+    # f = 8 + 6x^2 mod 9 sends 0 -> 8 -> 5 and fixes 5: a tail of 2 into the cycle over
+    # class 2, which tails reports as 1, the longest over the residues 2, 5 and 8.
+    code, out, _ = run_cli(capsys, "tails", "--prime", "3", "--poly", "8,0,6",
+                           "--level", "2", "--class", "2")
+    assert code == 0
+    assert "max tail length: 1 (bound 3)" in out
+    sw = enumerate_level(IntPoly([8, 0, 6]), 3, 2)
+    dist, owner = distance_to_cycle(sw)
+    assert (dist[0], owner[0]) == (2, sw.labels[5])
 
 
 def test_orbits_command(capsys):

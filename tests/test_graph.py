@@ -15,7 +15,7 @@ from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BudgetExceededError
 from cycletree.graph import (DEFAULT_BUDGET, ORACLE_MAX_POINTS, _sweep_level,
                              build_tree_bruteforce, distance_to_cycle, enumerate_level,
-                             tail_analysis)
+                             tail_analysis, tail_length_by_cycle)
 
 
 def orbit_members(fmap, p, n):
@@ -167,6 +167,58 @@ def test_contracted_sweep_matches_reference_with_poles(case):
     # 2^18 cyclic points: the identity bails out, x + 1 walks one cycle of leaders.
     with mock.patch.object(graph, "LEADER_MIN_POINTS", 1):
         test_sweep_matches_reference_with_poles.hypothesis.inner_test(case)
+
+
+def basin_tail_pairs(sweep):
+    """(cycle length, longest tail) for cycles with tails, from the per-owner
+    maximum of the outward distances."""
+    dist, owner = distance_to_cycle(sweep)
+    longest = [0] * len(sweep.reps)
+    for d, o in zip(dist.tolist(), owner.tolist()):
+        if d > 0:
+            longest[o] = max(longest[o], d)
+    return [(k, t) for k, t in zip(sweep.lengths.tolist(), longest) if t]
+
+
+@example((3, InverseEvalMap(IntPoly([0, 0, 1]), IntPoly([1, 1]))))  # 1 -> 1/2: a chain into a pole
+@example((3, IntPoly([3, 0, 3])))  # 3 + 3x^2: almost every residue on a tail, peeled over rounds
+@sweep_cases
+def test_peeling_rounds_match_outward_distances(case):
+    # every level up to p^n <= 20000, on both labelling paths
+    p, fmap = case
+    for n in range(1, {3: 9, 5: 6, 7: 5}[p] + 1):
+        for leaders in (graph.LEADER_MIN_POINTS, 1):
+            with mock.patch.object(graph, "LEADER_MIN_POINTS", leaders):
+                sw = enumerate_level(fmap, p, n)
+            assert sw.tails.dtype == np.int32
+            assert tail_length_by_cycle(sw) == basin_tail_pairs(sw)
+
+
+class HandTable(MapProtocol):
+    """One fixed successor table, -1 at poles, whatever the modulus."""
+
+    def __init__(self, succ):
+        self.succ = succ
+
+    def table(self, modulus, p):
+        return np.array(self.succ, dtype=np.int64)
+
+
+def test_longest_tail_through_a_feeder_with_preimages_of_different_rounds():
+    # Mod 27: the 2-cycle 0 <-> 1 is fed by 2 <- 3 and by 4, whose preimages are the
+    # leaf 5 (round 0) and the end of 8 -> 7 -> 6 (round 2), so 4 is peeled in round 3
+    # and the longest tail, 8 -> 7 -> 6 -> 4 -> 1, is 4 long.  9 is a pole fed by the
+    # chain 11 -> 10, which enters no cycle; 13 is fixed and fed by 15 -> 14; 12 and
+    # 16..26 are fixed with no tail.
+    succ = [1, 0, 0, 2, 1, 4, 4, 6, 7, -1, 9, 10, 12, 13, 13, 14] + list(range(16, 27))
+    sw = enumerate_level(HandTable(succ), 3, 3)
+    assert sw.reps.tolist() == [0, 12, 13] + list(range(16, 27))
+    assert sw.tails.tolist() == [4, 0, 2] + [0] * 11
+    assert tail_length_by_cycle(sw) == [(2, 4), (1, 2)] == basin_tail_pairs(sw)
+    assert (sw.tail_point_count, sw.excluded_points) == (11, 1)
+    dist, owner = distance_to_cycle(sw)
+    assert dist[[8, 3, 15, 11]].tolist() == [4, 2, 2, -1]
+    assert owner[[8, 3, 15, 11]].tolist() == [0, 0, 2, -1]
 
 
 @pytest.mark.parametrize("p, n, coeffs", [
