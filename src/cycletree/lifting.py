@@ -214,8 +214,6 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     gives F(y_j) - y_j = D_j * (F(start) - start) (rotation), and for
     rep = y_j - u p^m, F(rep) - rep = F(y_j) - y_j - u p^m (a - 1) (re-lift).
     """
-    if node.children:
-        return node.children
     n, k = node.level, node.length
     children = _children(fmap, p, node, _route(p, n))
     got = [c.length for c in children]

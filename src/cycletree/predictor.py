@@ -16,8 +16,8 @@ claim about the node's entire (infinite) subtree:
   has a single same-length lift carrying tails of bounded length.
 * grows-then-splits: the p = 3, level-1 special case; the single lift splits
   and analysis continues below it.
-* undetermined(beyond, reason): full splitting is known down to
-  ``split_known_until``; nothing is claimed past ``beyond_level``.
+* undetermined(beyond, reason): full splitting is known down to level
+  ``beyond_level``, and nothing is claimed past it.
 
 ``analyze`` sweeps level 1 once for the root's children and explores below
 it with expand_children only, deepens undetermined nodes by doubling their
@@ -83,9 +83,8 @@ class PredictedShape:
     d: int | None = None
     m: int | None = None  # certified kd-family rule for stationary partial chains
     tail_bound: int | None = None
-    beyond_level: int | None = None  # deepest level at which behaviour is known
+    beyond_level: int | None = None  # full splitting holds through it, nothing past
     reason: UndeterminedReason | None = None
-    split_known_until: int | None = None  # full splitting holds through this level
 
     def to_dict(self) -> dict:
         return {
@@ -97,7 +96,7 @@ class PredictedShape:
             "tailBound": self.tail_bound,
             "beyondLevel": self.beyond_level,
             "reason": self.reason.value if self.reason else None,
-            "splitKnownUntil": self.split_known_until,
+            "splitKnownUntil": self.beyond_level,  # the same horizon, kept for the schema
         }
 
     def describe(self) -> str:
@@ -116,37 +115,16 @@ class PredictedShape:
         if k is ShapeKind.GROWS_THEN_SPLITS:
             return "grows once, then the lift splits"
         return (f"undetermined beyond level {self.beyond_level} "
-                f"({self.reason.value}; splits through level {self.split_known_until})")
+                f"({self.reason.value}; splits through level {self.beyond_level})")
 
 
-_GROWS_FOREVER = PredictedShape(ShapeKind.GROWS_FOREVER)
-
-
-@functools.lru_cache(maxsize=4096)
-def _splits_then_grows(s: int, scope: Scope) -> PredictedShape:
-    return PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=s, scope=scope)
-
-
-@functools.lru_cache(maxsize=4096)
-def _stationary_partial(d: int, m: int | None = None) -> PredictedShape:
-    return PredictedShape(ShapeKind.STATIONARY_PARTIAL_SPLIT, d=d, m=m)
+# Every shape analyze emits is built here; the same keywords give the same object.
+_shape = functools.lru_cache(maxsize=4096)(PredictedShape)
 
 
 def tail_bound(p: int, n: int, k: int) -> int:
     """Longest tail over a k-cycle with tails at level n: at most p + (n-2)k."""
     return max(p + (n - 2) * k, 0)
-
-
-@functools.lru_cache(maxsize=4096)
-def _tails_forever(k: int, p: int, level: int) -> PredictedShape:
-    return PredictedShape(ShapeKind.TAILS_FOREVER, tail_bound=tail_bound(p, level, k))
-
-
-@functools.lru_cache(maxsize=4096)
-def _undetermined(beyond: int, reason: UndeterminedReason,
-                  split_known_until: int) -> PredictedShape:
-    return PredictedShape(ShapeKind.UNDETERMINED, beyond_level=beyond, reason=reason,
-                          split_known_until=split_known_until)
 
 
 def _is_kd_lift(node: CycleNode) -> bool:
@@ -170,21 +148,21 @@ def predict(fmap, p: int, node: CycleNode) -> PredictedShape:
     beh = node.classification.behavior
 
     if beh is Behavior.GROWS_TAILS:
-        return _tails_forever(k, p, n)
+        return _shape(kind=ShapeKind.TAILS_FOREVER, tail_bound=tail_bound(p, n, k))
 
     if beh is Behavior.GROWS:
         if n >= 2 or p > 3:
-            return _GROWS_FOREVER
+            return _shape(kind=ShapeKind.GROWS_FOREVER)
         # p = 3, level 1: growth continues unless b = c (mod 3), where c is
         # the quadratic coefficient of the iterate at the representative.
         series = iterate_series(fmap, node.rep, k, 2, modulus=p**3, p=p)
         c = series[2] % p
         if node.lin.b % p != c:
-            return _GROWS_FOREVER
-        return PredictedShape(ShapeKind.GROWS_THEN_SPLITS)
+            return _shape(kind=ShapeKind.GROWS_FOREVER)
+        return _shape(kind=ShapeKind.GROWS_THEN_SPLITS)
 
     if beh is Behavior.PARTIALLY_SPLITS:
-        return _stationary_partial(node.classification.d)
+        return _shape(kind=ShapeKind.STATIONARY_PARTIAL_SPLIT, d=node.classification.d)
 
     # Splitting cycles.
     if _is_kd_lift(node):
@@ -194,19 +172,21 @@ def predict(fmap, p: int, node: CycleNode) -> PredictedShape:
         d = node.parent.classification.d
         e = multiplier_valuation(fmap, p, node, cap=nu * d)
         if e.saturated:
-            return _undetermined(nu + nu * d, UndeterminedReason.PARTIAL_SPLIT_HORIZON,
-                                 split_known_until=nu + nu * d)
+            return _shape(kind=ShapeKind.UNDETERMINED, beyond_level=nu + nu * d,
+                          reason=UndeterminedReason.PARTIAL_SPLIT_HORIZON)
         if e.value < 2:
             raise InvariantError("splitting kd-lift must have e >= 2",
                                  p, fmap, node.level, node.rep)
-        return _splits_then_grows(e.value - 2, Scope.ALL)
+        return _shape(kind=ShapeKind.SPLITS_THEN_GROWS, splits=e.value - 2, scope=Scope.ALL)
 
     A, B = node.lin.A, node.lin.B
     if not B.saturated and (A.saturated or B.value < A.value):
-        return _splits_then_grows(B.value - 1, Scope.ALL)
+        return _shape(kind=ShapeKind.SPLITS_THEN_GROWS, splits=B.value - 1, scope=Scope.ALL)
     if not A.saturated and (B.saturated or A.value <= B.value):
-        return _splits_then_grows(A.value - 1, Scope.ALL_BUT_ONE)
-    return _undetermined(2 * n, UndeterminedReason.CASE3_AB, split_known_until=2 * n)
+        return _shape(kind=ShapeKind.SPLITS_THEN_GROWS, splits=A.value - 1,
+                      scope=Scope.ALL_BUT_ONE)
+    return _shape(kind=ShapeKind.UNDETERMINED, beyond_level=2 * n,
+                  reason=UndeterminedReason.CASE3_AB)
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,9 +369,8 @@ class _Analysis:
             assert kind is ShapeKind.UNDETERMINED
             rounds = self.next_round(node.level, rounds_left, round_until)
             if rounds is None:
-                node.shape = _undetermined(shape.beyond_level,
-                                           UndeterminedReason.PATHOLOGICAL_SUSPECT,
-                                           shape.split_known_until)
+                node.shape = _shape(kind=ShapeKind.UNDETERMINED, beyond_level=shape.beyond_level,
+                                    reason=UndeterminedReason.PATHOLOGICAL_SUSPECT)
                 self.unresolved += 1
                 return
             if self.deepen_nodes >= DEEPEN_WIDTH:
@@ -483,7 +462,7 @@ class _Analysis:
         else:  # a kd-lift with valuation m grows (m = 1) or splits m-2 more times
             m = 1 if certified.kind is ShapeKind.GROWS_FOREVER else certified.splits + 2
         for visited in chain:
-            visited.shape = _stationary_partial(d, m)
+            visited.shape = _shape(kind=ShapeKind.STATIONARY_PARTIAL_SPLIT, d=d, m=m)
         for child in pending:
             self.process(child, self.max_deepen, 0)
         if certified is None and not pending:

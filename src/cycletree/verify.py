@@ -83,7 +83,6 @@ class RuleStats:
 
 @dataclass
 class VerifyReport:
-    oracle_levels: int
     rules: dict[str, RuleStats] = field(default_factory=dict)
     details: list[str] = field(default_factory=list)
 
@@ -138,7 +137,7 @@ def _claim(shape: PredictedShape, level: int) -> tuple[str, tuple]:
         return "tails-forever", ("T",)
     if kind is ShapeKind.GROWS_THEN_SPLITS:
         return "grows-then-splits", ("GS", level + 2)
-    return "undetermined-prefix", ("U", shape.split_known_until)
+    return "undetermined-prefix", ("U", shape.beyond_level)
 
 
 def _holds(tree: BruteTree, level: int, idx: int, claim: tuple, memo: dict) -> bool:
@@ -211,7 +210,7 @@ def verify_map(fmap, p: int, budget: int = DEFAULT_BUDGET,
     top = oracle.max_level
     if analyzed is None:
         analyzed = analyze(fmap, p, budget=budget)
-    report = VerifyReport(top)
+    report = VerifyReport()
 
     # Locate every analyzed node in the oracle, the root at (0, 0), and group the
     # children of each node.  analyze always expands the root, so its child set

@@ -13,7 +13,7 @@ import pytest
 
 from cycletree.arith import IntPoly, Valuation
 from cycletree.checkers import InverseEvalMap, RationalMap, is_permutation, is_single_cycle
-from cycletree.graph import _sweep_level, build_tree_bruteforce, enumerate_level, tail_analysis
+from cycletree.graph import build_tree_bruteforce, enumerate_level, tail_analysis
 from cycletree.lifting import compute_lin_at
 from cycletree.predictor import Scope, ShapeKind, analyze, separation_analysis
 from cycletree.verify import (RuleStats, oracle_depth, random_poly, verify_all,
@@ -88,12 +88,11 @@ def corpus():
 
 def test_criterion_01_paper_nine_cycle():
     f = IntPoly([2, 1, 3, 1, 3, 2])
-    dec = enumerate_level(f, 3, 4, budget=BUDGET)
-    sweep = _sweep_level(f, 3, 4, BUDGET)  # members from the oracle's orbit array
-    ends = itertools.accumulate(sweep.lengths)
+    dec = enumerate_level(f, 3, 4, budget=BUDGET)  # members from its orbit array
+    ends = itertools.accumulate(dec.lengths)
     nine = [(rep, k) for rep, k, end in zip(dec.reps.tolist(), dec.lengths.tolist(), ends,
                                             strict=True)
-            if 0 in sweep.orbit[end - k:end]]
+            if 0 in dec.orbit[end - k:end]]
     ok = len(nine) == 1 and nine[0][1] == 9
     lin = compute_lin_at(f, 3, 4, nine[0][1], nine[0][0])
     ok &= lin.A == Valuation(3, False)  # ord_3(a_4 - 1) = 3 exactly

@@ -141,8 +141,8 @@ def test_render_json_every_shape_kind():
               PredictedShape(ShapeKind.STATIONARY_PARTIAL_SPLIT, d=2, m=3),
               PredictedShape(ShapeKind.TAILS_FOREVER, tail_bound=7),
               PredictedShape(ShapeKind.GROWS_THEN_SPLITS),
-              *(PredictedShape(ShapeKind.UNDETERMINED, beyond_level=8, reason=reason,
-                               split_known_until=8) for reason in UndeterminedReason)]
+              *(PredictedShape(ShapeKind.UNDETERMINED, beyond_level=8, reason=reason)
+                for reason in UndeterminedReason)]
     assert {s.kind for s in shapes} == set(ShapeKind)
     root = TreeNode(0, None, 0, 1, 0, None, None, None, None, None, None, None)
     nodes = [root] + [

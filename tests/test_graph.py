@@ -13,15 +13,15 @@ from cycletree import cli, graph
 from cycletree.arith import IntPoly, MapProtocol
 from cycletree.checkers import InverseEvalMap, RationalMap
 from cycletree.errors import BudgetExceededError
-from cycletree.graph import (DEFAULT_BUDGET, ORACLE_MAX_POINTS, _sweep_level,
-                             build_tree_bruteforce, distance_to_cycle, enumerate_level,
-                             tail_analysis, tail_length_by_cycle)
+from cycletree.graph import (DEFAULT_BUDGET, ORACLE_MAX_POINTS, build_tree_bruteforce,
+                             distance_to_cycle, enumerate_level, tail_analysis,
+                             tail_length_by_cycle)
 
 
 def orbit_members(fmap, p, n):
     """The members of each cycle of f_n, cycles in rep order, as ascending
     tuples sliced from the oracle's orbit array."""
-    sw = _sweep_level(fmap, p, n, DEFAULT_BUDGET)
+    sw = enumerate_level(fmap, p, n, DEFAULT_BUDGET)
     orbit, ends = sw.orbit.tolist(), itertools.accumulate(sw.lengths)
     return [tuple(sorted(orbit[end - k:end])) for k, end in zip(sw.lengths, ends)]
 
@@ -155,7 +155,7 @@ def test_sweep_matches_reference_with_poles(case):
         assert list(zip(dec.reps.tolist(), dec.lengths.tolist(), members, strict=True)) == \
             [(c[0], len(c), tuple(sorted(c))) for c in cycles]
         assert (dec.tail_point_count, dec.excluded_points) == (tails, poles)
-        got_dist, got_owner = distance_to_cycle(_sweep_level(fmap, p, n, DEFAULT_BUDGET))
+        got_dist, got_owner = distance_to_cycle(enumerate_level(fmap, p, n, DEFAULT_BUDGET))
         assert got_dist.tolist() == [dist[x] for x in range(p**n)]
         assert [tree.reps[n][i] if i >= 0 else None for i in got_owner.tolist()] == \
             [owner[x] for x in range(p**n)]

@@ -83,7 +83,7 @@ def _partial(d, m):
 
 def _undetermined(until):
     return PredictedShape(ShapeKind.UNDETERMINED, beyond_level=until,
-                          reason=UndeterminedReason.CASE3_AB, split_known_until=until)
+                          reason=UndeterminedReason.CASE3_AB)
 
 
 def test_grows_forever_verdicts():
@@ -191,7 +191,7 @@ def test_undetermined_prefix_verdicts():
 ])
 def test_lift_length_law_accepts(p, kids):
     tree = _tree(p, (1, [leaf(k) for k in kids]))
-    stats = check_lift_length_law(tree, p, VerifyReport(tree.max_level))
+    stats = check_lift_length_law(tree, p, VerifyReport())
     assert (stats.checked, stats.mismatches) == (1, 0)
 
 
@@ -201,14 +201,14 @@ def test_lift_length_law_accepts(p, kids):
 ])
 def test_lift_length_law_rejects(p, kids):
     tree = _tree(p, (1, [leaf(k) for k in kids]))
-    stats = check_lift_length_law(tree, p, VerifyReport(tree.max_level))
+    stats = check_lift_length_law(tree, p, VerifyReport())
     assert (stats.checked, stats.mismatches) == (1, 1)
 
 
 def test_lift_length_law_counts_every_node():
     # a cycle without lifts breaks the law; the other one keeps it
     tree = _tree(5, leaf(1), (1, [leaf(5)]))
-    stats = check_lift_length_law(tree, 5, VerifyReport(tree.max_level))
+    stats = check_lift_length_law(tree, 5, VerifyReport())
     assert (stats.checked, stats.mismatches) == (2, 1)
 
 
@@ -279,7 +279,7 @@ def test_orbit_bound_check_at_p3(c):
     """A stationary chain of length c through every level passes the oracle's
     orbit-bound check exactly when the length is allowed."""
     tree = _tree(3, (c, [(c, [leaf(c)])]))
-    stats = check_orbit_lengths(tree, 3, VerifyReport(tree.max_level))
+    stats = check_orbit_lengths(tree, 3, VerifyReport())
     assert (stats.checked, stats.mismatches) == (1, int(c not in ALLOWED_ORBIT_LENGTHS[3]))
 
 
@@ -294,19 +294,19 @@ def test_orbit_bound_checks_cycles_like_their_parent(spec, checked):
     """A deepest cycle is checked exactly when its parent has its length,
     whatever lies above that parent."""
     tree = _tree(3, spec)
-    stats = check_orbit_lengths(tree, 3, VerifyReport(tree.max_level))
+    stats = check_orbit_lengths(tree, 3, VerifyReport())
     assert (stats.checked, stats.mismatches) == (checked, 0)
 
 
 def test_failure_details():
     """The mismatch detail of each structural law names what broke."""
     tree = _tree(5, (1, [leaf(3), leaf(1)]))
-    report = VerifyReport(tree.max_level)
+    report = VerifyReport()
     check_lift_length_law(tree, 5, report)
     assert report.details == ["lift-length-law: [1, 3] under k=1@1"]
 
     tree = _tree(3, (1, [(5, [leaf(5), leaf(2)]), (7, [leaf(7)])]))
-    report = VerifyReport(tree.max_level)
+    report = VerifyReport()
     stats = check_orbit_lengths(tree, 3, report)
     assert (stats.checked, stats.mismatches) == (2, 2)
     assert report.details == ["orbit-bound: stationary length 5",
@@ -314,7 +314,7 @@ def test_failure_details():
 
     # tail_bound(3, 1, 1) = 2 and tail_bound(3, 2, 1) = 3
     tree = dataclasses.replace(_tree(3, (1, [leaf(1)])), tail_pairs=[[], [(1, 2)], [(1, 4)]])
-    report = VerifyReport(tree.max_level)
+    report = VerifyReport()
     stats = check_tail_bounds(IntPoly([0, 1]), 3, 2, report=report, tree=tree)
     assert (stats.checked, stats.mismatches) == (2, 1)
     assert report.details == ["tail-bound: tail of 4 at level 2 over k=1"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cycletree.arith import IntPoly, Valuation, mult_order, ord_p
 from cycletree.checkers import RationalMap
 from cycletree.errors import BadReductionError, InvariantError, NotACycleError
-from cycletree.graph import DEFAULT_BUDGET, _sweep_level, build_tree_bruteforce, enumerate_level
+from cycletree.graph import DEFAULT_BUDGET, build_tree_bruteforce, enumerate_level
 from cycletree.lifting import (LANE_MIN_P, Behavior, CycleNode, _children, _int64_lifts,
                                _bigint_lifts, _route, classify, compute_lin_at, expand_children,
                                make_node, multiplier_valuation)
@@ -20,7 +20,7 @@ from cycletree.lifting import (LANE_MIN_P, Behavior, CycleNode, _children, _int6
 def orbit_members(fmap, p, n):
     """The members of each cycle of f_n, cycles in rep order, as ascending
     tuples sliced from the oracle's orbit array."""
-    sw = _sweep_level(fmap, p, n, DEFAULT_BUDGET)
+    sw = enumerate_level(fmap, p, n, DEFAULT_BUDGET)
     orbit, ends = sw.orbit.tolist(), itertools.accumulate(sw.lengths)
     return [tuple(sorted(orbit[end - k:end])) for k, end in zip(sw.lengths, ends)]
 

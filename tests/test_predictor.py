@@ -149,6 +149,28 @@ def test_analyze_partial_chain_certificate():
     assert "partial-split" in kinds and "grows-tails" in kinds
 
 
+def test_shapes_are_interned():
+    """Every shape analyze emits is one object per value, within a run and
+    across runs, and an undetermined shape carries one horizon."""
+    seen = set()
+    for coeffs, p, kwargs in (([2, 1, 3, 1, 3, 2], 3, {}),  # grows-then-splits, case 2, case 3
+                              ([0, 4], 5, {}),  # a stationary partial chain
+                              ([0, 0, 1], 5, {}),  # tails-forever
+                              ([0, 1], 3, {"max_deepen": 1})):  # pathological-suspect
+        first, again = (analyze(IntPoly(coeffs), p, **kwargs).nodes for _ in range(2))
+        shapes = [n.prediction for n in first]
+        assert len(shapes) == len(again)
+        assert all(s is n.prediction for s, n in zip(shapes, again))
+        shapes.remove(None)  # the root
+        assert len({id(s) for s in shapes}) == len(set(shapes))
+        for s in shapes:
+            data = s.to_dict()
+            assert data["beyondLevel"] == data["splitKnownUntil"]
+            seen.add(s.reason or s.kind)
+    assert seen == {*ShapeKind, UndeterminedReason.CASE3_AB,
+                    UndeterminedReason.PATHOLOGICAL_SUSPECT} - {ShapeKind.UNDETERMINED}
+
+
 def test_orbit_bound_statement():
     tree = analyze(IntPoly([1, 1]), 3)
     assert tree.orbits.bound["maxLength"] == 9
@@ -264,7 +286,7 @@ def test_identity_check_on_partial_chain():
     tree = build_tree_bruteforce(f, 5, 6)
     samples = collect_kd_samples(tree)
     assert samples, "x^2 mod 5 must expose kd-lifts over the fixed point 1"
-    stats = check_kd_identity(f, 5, tree, VerifyReport(6))
+    stats = check_kd_identity(f, 5, tree, VerifyReport())
     assert stats.checked == len(samples)
     assert stats.mismatches == 0
 
