@@ -10,17 +10,19 @@ with --budget or CYCLETREE_BUDGET; a budget below 1, or a negative --max-level,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
 import sys
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter
 
 from .arith import IntPoly, OddPrime
 from .checkers import RationalMap, is_permutation, is_single_cycle
 from .errors import BudgetExceededError, CycletreeError, InvariantError
 from .graph import DEFAULT_BUDGET, enumerate_level, tail_analysis
-from .predictor import AnalyzedTree, PredictedShape, ShapeKind, analyze, tail_bound
+from .predictor import AnalyzedTree, TreeNode, analyze, tail_bound
 from .verify import random_poly, verify_all
 
 EXIT_OK = 0
@@ -144,32 +146,34 @@ def render_text(tree: AnalyzedTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_object(pad: str, keys: list[str], prediction: str = "%s") -> str:
-    """Indent-2 object at indent ``pad``: %s per value, ``prediction`` as that key's."""
-    fields = (f'{pad}  {json.dumps(k)}: ' + (prediction if k == "prediction" else "%s")
+def _json_object(pad: str, keys: list[str], fixed: dict[str, str]) -> str:
+    """Indent-2 object at ``pad``: JSON ``fixed[k]`` (%-escaped) as key k's value, else %s."""
+    fields = (f'{pad}  {json.dumps(k)}: ' + (fixed[k].replace("%", "%%") if k in fixed else "%s")
               for k in keys)
     return "{\n" + ",\n".join(fields) + f"\n{pad}}}"
 
 
 def render_json(tree: AnalyzedTree) -> str:
-    """``json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\\n"``, byte for byte.
-    Any ``indent`` sends json to its slow pure-Python encoder, so only the small frame goes
-    through it; each node fills a template of the sorted ``to_dict`` keys with values
-    the C encoder writes in one call, split on NUL, which it writes only escaped."""
-    out = tree.to_dict()
-    rows, out["nodes"] = out["nodes"], None
-    keys, pkeys = sorted(rows[0]), sorted(PredictedShape(ShapeKind.UNDETERMINED).to_dict())
-    cut, get, pget = keys.index("prediction"), itemgetter(*keys), itemgetter(*pkeys)
-    bare = "    " + _json_object("    ", keys)
-    full = "    " + _json_object("    ", keys, _json_object("      ", pkeys))
-    flat, shapes = [], []
-    for vals in map(get, rows):
-        pred = vals[cut]
-        flat += vals if pred is None else vals[:cut] + pget(pred) + vals[cut + 1:]
-        shapes.append(bare if pred is None else full)
-    flat = tuple(json.JSONEncoder(separators=("\x00", ":")).encode(flat)[1:-1].split("\x00"))
-    nodes = '\n  "nodes": [\n' + ",\n".join(shapes) % flat + "\n  ]"
-    return json.dumps(out, indent=2, sort_keys=True).replace('\n  "nodes": null', nodes, 1) + "\n"
+    """``json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\\n"``, byte for byte, with no
+    dict per node.  Only the small frame goes through json's slow indenting encoder.  One
+    ``attrgetter`` reads each row's scalars in sorted-key order for one C-encoder call, split
+    on NUL (written only escaped).  Each distinct prediction, by value, is rendered once into
+    a node template that the rows fill."""
+    keys = sorted(probe := tree.nodes[0].to_dict())
+    attrs = {k: "classification" if k == "class" else k for k in keys}
+    fixed = {k: json.dumps(probe[k]) for k in keys if attrs[k] not in TreeNode.__slots__}
+    get = attrgetter(*(attrs[k] for k in keys if k not in fixed and k != "prediction"))
+    pred = attrgetter("prediction")
+    shapes = dict.fromkeys(map(pred, tree.nodes))  # keyed by value: equal shapes share one
+    for shape in shapes:
+        text = "null" if shape is None else json.dumps(
+            shape.to_dict(), indent=2, sort_keys=True).replace("\n", "\n      ")
+        shapes[shape] = "    " + _json_object("    ", keys, {**fixed, "prediction": text})
+    flat = json.JSONEncoder(separators=("\x00", ":")).encode(
+        list(chain.from_iterable(map(get, tree.nodes))))[1:-1].split("\x00")
+    body = ",\n".join(map(shapes.__getitem__, map(pred, tree.nodes))) % tuple(flat)
+    frame = json.dumps(dataclasses.replace(tree, nodes=[]).to_dict(), indent=2, sort_keys=True)
+    return frame.replace('\n  "nodes": []', f'\n  "nodes": [\n{body}\n  ]', 1) + "\n"
 
 
 def render_dot(tree: AnalyzedTree) -> str:

@@ -120,6 +120,7 @@ class PredictedShape:
 
 # Every shape analyze emits is built here; the same keywords give the same object.
 _shape = functools.lru_cache(maxsize=4096)(PredictedShape)
+_BEHAVIOR_NAME = {b: b.value for b in Behavior}  # TreeNode's class, not via Enum.value
 
 
 def tail_bound(p: int, n: int, k: int) -> int:
@@ -478,19 +479,17 @@ def _chain_kind(node: CycleNode) -> str | None:
         return "partial-split"
     if beh is Behavior.GROWS_TAILS:
         return "grows-tails"
-    shape = node.shape
-    if (shape is not None and shape.kind is ShapeKind.SPLITS_THEN_GROWS
-            and shape.scope is Scope.ALL_BUT_ONE):
+    if node.shape is not None and node.shape.scope is Scope.ALL_BUT_ONE:  # splits-then-grows
         return "exceptional-split"
     return None
 
 
-def _chain_head(node: CycleNode) -> bool:
-    """Whether node starts a stationary chain: it lies on one, and its parent
-    is not on a chain of the same kind and length."""
+def _chain_head(node: CycleNode) -> str | None:
+    """The kind of stationary chain node starts, if any: it lies on one, and
+    its parent is not on a chain of the same kind and length."""
     kind, parent = _chain_kind(node), node.parent
-    return kind is not None and not (parent is not None and parent.length == node.length
-                                     and _chain_kind(parent) == kind)
+    same = kind is not None and parent is not None and parent.length == node.length
+    return None if same and _chain_kind(parent) == kind else kind
 
 
 def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
@@ -523,21 +522,18 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     stable: dict[int, int] = {}
     undetermined_count = 0
     order: list[tuple[CycleNode, int | None]] = [(root, None)]
-    for nid, (cnode, parent_id) in enumerate(order):  # order grows as the pass runs
+    for nid, (cnode, pid) in enumerate(order):  # order grows as the pass runs
         lin, cls, shape = cnode.lin, cnode.classification, cnode.shape
         ab = (lin.A.value, lin.B.value, lin.A.saturated, lin.B.saturated) if lin else (None,) * 4
-        nodes.append(TreeNode(nid, parent_id, cnode.level, cnode.length, cnode.rep,
-                              cls.behavior.value if cls else None, cls.d if cls else None,
-                              *ab, shape))
+        beh = (_BEHAVIOR_NAME[cls.behavior], cls.d) if cls else (None, None)
+        nodes.append(TreeNode(nid, pid, cnode.level, cnode.length, cnode.rep, *beh, *ab, shape))
         order += [(child, nid) for child in cnode.children]
-        if shape is None:
-            continue
-        if _chain_head(cnode):
+        if kind := _chain_head(cnode):  # the root, the one node with no shape, heads none
             if not orbit_length_allowed(cnode.length, p):
                 raise InvariantError(f"confirmed orbit length {cnode.length} violates the "
                                      "orbit bound", p, fmap, cnode.level, cnode.rep)
-            confirmed.append(OrbitChain(cnode.length, _chain_kind(cnode), nid, cnode.level))
-        if shape.kind is ShapeKind.UNDETERMINED and not cnode.children:
+            confirmed.append(OrbitChain(cnode.length, kind, nid, cnode.level))
+        if shape is not None and shape.kind is ShapeKind.UNDETERMINED and not cnode.children:
             undetermined_count += 1
             stable[cnode.length] = max(stable.get(cnode.length, 0), cnode.level)
 

@@ -151,12 +151,45 @@ def test_render_json_every_shape_kind():
         for i, (shape, cls) in enumerate(
             zip(shapes, ["grows", "splits", 'q"uote', "nul\x00here", "caf\u00e9",
                          "tails", "partial", "grows", "splits"]), start=1)]
+    # Equal shapes that are distinct objects (sharing one template), a non-root
+    # node with no prediction, and a "%" in a prediction value and in a class.
+    twins = [PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits=4, scope=Scope.ALL)
+             for _ in range(2)]
+    assert twins[0] == twins[1] and twins[0] is not twins[1]
+    extra = [*twins, None, PredictedShape(ShapeKind.SPLITS_THEN_GROWS, splits="50%s%%")]
+    nodes += [TreeNode(len(nodes) + i, 1, 2, 9, 7 + i, "100%", None, 1, 2, False, False, shape)
+              for i, shape in enumerate(extra)]
     orbits = OrbitReport([OrbitChain(9, "partial-split", 4, 12)],
                          [{"length": 3, "level": 30}], 2, orbit_bound_statement(3))
     tree = AnalyzedTree(3, {"num": [1, 0, 1], "den": [0, 1]}, 30, 10**7, False, True,
                         nodes, orbits, [0, 2])
+    before = tree.to_dict()
     out = assert_renders_as_stock_encoder(tree)
     assert "\x00" not in out and json.loads(out)["nodes"][4]["class"] == "nul\x00here"
+    assert tree.nodes is nodes and tree.to_dict() == before  # the tree is left untouched
+    assert [n["prediction"] for n in json.loads(out)["nodes"][-4:-1]] == [
+        twins[0].to_dict(), twins[0].to_dict(), None]
+
+
+def test_render_json_root_only_tree(capsys):
+    """A rational map whose level-1 orbits all meet a pole has no level-1
+    cycle, so the tree is the root alone: the renderer's probe is the root."""
+    tree = analyze(RationalMap(IntPoly([1, 1]), IntPoly([0, 1])), 3)
+    assert len(tree.nodes) == 1 and tree.determined
+    data = json.loads(assert_renders_as_stock_encoder(tree))
+    assert data["determined"] is True and data["badReductionClasses"] == [0]
+    code, out, _ = run_cli(capsys, "analyze", "--prime", "3", "--num", "1,1", "--den", "0,1",
+                           "--format", "json")
+    assert code == 0 and out == render_json(tree)
+
+
+def test_render_json_large_near_identity_tree():
+    """x + 3^10 (x^2 + x^3): thousands of nodes that share a few shapes, so
+    each shape's template is filled by many rows."""
+    tree = analyze(IntPoly([0, 1, 3**10, 3**10]), 3, max_level=30)
+    assert len(tree.nodes) >= 1000
+    assert len({node.prediction for node in tree.nodes}) <= 20
+    assert_renders_as_stock_encoder(tree)
 
 
 @settings(max_examples=40, deadline=None)
