@@ -120,7 +120,6 @@ class PredictedShape:
 
 # Every shape analyze emits is built here; the same keywords give the same object.
 _shape = functools.lru_cache(maxsize=4096)(PredictedShape)
-_BEHAVIOR_NAME = {b: b.value for b in Behavior}  # TreeNode's class, not via Enum.value
 
 
 def tail_bound(p: int, n: int, k: int) -> int:
@@ -522,11 +521,12 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     stable: dict[int, int] = {}
     undetermined_count = 0
     order: list[tuple[CycleNode, int | None]] = [(root, None)]
-    for nid, (cnode, pid) in enumerate(order):  # order grows as the pass runs
+    for nid, (cnode, parent_id) in enumerate(order):  # order grows as the pass runs
         lin, cls, shape = cnode.lin, cnode.classification, cnode.shape
         ab = (lin.A.value, lin.B.value, lin.A.saturated, lin.B.saturated) if lin else (None,) * 4
-        beh = (_BEHAVIOR_NAME[cls.behavior], cls.d) if cls else (None, None)
-        nodes.append(TreeNode(nid, pid, cnode.level, cnode.length, cnode.rep, *beh, *ab, shape))
+        nodes.append(TreeNode(nid, parent_id, cnode.level, cnode.length, cnode.rep,
+                              cls.behavior.value if cls else None, cls.d if cls else None,
+                              *ab, shape))
         order += [(child, nid) for child in cnode.children]
         if kind := _chain_head(cnode):  # the root, the one node with no shape, heads none
             if not orbit_length_allowed(cnode.length, p):
