@@ -172,8 +172,9 @@ def render_json(tree: AnalyzedTree) -> str:
     flat = json.JSONEncoder(separators=("\x00", ":")).encode(
         list(chain.from_iterable(map(get, tree.nodes))))[1:-1].split("\x00")
     body = ",\n".join(map(shapes.__getitem__, map(pred, tree.nodes))) % tuple(flat)
-    frame = json.dumps(dataclasses.replace(tree, nodes=[]).to_dict(), indent=2, sort_keys=True)
-    return frame.replace('\n  "nodes": []', f'\n  "nodes": [\n{body}\n  ]', 1) + "\n"
+    head, tail = json.dumps(dataclasses.replace(tree, nodes=[]).to_dict(), indent=2,
+                            sort_keys=True).split('\n  "nodes": []')  # one copy of the body
+    return f'{head}\n  "nodes": [\n{body}\n  ]{tail}\n'
 
 
 def render_dot(tree: AnalyzedTree) -> str:

@@ -480,7 +480,6 @@ def _chain_kind(node: CycleNode) -> str | None:
         return "grows-tails"
     if node.shape is not None and node.shape.scope is Scope.ALL_BUT_ONE:  # splits-then-grows
         return "exceptional-split"
-    return None
 
 
 def _chain_head(node: CycleNode) -> str | None:
