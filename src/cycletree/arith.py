@@ -7,7 +7,8 @@ engine, predictor, verifier) uses to evaluate a map; ``IntPoly`` implements
 it with Horner kernels, ``checkers.RationalMap`` with the same kernels and
 modular inverses.  The array methods (``table``, ``limbs``) run on int64
 arrays, which the oracle's 2^31-point cap keeps safe from overflow, and
-reduce through ``rem``.
+reduce through ``rem``; ``limbs`` keeps f(x) mod P^2 in one limb below
+P = 2^21 and in two below 2^31.
 """
 
 from __future__ import annotations
@@ -235,11 +236,22 @@ class IntPoly(MapProtocol):
         return acc
 
     def limbs(self, x: np.ndarray, modulus: int, p: int):
-        """Horner on two limbs in base P over residues x < P.  With P^2 < 2^63
-        nothing overflows int64: lo*x and der*x + lo are below P^2, the new
-        low limb lo*x - q*P + c_lo is below 2P, so its carry is one
-        comparison, and hi*x + q + c_hi + carry is at most P^2 - 1."""
+        """Horner in base P over residues x < P, nothing overflowing int64.
+        Below P = 2^21 on one limb, acc = f(x) mod P^2: acc*x + c is at most
+        (P^2 - 1)(P - 1) + P^2 - 1 < P^3 < 2^63; (hi, lo) split off at the end.
+        Below 2^31 on two: lo*x and der*x + lo are below P^2 < 2^63, the new low
+        limb lo*x - q*P + c_lo is below 2P, so its carry is one comparison, and
+        hi*x + q + c_hi + carry is at most P^2 - 1."""
         P = modulus
+        if P < 1 << 21:
+            acc, der = np.zeros_like(x), np.zeros_like(x)
+            for c in reversed(self.coeffs):
+                der = rem(der * x + acc, P)
+                acc *= x
+                acc += c % (P * P)
+                rem(acc, P * P, inplace=True)
+            hi = acc // P
+            return hi, acc - hi * P, der
         hi, lo, der = (np.zeros_like(x) for _ in range(3))
         for c in reversed(self.coeffs):
             c_hi, c_lo = divmod(c % (P * P), P)

@@ -9,8 +9,9 @@ mod p^{2n} with the integer polynomial num * den^(phi(p^{2n}) - 1), so the
 whole lift machinery applies.  The engine never expands that surrogate to
 coefficient form: it evaluates num and den with the ``IntPoly`` kernels and
 raises den to phi - 1 by square-and-multiply, on whole int64 arrays for tables
-and limbs (the oracle's 2^31-point cap keeps every product below 2^63) and per
-point elsewhere.  The route ``verify``'s oracle evaluates, ``oracle_map``, is
+and limbs (the oracle's 2^31-point cap keeps every product below 2^63;
+``IntPoly.limbs`` takes one limb below P = 2^21, two below 2^31) and per point
+elsewhere.  The route ``verify``'s oracle evaluates, ``oracle_map``, is
 ``InverseEvalMap``: the same map with den inverted by extended Euclid instead.
 """
 
@@ -155,10 +156,10 @@ class RationalMap(MapProtocol):
         return succ
 
     def limbs(self, x: np.ndarray, modulus: int, p: int):
-        """num and den on two limbs (``IntPoly.limbs``), 1/den mod P by the
-        class's inverse and one Hensel step to P^2.  Every product of two limbs
-        is below P^2 < 2^63 and is reduced mod P before it is summed; only a
-        difference of two such products is reduced once."""
+        """num and den by ``IntPoly.limbs`` (one limb below P = 2^21, two below
+        2^31), 1/den mod P by the class's inverse and one Hensel step to P^2.
+        Every product of two values mod P is below P^2 < 2^63 and is reduced mod
+        P before it is summed; only a difference of two such is reduced once."""
         P = modulus
         d_hi, d_lo, d_d = self.den.limbs(x, P, p)
         pole = np.flatnonzero(rem(d_lo, p) == 0)

@@ -46,8 +46,9 @@ __all__ = [
 
 # Child expansion walks the lifts as numpy lanes from this p on (``_route``).
 # Big-int over lane kernel time, level-1 expansions of random quintics, 40
-# nodes per p, two runs: p = 61: 0.70-0.75, 71: 0.92-1.03, 79: 1.00-1.01,
-# 89: 1.18-1.19, 97: 1.03-1.18, 131: 1.45-1.47, 211: 2.69-2.72, 1009: 7.65-7.98.
+# nodes per p, two runs: p = 61: 0.97-1.26, 71: 1.13-1.67, 79: 1.60-1.69,
+# 89: 1.36-1.52, 97: 1.73-1.79, 131: 2.08-2.12, 211: 4.01-4.61, 1009: 10.4-11.4.
+# Lanes tie at p = 61 and win from 71; no workload has 7 < p < 1009, so 97 stays.
 LANE_MIN_P = 97
 
 
@@ -205,9 +206,9 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     node's classification under the lift-length law (``classify_lifts``).
 
     Two kernels advance the lifts (``_route``): for p >= ``LANE_MIN_P`` and
-    p^{n+1} < 2^31 (int64 limbs) ``_int64_lifts`` as p numpy lanes, otherwise
-    ``_bigint_lifts`` one at a time at p^{2(n+1)}.  ``_children`` checks and
-    chains what either returns the same way.
+    p^{n+1} < 2^31 ``_int64_lifts`` as p numpy lanes (``limbs`` on one limb
+    below 2^21, two below 2^31), otherwise ``_bigint_lifts`` one at a time at
+    p^{2(n+1)}.  ``_children`` checks and chains what either returns the same way.
 
     b at the canonical rep needs no second walk.  With m = n+1, L the child
     length, F = f^L, y_j = f^j(start) and D_j = (f^j)'(start), Taylor mod p^{2m}
@@ -263,7 +264,8 @@ def _children(fmap, p: int, node: CycleNode, kernel) -> list[CycleNode]:
 
 def _route(p: int, level: int):
     """The lift kernel: numpy lanes when p pays for them and P = p^{level+1} <
-    ``ORACLE_MAX_POINTS`` keeps every ``limbs`` product below 2^63; else big ints."""
+    ``ORACLE_MAX_POINTS`` keeps every ``limbs`` product below 2^63 (one limb
+    below P = 2^21, two below 2^31); else big ints."""
     if p >= LANE_MIN_P and p ** (level + 1) < ORACLE_MAX_POINTS:
         return _int64_lifts
     return _bigint_lifts

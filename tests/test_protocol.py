@@ -153,6 +153,37 @@ def test_limbs_at_large_modulus(case):
             [fmap(x) % P for x in xs]
 
 
+def exact_limbs(fmap, xs, P, p):
+    """(hi, lo, d) lists of f(x) = hi*P + lo (mod P^2) and d = f'(x) (mod P)."""
+    square = [reference(fmap, x, P * P, p) for x in xs]
+    return [v // P for v, _ in square], [v % P for v, _ in square], [d % P for _, d in square]
+
+
+@pytest.mark.parametrize("P", [(1 << 21) - 1, 1 << 21, (1 << 21) + 1])
+def test_limbs_at_the_one_limb_bound(P):
+    """IntPoly.limbs on both sides of P = 2^21, where a single accumulator mod
+    P^2 times x < P would first pass 2^63: x = P - 1 with every coefficient -1
+    makes each Horner step's acc*x + c as large as it gets, P^3 - P."""
+    f = IntPoly([-1] * 6)
+    xs = [0, 1, P // 2, P - 2, P - 1]
+    hi, lo, d = f.limbs(np.array(xs, dtype=np.int64), P, 3)
+    assert (hi.tolist(), lo.tolist(), d.tolist()) == exact_limbs(f, xs, P, 3)
+
+
+@pytest.mark.parametrize("kind", [RationalMap, InverseEvalMap])
+@pytest.mark.parametrize("p, n", [(127, 3), (1447, 2), (131, 3), (1451, 2)])
+def test_rational_limbs_on_both_sides_of_the_one_limb_bound(kind, p, n):
+    """num and den on one limb at 127^3 and 1447^2, on two at 131^3 and 1451^2,
+    with the largest accumulators (x = P - 1, coefficients -1)."""
+    P = p**n
+    assert (P < 1 << 21) == (p in (127, 1447))
+    h = kind(IntPoly([-1] * 4), IntPoly([-1, -1, -1]))
+    xs = [x for x in (0, 1, P // 2, P - 2, P - 1) if reference(h, x, P, p) is not None]
+    assert P - 1 in xs
+    hi, lo, d = h.limbs(np.array(xs, dtype=np.int64), P, p)
+    assert (hi.tolist(), lo.tolist(), d.tolist()) == exact_limbs(h, xs, P, p)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(PRIMES_AND_LEVELS + LARGE_LEVELS), st.data())
 def test_vectorized_inverse_matches_pow(level, data):
