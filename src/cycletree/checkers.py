@@ -12,13 +12,14 @@ raises den to phi - 1 by square-and-multiply, on whole int64 arrays for tables
 and limbs (the oracle's 2^31-point cap keeps every product below 2^63;
 ``IntPoly.limbs`` takes one limb below P = 2^21, two below 2^31) and per point
 elsewhere.  The route ``verify``'s oracle evaluates, ``oracle_map``, is
-``InverseEvalMap``: the same map with den inverted by extended Euclid instead.
+``InverseEvalMap``: the same map with den inverted instead by Newton lifting
+from a table of inverses mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,27 +60,25 @@ def _power_inverse(d: np.ndarray, modulus: int, p: int) -> np.ndarray:
     return out
 
 
-def _euclid_inverse(d: np.ndarray, modulus: int) -> np.ndarray:
-    """1/d mod modulus over an int64 array of units, by extended Euclid.
+@lru_cache(maxsize=8)
+def _class_inverses(p: int) -> np.ndarray:
+    """1/c mod p for each class c by scalar ``pow`` (0 at the class of 0)."""
+    return np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
 
-    Each lane keeps r0 = s0*d and r1 = s1*d (mod modulus); the remainders of
-    a unit reach 1, where s1 is the inverse.  Finished lanes are dropped
-    every round, so later rounds run on the live lanes only.
+
+def _newton_inverse(d: np.ndarray, modulus: int, p: int) -> np.ndarray:
+    """1/d mod modulus over an array of units, by Newton (Hensel) lifting.
+
+    The inverse mod p comes from the class table; each round i <- i(2 - d*i)
+    squares the precision q up to the modulus.  Products stay below
+    modulus^2 < 2^63.
     """
-    out = np.empty_like(d)
-    lane = np.arange(len(d))
-    r0, r1 = np.full_like(d, modulus), d
-    s0, s1 = np.zeros_like(d), np.ones_like(d)
-    while True:
-        done = r1 == 1
-        out[lane[done]] = rem(s1[done], modulus)
-        if done.all():
-            return out
-        live = ~done
-        lane, r0, r1, s0, s1 = lane[live], r0[live], r1[live], s0[live], s1[live]
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
+    i = _class_inverses(p)[rem(d, p).astype(np.intp)]
+    q = p
+    while q < modulus:
+        q = min(q * q, modulus)
+        i = rem(i * (2 - rem(d * i, q)), q)
+    return i
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class RationalMap(MapProtocol):
 
     Evaluation uses the surrogate power form den(x)^(phi(m)-1), which equals
     the modular inverse on units; the oracle evaluates ``oracle_map()``, the
-    InverseEvalMap that inverts by extended Euclid instead, so verification
+    InverseEvalMap that inverts by Newton lifting instead, so verification
     never compares the surrogate against itself.
     """
 
@@ -195,7 +194,8 @@ class RationalMap(MapProtocol):
 
 
 class InverseEvalMap(RationalMap):
-    """The same rational map evaluated through extended-Euclid inverses.
+    """The same rational map evaluated through Newton-lifted inverses (scalar
+    ``pow(d, -1, m)`` per point).
 
     The independent oracle route of every rational map (``oracle_map``).
     """
@@ -208,7 +208,7 @@ class InverseEvalMap(RationalMap):
         return -1  # pow(d, -1, m) runs extended Euclid
 
     def _invert(self, d: np.ndarray, modulus: int, p: int) -> np.ndarray:
-        return _euclid_inverse(d, modulus)
+        return _newton_inverse(d, modulus, p)
 
 
 def is_permutation(f: IntPoly, p: int, n: int) -> bool:

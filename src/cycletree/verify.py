@@ -2,8 +2,8 @@
 
 ``verify_all`` is the pipeline for every map: it builds one oracle (a
 ``BruteTree`` with tail lengths and orbit arrays) from ``fmap.oracle_map()``
-(extended Euclid for a rational map), and runs on it ``verify_map`` and the
-structural laws that need no predictor, which evaluate fmap: the lift-length
+(Newton-lifted inverses for a rational map), and runs on it ``verify_map`` and
+the structural laws that need no predictor, which evaluate fmap: the lift-length
 law, the multiplier/offset chain congruences, the capped-valuation identity on
 kd-lifts, orbit-length and tail-length bounds.  ``verify_map`` checks that the
 analyzed prefix matches the oracle node for node, and that each annotation holds

@@ -261,5 +261,5 @@ def test_criterion_11_rational_maps():
         mismatches += rep.mismatches
         count += 1
     ok = count == 50 and mismatches == 0
-    report(11, ok, f"50 rational maps vs the extended-Euclid oracle to level 5: "
+    report(11, ok, f"50 rational maps vs the Newton-lifted oracle to level 5: "
                    f"{checked} checks, {mismatches} mismatches")

@@ -119,7 +119,7 @@ def test_reciprocal_map_level1():
 
 
 def test_oracle_route_of_each_map_type():
-    """A rational map's oracle evaluates the Euclid route; a polynomial is its own."""
+    """A rational map's oracle evaluates the Newton route; a polynomial is its own."""
     h = RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1]))
     route = h.oracle_map()
     assert isinstance(route, InverseEvalMap) and (route.num, route.den) == (h.num, h.den)
@@ -134,7 +134,7 @@ def test_analyze_rational_flags_pole():
 
 
 def test_rational_tree_matches_inverse_oracle():
-    """Maps with and without poles agree with the Euclid-inverse oracle, and
+    """Maps with and without poles agree with the Newton-inverse oracle, and
     analyze never reaches a pole: every node's rep lies in a class where the
     map is defined (lifts keep their class mod p, walks stay on orbits)."""
     rng = random.Random(12)

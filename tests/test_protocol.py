@@ -187,7 +187,7 @@ def test_rational_limbs_on_both_sides_of_the_one_limb_bound(kind, p, n):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(PRIMES_AND_LEVELS + LARGE_LEVELS), st.data())
 def test_vectorized_inverse_matches_pow(level, data):
-    """Each class's array inverse (power or Euclid) against pow(d, -1, m)."""
+    """Each class's array inverse (power or Newton) against pow(d, -1, m)."""
     p, n = level
     m = p**n
     units = data.draw(st.lists(st.integers(1, m - 1).filter(lambda v: v % p), max_size=60))
@@ -197,12 +197,33 @@ def test_vectorized_inverse_matches_pow(level, data):
         assert got.dtype == np.int64 and got.tolist() == want
 
 
+@pytest.mark.parametrize("p, n", [(3, 19), (5, 13), (7, 11), (46337, 2)])
+def test_newton_inverse_at_the_largest_moduli_below_2_31(p, n):
+    """Newton lifting against pow(d, -1, m) at the largest power of each p below
+    2^31, where the last round's products near 2^62."""
+    m = p**n
+    assert m < 1 << 31 < m * p
+    units = [1, p + 1, m - 2, m - 1]
+    got = checkers._newton_inverse(np.array(units, dtype=np.int64), m, p)
+    assert got.dtype == np.int64 and got.tolist() == [pow(d, -1, m) for d in units]
+
+
+def test_newton_inverse_on_empty_pole_and_object_input():
+    """No lanes, a table whose every class is a pole, and Python-int lanes."""
+    assert checkers._newton_inverse(np.array([], dtype=np.int64), 3**5, 3).tolist() == []
+    h = InverseEvalMap(IntPoly([1, 1]), IntPoly([3, 6]))  # den = 3(1 + 2x)
+    assert h.table(3**5, 3).tolist() == [-1] * 3**5
+    units = [1, 2, 4, 3**7 - 1]
+    got = checkers._newton_inverse(np.array(units, dtype=object), 3**7, 3)
+    assert got.tolist() == [pow(d, -1, 3**7) for d in units]
+
+
 @pytest.mark.parametrize("kind, own, other",
-                         [(RationalMap, "_power_inverse", "_euclid_inverse"),
-                          (InverseEvalMap, "_euclid_inverse", "_power_inverse")])
+                         [(RationalMap, "_power_inverse", "_newton_inverse"),
+                          (InverseEvalMap, "_newton_inverse", "_power_inverse")])
 def test_each_inverse_route_stays_with_its_class(monkeypatch, kind, own, other):
-    """The surrogate never inverts by Euclid and the oracle route never by the
-    power, so differential tests never compare a route against itself."""
+    """The surrogate never inverts by Newton lifting and the oracle route never
+    by the power, so differential tests never compare a route against itself."""
     h = kind(*POLES)
     calls = []
     route = getattr(checkers, own)

@@ -38,7 +38,7 @@ polynomials: 1; total mismatches: 0
 
 
 def _random_case(rng, p, rational):
-    """(map, oracle map) with the rational oracle on the Euclid route."""
+    """(map, oracle map) with the rational oracle on the Newton route."""
     if not rational:
         f = IntPoly(rng.randrange(p * p) for _ in range(rng.randint(2, 6)))
         return f, f
