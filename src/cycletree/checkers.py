@@ -12,8 +12,7 @@ raises den to phi - 1 by square-and-multiply, on whole int64 arrays for tables
 and limbs (the oracle's 2^31-point cap keeps every product below 2^63;
 ``IntPoly.limbs`` takes one limb below P = 2^21, two below 2^31) and per point
 elsewhere.  The route ``verify``'s oracle evaluates, ``oracle_map``, is
-``InverseEvalMap``: the same map with den inverted instead by Newton lifting
-from a table of inverses mod p.
+``InverseEvalMap``: the same map with den inverted by Newton lifting instead.
 """
 
 from __future__ import annotations
@@ -62,17 +61,16 @@ def _power_inverse(d: np.ndarray, modulus: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _class_inverses(p: int) -> np.ndarray:
-    """1/c mod p for each class c by scalar ``pow`` (0 at the class of 0)."""
-    return np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    """1/c mod p for each class c (0 at c = 0); read-only, as the cache shares it."""
+    table = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _newton_inverse(d: np.ndarray, modulus: int, p: int) -> np.ndarray:
-    """1/d mod modulus over an array of units, by Newton (Hensel) lifting.
-
-    The inverse mod p comes from the class table; each round i <- i(2 - d*i)
-    squares the precision q up to the modulus.  Products stay below
-    modulus^2 < 2^63.
-    """
+    """1/d mod modulus over an array of units: 1/d mod p from a cached table of
+    the p classes, then each Newton step i <- i(2 - d*i) squares the precision
+    q up to the modulus; products stay below modulus^2 < 2^63."""
     i = _class_inverses(p)[rem(d, p).astype(np.intp)]
     q = p
     while q < modulus:
@@ -194,8 +192,7 @@ class RationalMap(MapProtocol):
 
 
 class InverseEvalMap(RationalMap):
-    """The same rational map evaluated through Newton-lifted inverses (scalar
-    ``pow(d, -1, m)`` per point).
+    """The same rational map evaluated through Newton-lifted inverses.
 
     The independent oracle route of every rational map (``oracle_map``).
     """
