@@ -5,10 +5,10 @@ evaluation sites only, and polynomial coefficients are never destructively
 reduced.  ``MapProtocol`` is the one interface every layer (oracle, analytic
 engine, predictor, verifier) uses to evaluate a map; ``IntPoly`` implements
 it with Horner kernels, ``checkers.RationalMap`` with the same kernels and
-modular inverses.  The array methods (``table``, ``limbs``) run on int64
-arrays, which the oracle's 2^31-point cap keeps safe from overflow, and
-reduce through ``rem``; ``limbs`` keeps f(x) mod P^2 in one limb below
-P = 2^21 and in two below 2^31.
+modular inverses.  The array methods (``eval_array``, from which ``table`` is
+built in blocks of whole residue classes, and ``limbs``) run on int64 arrays,
+which the oracle's 2^31-point cap keeps safe from overflow, and reduce through
+``rem``; ``limbs`` keeps f(x) mod P^2 in one limb below P = 2^21, two below 2^31.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ __all__ = [
     "is_probable_prime",
 ]
 
+
+# Residues per block of a successor table (bounds the array kernels' temporaries).
+_TABLE_BLOCK = 1 << 14
 
 # Deterministic Miller-Rabin witnesses for n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -139,14 +142,15 @@ class MapProtocol:
 
     ``p`` is always passed last (maps without poles ignore it), every
     ``modulus`` is a power of p, and ``dwork`` divides ``work``.  A map type
-    implements ``walk``, ``taylor_at``, ``table``, ``limbs``, ``describe`` and
-    ``__str__``, plus ``poles`` if it has any.  One value is one step of
-    ``walk``: ``next(f.walk(x, 1, m, m, p))`` is (f(x), f'(x)) mod m.
+    implements ``walk``, ``taylor_at``, ``eval_array``, ``limbs``, ``describe``
+    and ``__str__`` (plus ``poles``, if any); ``table`` is shared.  One value is
+    one step of ``walk``: ``next(f.walk(x, 1, m, m, p))`` is (f(x), f'(x)) mod m.
 
     * ``walk(x, steps, work, dwork, p)``: yields (f(y) mod work, f'(y) mod
       dwork) for y = x, f(x), ..., ``steps`` times; its per-call work (a
       rational map's inverse exponent) is done once per call, not per step.
     * ``taylor_at(x0, order, modulus, p)``: Hasse coefficients of f at x0.
+    * ``eval_array(x, modulus, p)``: f(x) mod modulus over int64 residues x, no pole.
     * ``table(modulus, p)``: int64 successor array of f mod modulus, -1 at poles.
     * ``limbs(x, modulus, p)``: arrays (hi, lo, d) over the residues x, with
       f(x) = hi*P + lo (mod P^2) and d = f'(x) (mod P), P = modulus.
@@ -159,6 +163,21 @@ class MapProtocol:
 
     def poles(self, p: int) -> list[int]:
         return []
+
+    def table(self, modulus: int, p: int) -> np.ndarray:
+        # Blocks of whole classes bound the kernels' memory.  Pole classes are
+        # found once and never reach the map; without poles, blocks are slices.
+        block = min(modulus, max(_TABLE_BLOCK // p, 1) * p)
+        poles = self.poles(p)
+        keep = np.ones(p, dtype=bool)
+        keep[poles] = False
+        defined = np.flatnonzero(np.tile(keep, block // p)) if poles else None
+        succ = np.full(modulus, -1, dtype=np.int64)
+        for start in range(0, modulus, block):
+            lanes = defined[:np.searchsorted(defined, modulus - start)] if poles else slice(None)
+            x = np.arange(start, min(start + block, modulus), dtype=np.int64)[lanes]
+            succ[start:start + block][lanes] = self.eval_array(x, modulus, p)
+        return succ
 
     def oracle_map(self) -> "MapProtocol":
         return self
@@ -221,10 +240,7 @@ class IntPoly(MapProtocol):
             x = val
             yield val, der
 
-    def table(self, modulus: int, p: int) -> np.ndarray:
-        return self.eval_array(np.arange(modulus, dtype=np.int64), modulus)
-
-    def eval_array(self, x: np.ndarray, modulus: int) -> np.ndarray:
+    def eval_array(self, x: np.ndarray, modulus: int, p: int | None = None) -> np.ndarray:
         """f(x) mod P over an int64 array of residues x < P, by Horner with one
         reduction per step: acc*x + c is at most (P-1)^2 + P-1 < P^2, which is
         below 2^62 under the oracle's 2^31 cap and below 2^63 for P^2 < 2^63."""

@@ -9,10 +9,10 @@ mod p^{2n} with the integer polynomial num * den^(phi(p^{2n}) - 1), so the
 whole lift machinery applies.  The engine never expands that surrogate to
 coefficient form: it evaluates num and den with the ``IntPoly`` kernels and
 raises den to phi - 1 by square-and-multiply, on whole int64 arrays for tables
-and limbs (the oracle's 2^31-point cap keeps every product below 2^63;
-``IntPoly.limbs`` takes one limb below P = 2^21, two below 2^31) and per point
-elsewhere.  The route ``verify``'s oracle evaluates, ``oracle_map``, is
-``InverseEvalMap``: the same map with den inverted by Newton lifting instead.
+(``eval_array``) and limbs (the oracle's 2^31-point cap keeps every product
+below 2^63; ``IntPoly.limbs`` takes one limb below P = 2^21, two below 2^31)
+and per point elsewhere.  The route ``verify``'s oracle evaluates, ``oracle_map``,
+is ``InverseEvalMap``: the same map with den inverted by Newton lifting instead.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ __all__ = [
     "is_permutation",
     "is_single_cycle",
 ]
-
-
-# Residues per block of a rational table (bounds the array kernels' temporaries).
-_TABLE_BLOCK = 1 << 14
 
 
 def _phi(modulus: int, p: int) -> int:
@@ -135,22 +131,9 @@ class RationalMap(MapProtocol):
             x = nx * inv_d % work
             yield x, der
 
-    def table(self, modulus: int, p: int) -> np.ndarray:
-        # Whether x is a pole depends only on x mod p, so the pole classes
-        # are found once and their residues never reach the map.  Blocks of
-        # a power of p residues bound the memory the kernels take.
-        block = modulus
-        while block > _TABLE_BLOCK and block > p:
-            block //= p
-        pole = np.zeros(p, dtype=bool)
-        pole[self.poles(p)] = True
-        defined = np.flatnonzero(~np.tile(pole, block // p))
-        succ = np.full(modulus, -1, dtype=np.int64)
-        for start in range(0, modulus, block):
-            x = defined + start
-            inv = self._invert(self.den.eval_array(x, modulus), modulus, p)
-            succ[x] = rem(self.num.eval_array(x, modulus) * inv, modulus)
-        return succ
+    def eval_array(self, x: np.ndarray, modulus: int, p: int) -> np.ndarray:
+        inv = self._invert(self.den.eval_array(x, modulus), modulus, p)
+        return rem(self.num.eval_array(x, modulus) * inv, modulus)
 
     def limbs(self, x: np.ndarray, modulus: int, p: int):
         """num and den by ``IntPoly.limbs`` (one limb below P = 2^21, two below

@@ -201,9 +201,10 @@ def expand_children(fmap, p: int, node: CycleNode) -> list[CycleNode]:
     listed from its smallest offset t0, is one child.  The real map is then
     walked over the lifts, k steps each, which checks the closed form and
     yields each child's rep, its a, and its b at the walk start.  Cost: k*p
-    evaluations, or k when a = 0 (one lift); the caller charges k*p
-    (``predictor._Analysis.expand``).  The child lengths must match the
-    node's classification under the lift-length law (``classify_lifts``).
+    evaluations, or k when a = 0 (one lift); ``predictor._Analysis.expand``
+    charges k*p, exact for every expansion ``analyze`` makes, as it never expands
+    an a = 0 node (grows-tails: tails-forever).  The child lengths must match
+    the node's classification under the lift-length law (``classify_lifts``).
 
     Two kernels advance the lifts (``_route``): for p >= ``LANE_MIN_P`` and
     p^{n+1} < 2^31 ``_int64_lifts`` as p numpy lanes (``limbs`` on one limb

@@ -118,6 +118,10 @@ def maps(draw):
     return p, draw(st.sampled_from([RationalMap, InverseEvalMap]))(num, den)
 
 
+# The top level of each sweep case's prime: every level up to p^n <= 20000.
+TOP = {3: 9, 5: 6, 7: 5, 131: 2}
+
+
 def sweep_cases(test):
     """Drawn maps plus the edge cases of the sweep."""
     for case in [
@@ -131,6 +135,7 @@ def sweep_cases(test):
         (3, IntPoly([1, 1])),  # x + 1: one 3^9-point cycle, the most doubling rounds
         (3, IntPoly([0, 3])),  # 3x: tails up to n long into 0, the most peeling rounds
         (3, RationalMap(IntPoly([3]), IntPoly([0, 1]))),  # 3/x: no cycle at any level >= 1
+        (131, RationalMap(IntPoly([1, 0, 1]), IntPoly([-5, 1]))),  # a clipped table block at 131^2
     ]:
         test = example(case)(test)
     return settings(max_examples=15, deadline=None)(given(maps())(test))
@@ -140,7 +145,7 @@ def sweep_cases(test):
 def test_sweep_matches_reference_with_poles(case):
     # every level up to p^n <= 20000, from a few points to the largest
     p, fmap = case
-    top = {3: 9, 5: 6, 7: 5}[p]
+    top = TOP[p]
     tree = build_tree_bruteforce(fmap, p, top, with_tail_lengths=True)
     for n in range(1, top + 1):
         cycles, tails, poles, pairs, dist, owner = reference_level(fmap, p, n)
@@ -186,7 +191,7 @@ def basin_tail_pairs(sweep):
 def test_peeling_rounds_match_outward_distances(case):
     # every level up to p^n <= 20000, on both labelling paths
     p, fmap = case
-    for n in range(1, {3: 9, 5: 6, 7: 5}[p] + 1):
+    for n in range(1, TOP[p] + 1):
         for leaders in (graph.LEADER_MIN_POINTS, 1):
             with mock.patch.object(graph, "LEADER_MIN_POINTS", leaders):
                 sw = enumerate_level(fmap, p, n)

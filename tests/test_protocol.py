@@ -61,6 +61,9 @@ WALKS = [(0, 5), (1, 3), (2, 6), (10**9 + 7, 4)]
 @example((RationalMap(IntPoly([1, 0, 1]), IntPoly([0, 1])), 3, 5), WALKS)  # a pole at 0
 @example((InverseEvalMap(IntPoly([2, 3, 1, 5]), IntPoly([2, 6, 4])), 3, 4), WALKS)  # poles 1, 2
 @example((RationalMap(IntPoly([1, 2, 1]), IntPoly([3, 0, 1])), 5, 3), WALKS)  # no poles
+@example((IntPoly([2, 1, 3, 1, 3, 2]), 3, 9), WALKS)  # table blocks of 16,383 and a clipped 3,300
+@example((RationalMap(IntPoly([1, 0, 1]), IntPoly([-5, 1])), 131, 2), WALKS)  # 16,375 and 786
+@example((InverseEvalMap(IntPoly([1, 0, 1]), IntPoly([-5, 1])), 16411, 1), WALKS)  # one class
 def test_protocol_matches_reference(case, walks):
     fmap, p, n = case
     m = p**n
@@ -151,6 +154,9 @@ def test_limbs_at_large_modulus(case):
     if isinstance(fmap, IntPoly):
         assert fmap.eval_array(np.array(xs, dtype=np.int64), P).tolist() == \
             [fmap(x) % P for x in xs]
+    else:
+        assert fmap.eval_array(np.array(xs, dtype=np.int64), P, p).tolist() == \
+            [reference(fmap, x, P, p)[0] for x in xs]
 
 
 def exact_limbs(fmap, xs, P, p):
