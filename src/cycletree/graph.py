@@ -1,20 +1,21 @@
 """Brute-force oracle: exhaustive cycle/tail decomposition of f_n on Z/p^nZ.
 
 This is the ground truth that every analytic prediction is checked against.
-Every map takes one path.  The map supplies its own int64
-successor table (``table`` of the map protocol in ``arith``, -1 at poles).
-Poles point to an absorbing sink.  In-degree peeling strips the tails and
-leaves the cyclic points; doubling over windows of their orbits then gives
-each the position of its cycle's smallest member (the rep) and the steps to
-it.  From ``LEADER_MIN_POINTS`` = 2^18 cyclic points on, the doubling runs over
-leaders only (a ruling set): one position in 32, picked by a multiplicative
-hash, as the orbit of x + s would walk in step with any stride.  A lockstep walk
-labels each point with its leader and offset, which one gather turns into rep
-and steps.  If more than half the cyclic points lie on leaderless cycles (the
-identity, x -> -x), the plain doubling runs instead; fewer are labelled apart.
-Array passes, not a walk, then list the cycles in rep order, each in orbit
-order from its rep.  ``enumerate_level`` returns a level as one
-``LevelDecomposition`` of arrays.
+Every map takes one path.  The map supplies its own int64 successor table
+(``table`` of the map protocol in ``arith``, -1 at poles).  Poles point to an
+absorbing sink.  In-degree peeling strips the tails and leaves the cyclic
+points; doubling over windows of their orbits then gives each the position of
+its cycle's smallest member (the rep) and its steps from it.  From
+``LEADER_MIN_POINTS`` = 2^18 cyclic points on, the doubling runs over leaders
+only (a ruling set): one position in 32, picked by a multiplicative hash, as the
+orbit of x + s would walk in step with any stride.  A lockstep walk labels each
+point with its leader and offset, which one gather turns into rep and steps.
+If more than half the cyclic points lie on leaderless cycles (the identity,
+x -> -x), the plain doubling runs instead.  One doubling, ``_min_keys``, serves
+the plain sweep, the leader lanes and the points of leaderless cycles, which it
+labels on their own, not contracted again.  Array passes, not a walk, then list
+the cycles in rep order, each in orbit order from its rep.  ``enumerate_level``
+returns a level as one ``LevelDecomposition`` of arrays.
 Tail facts come from the peeling rounds.  A point peeled in round r (leaves in
 round 0) ends a chain of r + 1 tail points, so each cycle's longest tail is the
 longest such chain among the tail points that feed it directly.
@@ -98,9 +99,34 @@ def _check_size(points: int, budget: int) -> None:
             "the oracle's 2^31-point cap (no budget raises it)" if capped else "budget"))
 
 
+def _min_keys(key: np.ndarray, nxt: np.ndarray, w) -> np.ndarray:
+    """Each element's least key over its cycle under ``nxt``, which the call consumes;
+    ``w`` is the points an element spans, an int for all or an array of one each."""
+    # Doubling over the windows [i, i+w) of each orbit, key = m*2^32 + d: m is
+    # the smallest position in the window and d the steps from i to it, so the
+    # smaller key of two halves keeps the nearer copy of one position.  A round
+    # that changes nothing leaves every window a whole cycle: m is the rep's
+    # position and d < length < 2^31 (the oracle cap).  Two halves of equally many
+    # elements whose d + w carries into m each span a whole cycle: that key never wins.
+    lanes = not isinstance(w, int)
+    k = 1
+    while k < len(key):
+        new = np.take(key, nxt)
+        new += w
+        np.minimum(new, key, out=new)
+        if np.array_equal(new, key):
+            break
+        key = new
+        w = w + np.take(w, nxt) if lanes else 2 * w
+        nxt = np.take(nxt, nxt)
+        k *= 2
+    return key
+
+
 def _rep_steps(jw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per position of the cyclic permutation ``jw``, which the call consumes: m, the
-    position of its cycle's smallest member, and d (int32), the steps to it."""
+    position of its cycle's smallest member (the rep), and e (int32), its steps from
+    the rep modulo the cycle's length: -length < e < length, and e = 0 only at the rep."""
     c = len(jw)
     if c >= LEADER_MIN_POINTS:
         jw = jw.astype(np.int32)
@@ -125,57 +151,22 @@ def _rep_steps(jw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             gap = np.flatnonzero(md < 0)  # the points of leaderless cycles, renumbered
             sub = np.cumsum(md < 0, dtype=np.int32)[jw[gap]] - 1 if len(gap) else gap
             del jw
-            gm, gd = _rep_steps(sub.astype(np.int64))
-            # Doubling over leaders, whose windows span w points: d < length < 2^31, so
-            # only a window past a whole cycle can carry out of d, and it never wins.
-            nxt = np.searchsorted(lead, nxt)
-            w, k = seg, 1
-            while k < len(lead):
-                new = np.take(best, nxt)
-                new += w
-                np.minimum(new, best, out=new)
-                if np.array_equal(new, best):
-                    break
-                best = new
-                w = w + np.take(w, nxt)
-                nxt = np.take(nxt, nxt)
-                k *= 2
-            _, cyc = np.unique(best >> 32, return_inverse=True)
-            size = np.bincount(cyc, weights=seg)[cyc].astype(np.int32)  # cycle length per lane
-            # The point d steps past its leader is (steps(leader) - d) mod length from
-            # the rep.  md becomes the lanes, -1 on leaderless cycles, which clip.
-            d = (md & 0xFFFFFFFF).astype(np.int32)
+            key = _min_keys(np.arange(len(gap), dtype=np.int64) << 32, sub.astype(np.int64), 1)
+            best = _min_keys(best, np.searchsorted(lead, nxt), seg)
+            # The point d steps past its leader is d - (the rep's offset) from the rep; an
+            # int32 cast keeps a key's low half.  md becomes lanes, -1 off them, which clip.
+            e = md.astype(np.int32)
             md >>= 32
-            m = np.take((best & 0xFFFFFFFF).astype(np.int32), md, mode="clip")
-            np.subtract(m, d, out=d)
-            np.take(size, md, out=m, mode="clip")
-            np.add(d, m, out=d, where=d < 0)
-            np.take((best >> 32).astype(np.int32), md, out=m, mode="clip")
-            m[gap], d[gap] = gap[gm], gd
-            return m, d
+            e -= np.take(best.astype(np.int32), md, mode="clip")
+            m = np.take((best >> 32).astype(np.int32), md, mode="clip")
+            m[gap], e[gap] = gap[key >> 32], np.negative(key, dtype=np.int32)
+            return m, e
         del md
-        jw = jw.astype(np.int64)
-    # Doubling over the windows [i, i+w) of each orbit, key = m*2^32 + d: m is
-    # the smallest position in the window and d the steps from i to it, so the
-    # smaller key of two halves keeps the nearer copy of one position.  A round
-    # that changes nothing leaves every window a whole cycle: m is the rep's
-    # position and d < length.  c < 2^31 by the oracle cap, and d + w < 2w < 2^32
-    # never carries into m.  jw jumps w steps.
-    key = new = np.arange(c, dtype=np.int64) << 32
-    w = 1
-    while w < c:
-        new = np.take(key, jw)
-        new += w
-        np.minimum(new, key, out=new)
-        if np.array_equal(new, key):
-            break
-        key = new
-        jw = np.take(jw, jw)
-        w *= 2
-    del jw, new
-    d = (key & 0xFFFFFFFF).astype(np.int32)
+    key = _min_keys(np.arange(c, dtype=np.int64) << 32, jw.astype(np.int64), 1)  # its own copy
+    del jw
+    e = np.negative(key, dtype=np.int32)  # the low half is d: the rep is d steps on, -d back
     key >>= 32  # key is now m
-    return key, d
+    return key, e
 
 
 def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> LevelDecomposition:
@@ -214,21 +205,20 @@ def enumerate_level(fmap, p: int, n: int, budget: int = DEFAULT_BUDGET) -> Level
     chain = -indeg[feeders].astype(np.int32)
     del indeg, feeders
     cyclic = cyclic[:modulus]
-    m, d = _rep_steps(np.cumsum(cyclic)[succ[cyclic]] - 1)  # successors, as cyclic positions
+    m, e = _rep_steps(np.cumsum(cyclic)[succ[cyclic]] - 1)  # successors, as cyclic positions
     starts = np.flatnonzero(cyclic)
     del cyclic
-    root = d == 0  # the reps, ascending
+    root = e == 0  # the reps, ascending
     reps = starts[root]
     cid = np.cumsum(root, dtype=np.int32)[m] - 1
     del m, root
     sizes = np.bincount(cid).astype(np.int32)
-    # Orbit order from the rep: the point d steps before it sits (len - d) mod len on,
-    # which is len - d for d > 0, as d < len.
-    np.subtract(sizes[cid], d, out=d, where=d > 0)
-    d += (np.cumsum(sizes, dtype=np.int32) - sizes)[cid]
+    # Orbit order from the rep: e steps on, taken mod len, as -len < e < len.
+    np.add(e, sizes[cid], out=e, where=e < 0)
+    e += (np.cumsum(sizes, dtype=np.int32) - sizes)[cid]
     orbit = np.empty(len(starts), dtype=np.int32)
-    orbit[d] = starts
-    del d
+    orbit[e] = starts
+    del e
     labels = np.full(modulus, -1, dtype=np.int32)
     labels[starts] = cid
     tails = np.zeros(len(reps), dtype=np.int32)

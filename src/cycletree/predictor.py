@@ -318,7 +318,6 @@ class _Analysis:
         self.deepen_nodes = 0
         self.work = 0
         self.budget_exceeded = False
-        self.unresolved = 0
 
     # -- expansion with work accounting -------------------------------------
 
@@ -371,15 +370,10 @@ class _Analysis:
             if rounds is None:
                 node.shape = _shape(kind=ShapeKind.UNDETERMINED, beyond_level=shape.beyond_level,
                                     reason=UndeterminedReason.PATHOLOGICAL_SUSPECT)
-                self.unresolved += 1
                 return
             if self.deepen_nodes >= DEEPEN_WIDTH:
-                # deepening frontier got too wide; stay honestly undetermined
-                self.unresolved += 1
-                return
-        children = self.expand(node)
-        if children is None:
-            self.unresolved += 1
+                return  # deepening frontier got too wide; stay honestly undetermined
+        if (children := self.expand(node)) is None:
             return
         self.deepen_nodes += kind is ShapeKind.UNDETERMINED
         for child in children:
@@ -465,9 +459,6 @@ class _Analysis:
             visited.shape = _shape(kind=ShapeKind.STATIONARY_PARTIAL_SPLIT, d=d, m=m)
         for child in pending:
             self.process(child, self.max_deepen, 0)
-        if certified is None and not pending:
-            # chain stopped before any kd-lift was examined
-            self.unresolved += 1
 
 
 def _chain_kind(node: CycleNode) -> str | None:
@@ -512,13 +503,13 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
     for child in root.children:
         analysis.process(child, max_deepen, 0)
 
-    # One breadth-first pass, children in rep order: the flat rows, the heads
-    # of theorem-backed stationary chains (each within the orbit bound) and
-    # the unexpanded undetermined frontier.
+    # One breadth-first pass, children in rep order: the flat rows, the heads of
+    # theorem-backed stationary chains (each within the orbit bound) and the open leaves,
+    # unexpanded nodes that are undetermined, grow then split or head a partial split.
     nodes: list[TreeNode] = []
     confirmed: list[OrbitChain] = []
     stable: dict[int, int] = {}
-    undetermined_count = 0
+    undetermined_count = open_leaves = 0
     order: list[tuple[CycleNode, int | None]] = [(root, None)]
     for nid, (cnode, parent_id) in enumerate(order):  # order grows as the pass runs
         lin, cls, shape = cnode.lin, cnode.classification, cnode.shape
@@ -532,9 +523,14 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
                 raise InvariantError(f"confirmed orbit length {cnode.length} violates the "
                                      "orbit bound", p, fmap, cnode.level, cnode.rep)
             confirmed.append(OrbitChain(cnode.length, kind, nid, cnode.level))
-        if shape is not None and shape.kind is ShapeKind.UNDETERMINED and not cnode.children:
+        if shape is None or cnode.children:
+            continue
+        if shape.kind is ShapeKind.UNDETERMINED:
             undetermined_count += 1
             stable[cnode.length] = max(stable.get(cnode.length, 0), cnode.level)
+        elif shape.kind is not ShapeKind.GROWS_THEN_SPLITS and kind != "partial-split":
+            continue  # its shape fixes its subtree
+        open_leaves += 1
 
     orbits = OrbitReport(
         confirmed=sorted(confirmed, key=lambda c: (c.length, c.node_id)),
@@ -542,7 +538,7 @@ def analyze(fmap, p: int, max_level: int = 9, budget: int = DEFAULT_BUDGET,
         undetermined_chains=undetermined_count,
         bound=orbit_bound_statement(p),
     )
-    determined = analysis.unresolved == 0 and not analysis.budget_exceeded
+    determined = open_leaves == 0 and not analysis.budget_exceeded
     return AnalyzedTree(
         p=int(p),
         map_desc=fmap.describe(),

@@ -232,6 +232,7 @@ def test_longest_tail_through_a_feeder_with_preimages_of_different_rounds():
     (5, 8, [0, 1]),  # identity: the bail-out to plain doubling
     (5, 8, [0, -1]),  # x -> -x: 2-cycles, the bail-out too
     (3, 12, [32, 1]),  # x + 32: the orbit steps by 32, in step with strided leaders
+    (3, 13, [3**10, 1]),  # x + 3^10: 59,049 27-cycles, 537,894 points on leaderless ones
 ])
 def test_contraction_matches_plain_doubling(p, n, coeffs):
     f = IntPoly(coeffs)
