@@ -109,7 +109,6 @@ def test_analyze_pathological_suspect_flag():
     assert {"length": 1, "level": 8} in tree.orbits.stable_so_far
 
 
-
 def test_unexpanded_grows_then_splits_leaf_is_not_determined():
     # 7 + 6x + x^2 at p = 3: the level-1 fixed point grows, then splits.  Cut at level 1
     # it is an open leaf that is not undetermined; one level more fixes its subtree.
@@ -120,6 +119,7 @@ def test_unexpanded_grows_then_splits_leaf_is_not_determined():
     assert not tree.determined and not tree.budget_exceeded
     assert tree.orbits.undetermined_chains == 0
     assert analyze(f, 3, max_level=2).determined
+
 
 @pytest.mark.parametrize("rounds", range(4))
 def test_deepening_doubles_the_horizon(rounds):
